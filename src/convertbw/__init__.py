@@ -23,7 +23,7 @@ from .mds import (CorruptDataError, VectorCode, decode_from, encode,
                   make_systematic_mds, verify_mds)
 from .params import SplitParams
 from .search import (CertificationReport, SearchBudget, SearchOutcome,
-                     certify_bound, check_scheme_inequalities, find_achieving,
+                     certify_bound, check_scheme_inequalities,
                      min_bandwidth_exhaustive, random_mds_pair)
 
 __version__ = "0.1.0"

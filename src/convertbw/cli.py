@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import bounds, search, verify
 from .convertible import default_scheme, run_conversion, canonical_codes
@@ -176,7 +177,6 @@ def cmd_simulate(args, parser) -> int:
         finals, report = run_conversion(p, initial, final, scheme, msg)
         for t, cw in enumerate(finals):
             want = msg[t * p.kf * p.alpha:(t + 1) * p.kf * p.alpha]
-            from itertools import combinations
             for sub in combinations(range(p.nf), p.kf):
                 got = decode_from(final, {i: cw[i] for i in sub})
                 if list(got) != list(want):
@@ -199,8 +199,7 @@ def cmd_simulate(args, parser) -> int:
 def cmd_search(args, parser) -> int:
     p = _split_params(args, parser, need_q=True)
     budget = search.SearchBudget(max_total_dim=args.max_dim,
-                                 max_visits=args.max_visits,
-                                 seed=args.seed)
+                                 max_visits=args.max_visits)
     reports = search.certify_bound(p, trials=args.trials, budget=budget,
                                    seed=args.seed)
     _dump_json([r.to_json_dict() for r in reports], args.out)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import LinearEnsemble, mapped_rows, _scheme_maps
+from .ensemble import (LinearEnsemble, _check_code_pair, _scheme_maps,
+                       final_parity_rows, mapped_rows)
 from .linalg import Matrix, in_span, rref, solve_left, vstack
 from .mds import VectorCode, encode, make_systematic_mds
 from .params import SplitParams
@@ -174,12 +175,6 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
     return initial, final
 
 
-def _download_order(params: SplitParams):
-    """Download rows are stacked data nodes first, parities second, each
-    in ascending node order (fixed so values align with coefficients)."""
-    return list(range(params.ki)), list(range(params.ri))
-
-
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
                    scheme: ConversionScheme, message: Sequence[int]):
     """Execute one conversion.
@@ -191,71 +186,38 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
 
     Raises InfeasibleSchemeError when the scheme cannot produce the
     final parities.  The codes are assumed to satisfy the MDS property
-    (see verify_mds); only shapes and feasibility are validated here.
+    (see verify_mds); shapes, fields, systematic layout and feasibility
+    are validated here.
     """
     p = params
+    _check_code_pair(p, initial, final)
     fld = initial.field
-    if (initial.n, initial.k, initial.alpha) != (p.ni, p.ki, p.alpha):
-        raise ValueError("initial code does not match parameters")
-    if (final.n, final.k, final.alpha) != (p.nf, p.kf, p.alpha):
-        raise ValueError("final code does not match parameters")
-    if initial.field != final.field:
-        raise ValueError("initial and final codes use different fields")
-
     initial_nodes = encode(initial, message)
 
-    # Downloaded rows as linear functions of the message, and the final
-    # parity rows they must span.
-    info_idx, parity_idx = _download_order(p)
-    pieces = []
-    for j in info_idx:
-        m = scheme.info_maps[j]
-        if m.rows:
-            pieces.append(m @ initial.node_block(j))
-    for i in parity_idx:
-        m = scheme.parity_maps[i]
-        if m.rows:
-            pieces.append(m @ initial.node_block(p.ki + i))
-    downloads = vstack(pieces) if pieces else Matrix.zeros(fld, 0, p.message_dim)
-
-    md = p.message_dim
-    target_rows = np.zeros((p.lf * p.rf * p.alpha, md), dtype=np.int64)
-    for t in range(p.lf):
-        off = t * p.kf * p.alpha
-        for j in range(p.rf):
-            small = final.node_block(p.kf + j).array
-            r0 = (t * p.rf + j) * p.alpha
-            target_rows[r0:r0 + p.alpha, off:off + p.kf * p.alpha] = small
-    targets = Matrix(fld, target_rows)
-
-    combine = solve_left(targets, downloads)
+    # Downloading nodes in node order (data nodes, then parities); the
+    # coefficient rows and the stored values both follow this order.
+    used = [(i, m) for i, m in enumerate(scheme.info_maps + scheme.parity_maps)
+            if m.rows]
+    if used:
+        downloads = vstack([m @ initial.node_block(i) for i, m in used])
+    else:
+        downloads = Matrix.zeros(fld, 0, p.message_dim)
+    combine = solve_left(Matrix(fld, final_parity_rows(p, final)), downloads)
     if combine is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-
-    # Apply the same maps to the concrete stored values.
-    value_pieces = []
-    for j in info_idx:
-        m = scheme.info_maps[j]
-        if m.rows:
-            value_pieces.append(fld.arr_matmul(m.array, initial_nodes[j][:, None]))
-    for i in parity_idx:
-        m = scheme.parity_maps[i]
-        if m.rows:
-            value_pieces.append(fld.arr_matmul(m.array, initial_nodes[p.ki + i][:, None]))
-    if value_pieces:
-        downloaded_values = np.vstack(value_pieces)
-        new_values = fld.arr_matmul(combine.array, downloaded_values)[:, 0]
+    if used:
+        values = np.vstack([fld.arr_matmul(m.array, initial_nodes[i][:, None])
+                            for i, m in used])
+        new_values = fld.arr_matmul(combine.array, values)[:, 0]
     else:
         new_values = np.zeros(p.lf * p.rf * p.alpha, dtype=np.int64)
+    new_nodes = new_values.reshape(p.lf * p.rf, p.alpha)
 
     final_codewords = []
     for t in range(p.lf):
-        cw = np.zeros((p.nf, p.alpha), dtype=np.int64)
-        cw[: p.kf, :] = initial_nodes[t * p.kf:(t + 1) * p.kf, :]
-        for j in range(p.rf):
-            r0 = (t * p.rf + j) * p.alpha
-            cw[p.kf + j, :] = new_values[r0:r0 + p.alpha]
+        cw = np.vstack([initial_nodes[t * p.kf:(t + 1) * p.kf],
+                        new_nodes[t * p.rf:(t + 1) * p.rf]])
         cw.setflags(write=False)
         final_codewords.append(cw)
     return final_codewords, scheme_bandwidth(scheme)

@@ -103,14 +103,6 @@ class LinearEnsemble:
         p = self.params
         return self.final_parities[t * p.rf:(t + 1) * p.rf]
 
-    def codeword_of(self, v: NodeId) -> int:
-        p = self.params
-        if v.kind == INFO:
-            return v.index // p.kf
-        if v.kind == FINAL_PARITY:
-            return v.index // p.rf
-        raise ValueError(f"{v} belongs to the initial codeword as a whole")
-
     def stack(self, items: Iterable[NodeId | Matrix]) -> Matrix:
         """Stacked coefficient rows: NodeIds contribute their blocks (set
         semantics, canonical order), matrices are taken as given."""
@@ -130,14 +122,10 @@ class LinearEnsemble:
         return vstack(pieces)
 
 
-def ensemble_from_codes(params: SplitParams, initial: VectorCode,
-                        final: VectorCode, *, verify: bool = True) -> LinearEnsemble:
-    """Assemble the node-variable model from an initial/final code pair.
-
-    The t-th final codeword is embedded on message node coordinates
-    [t*kf, (t+1)*kf), so its parities depend on those coordinates only.
-    """
-    p = params
+def _check_code_pair(p: SplitParams, initial: VectorCode,
+                     final: VectorCode) -> None:
+    """Both codes fit p, share a field, and are systematic on their
+    first k nodes, so data node j stores message block j."""
     if (initial.n, initial.k, initial.alpha) != (p.ni, p.ki, p.alpha):
         raise ValueError(
             f"initial code is [{initial.n},{initial.k},{initial.alpha}], "
@@ -148,25 +136,43 @@ def ensemble_from_codes(params: SplitParams, initial: VectorCode,
             f"expected [{p.nf},{p.kf},{p.alpha}]")
     if initial.field != final.field:
         raise ValueError("initial and final codes use different fields")
+    for name, code in (("initial", initial), ("final", final)):
+        if code.systematic_set != tuple(range(code.k)):
+            raise ValueError(
+                f"{name} code must be systematic on nodes 0..{code.k - 1}, "
+                f"got systematic_set {list(code.systematic_set)}")
+
+
+def final_parity_rows(p: SplitParams, final: VectorCode) -> np.ndarray:
+    """All lf*rf final parity blocks stacked in global index order, as
+    linear functions of the initial message: a reduced lf*rf*alpha x
+    ki*alpha array.
+
+    The t-th final codeword is embedded on message node coordinates
+    [t*kf, (t+1)*kf), so the rows are block diagonal.
+    """
+    per_codeword = final.generator.array[:, p.kf * p.alpha:].T
+    return np.kron(np.eye(p.lf, dtype=np.int64), per_codeword)
+
+
+def ensemble_from_codes(params: SplitParams, initial: VectorCode,
+                        final: VectorCode, *, verify: bool = True) -> LinearEnsemble:
+    """Assemble the node-variable model from an initial/final code pair;
+    final parities are embedded by final_parity_rows."""
+    p = params
+    _check_code_pair(p, initial, final)
     if verify and not (verify_mds(initial) and verify_mds(final)):
         raise ValueError("code pair does not satisfy the MDS property")
     fld = initial.field
-    md = p.message_dim
-    blocks: dict[NodeId, Matrix] = {}
-    for j in range(p.ki):
-        a = np.zeros((p.alpha, md), dtype=np.int64)
-        for t in range(p.alpha):
-            a[t, j * p.alpha + t] = 1
-        blocks[info_node(j)] = Matrix(fld, a)
+    a = p.alpha
+    eye = np.eye(p.message_dim, dtype=np.int64)
+    blocks = {info_node(j): Matrix(fld, eye[j * a:(j + 1) * a])
+              for j in range(p.ki)}
     for i in range(p.ri):
         blocks[initial_parity_node(i)] = initial.node_block(p.ki + i)
-    for t in range(p.lf):
-        off = t * p.kf * p.alpha
-        for j in range(p.rf):
-            small = final.node_block(p.kf + j)
-            a = np.zeros((p.alpha, md), dtype=np.int64)
-            a[:, off:off + p.kf * p.alpha] = small.array
-            blocks[final_parity_node(t * p.rf + j)] = Matrix(fld, a)
+    targets = final_parity_rows(p, final)
+    for g in range(p.lf * p.rf):
+        blocks[final_parity_node(g)] = Matrix(fld, targets[g * a:(g + 1) * a])
     return LinearEnsemble(p, fld, blocks)
 
 

@@ -8,7 +8,7 @@ supported:
   over a fixed irreducible polynomial with exp/log lookup tables.
 
 Each field also exposes vectorized kernels over numpy int64 arrays
-(elementwise multiply, row update, matrix product) that the matrix
+(scaling, row update, matrix product) that the matrix
 routines in :mod:`convertbw.linalg` build on.
 """
 
@@ -52,19 +52,12 @@ class Field:
     """
 
     q: int
-    characteristic: int
     degree: int
-
-    def normalize(self, x: int) -> int:
-        raise NotImplementedError
 
     def add(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, a: int) -> int:
         raise NotImplementedError
 
     def mul(self, a: int, b: int) -> int:
@@ -73,33 +66,12 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def elements(self) -> range:
         return range(self.q)
 
     # Array kernels.
 
     def arr_normalize(self, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def arr_add(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def arr_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def arr_scale(self, v: np.ndarray, c: int) -> np.ndarray:
@@ -135,20 +107,13 @@ class PrimeField(Field):
         if p > PRIME_LIMIT:
             raise ValueError(f"prime fields supported up to {PRIME_LIMIT}, got {p}")
         self.q = p
-        self.characteristic = p
         self.degree = 1
-
-    def normalize(self, x: int) -> int:
-        return int(x) % self.q
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
@@ -160,12 +125,6 @@ class PrimeField(Field):
 
     def arr_normalize(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(a, dtype=np.int64) % self.q
-
-    def arr_add(self, u, v):
-        return (u + v) % self.q
-
-    def arr_mul(self, u, v):
-        return (u * v) % self.q
 
     def arr_scale(self, v, c):
         return (v * c) % self.q
@@ -195,7 +154,6 @@ class BinaryField(Field):
         if not (poly >> degree) & 1:
             raise ValueError(f"modulus 0b{poly:b} does not have degree {degree}")
         self.q = 1 << degree
-        self.characteristic = 2
         self.degree = degree
         self.poly = poly
         self._build_tables()
@@ -240,19 +198,10 @@ class BinaryField(Field):
         self._exp = exp
         self._log = log
 
-    def normalize(self, x: int) -> int:
-        x = int(x)
-        if not 0 <= x < self.q:
-            raise ValueError(f"{x} is not an element of {self!r}")
-        return x
-
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     sub = add
-
-    def neg(self, a: int) -> int:
-        return a
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -268,16 +217,6 @@ class BinaryField(Field):
         out = np.asarray(a, dtype=np.int64)
         if out.size and (out.min() < 0 or out.max() >= self.q):
             raise ValueError(f"entries outside [0, {self.q}) for {self!r}")
-        return out
-
-    def arr_add(self, u, v):
-        return u ^ v
-
-    def arr_mul(self, u, v):
-        mask = (u != 0) & (v != 0)
-        out = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.int64)
-        s = self._log[u] + self._log[v]
-        np.copyto(out, self._exp[s], where=mask)
         return out
 
     def arr_scale(self, v, c):

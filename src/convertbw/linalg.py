@@ -54,9 +54,6 @@ class Matrix:
         """The underlying read-only numpy array."""
         return self._a
 
-    def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self._a[list(indices), :])
-
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(self.field, self._a[:, list(indices)])
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .gf import Field, field as make_field
-from .linalg import Matrix, mat_inverse, mat_rank, vstack
+from .linalg import Matrix, mat_inverse, mat_rank
 
 
 class CorruptDataError(ValueError):
@@ -62,10 +62,6 @@ class VectorCode:
         """Node i's stored subsymbols as linear functions of the message,
         one row per subsymbol (an alpha x k*alpha matrix)."""
         return self.generator.take_cols(self.node_cols(i)).transpose()
-
-    @property
-    def r(self) -> int:
-        return self.n - self.k
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,12 +167,3 @@ def verify_mds(code: VectorCode) -> bool:
         if mat_rank(code.generator.take_cols(cols)) != ka:
             return False
     return True
-
-
-def ensemble_blocks(code: VectorCode) -> list[Matrix]:
-    """All node blocks in node order (convenience for the entropy model)."""
-    return [code.node_block(i) for i in range(code.n)]
-
-
-def vstack_nodes(code: VectorCode, nodes: Sequence[int]) -> Matrix:
-    return vstack([code.node_block(i) for i in nodes])

@@ -63,11 +63,6 @@ class SplitParams:
         return self.kf + self.rf
 
     @property
-    def message_nodes(self) -> int:
-        """Message node symbols shared by both codes (= ki here)."""
-        return self.ki
-
-    @property
     def message_dim(self) -> int:
         """Message length in field subsymbols."""
         return self.ki * self.alpha

@@ -33,8 +33,6 @@ class SearchBudget:
 
     max_total_dim: int | None = None   # cap on downloaded rows (None: ki*alpha)
     max_visits: int = 10_000_000       # cap on feasibility evaluations
-    deterministic: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_visits < 1:
@@ -146,39 +144,6 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
     return SearchOutcome("budget-exhausted", visited=visited)
-
-
-def find_achieving(p: SplitParams, ens: LinearEnsemble,
-                   budget: SearchBudget) -> ConversionScheme | None:
-    """A feasible scheme whose read cost equals the bound exactly, if
-    one exists for this code pair within budget; None otherwise.
-
-    None is informative, not an error: the bound's tightness quantifies
-    over the best code pair, not over every pair.
-    """
-    rep = bounds.theorem_bound(p)
-    if not rep.tight:
-        raise ValueError("find_achieving applies to tight parameter points")
-    if rep.value.denominator != 1:
-        return None  # schemes download whole subsymbols
-    gamma = int(rep.value)
-    if gamma > p.ki * p.alpha:
-        return None
-    space = _SchemeSpace(ens)
-    if gamma < space.target_rank:
-        return None
-    slots = len(space.nodes)
-    visited = 0
-    for profile in _compositions(gamma, slots, p.alpha):
-        for combo in _iter_combos(space, profile):
-            visited += 1
-            if visited > budget.max_visits:
-                return None
-            downloads = space.stack_for(profile, combo)
-            rd, rj = rank_pair(downloads, space.targets)
-            if rd == rj:
-                return space.scheme_for(profile, combo)
-    return None
 
 
 @dataclass

@@ -13,8 +13,8 @@ from convertbw.convertible import (ConversionScheme,
                                    empty_scheme, run_conversion,
                                    scheme_bandwidth)
 from convertbw.ensemble import ensemble_from_codes
-from convertbw.linalg import Matrix
-from convertbw.mds import decode_from, encode
+from convertbw.linalg import Matrix, enumerate_subspaces
+from convertbw.mds import VectorCode, decode_from, encode, verify_mds
 from convertbw.params import SplitParams
 
 
@@ -42,7 +42,7 @@ def test_split_params_validation():
 def test_split_params_derived():
     p = SplitParams(3, 2, 1, 2, 2, 11)
     assert (p.ki, p.ni, p.nf) == (6, 8, 3)
-    assert p.message_nodes == 6 and p.message_dim == 12
+    assert p.message_dim == 12
     assert p.field().q == 11
     with pytest.raises(ValueError):
         SplitParams(3, 2, 1, 2).field()
@@ -199,11 +199,48 @@ def test_run_conversion_uses_parity_downloads():
 
 
 def test_conversion_matches_direct_final_encoding():
-    p, initial, final, _ = build(2, 2, 2, 1, 1, 7)
+    # Seeded random schemes that also read parity nodes: run_conversion
+    # fails exactly on the infeasible ones, and otherwise each final
+    # codeword is the direct encoding of its message slice.
     rng = random.Random(9)
-    for _ in range(10):
-        msg = [rng.randrange(7) for _ in range(p.message_dim)]
-        finals, _ = run_conversion(p, initial, final, default_scheme(p), msg)
-        for t, cw in enumerate(finals):
-            want = encode(final, msg[t * p.kf:(t + 1) * p.kf])
-            assert np.array_equal(cw, want)
+    for point in [(2, 2, 2, 1, 1, 7), (2, 3, 2, 2, 2, 8)]:
+        p, initial, final, ens = build(*point)
+        menus = [enumerate_subspaces(p.alpha, p.field(), d)
+                 for d in range(p.alpha + 1)]
+        seen = set()
+        for trial in range(40):
+            if trial == 0:
+                scheme = default_scheme(p)
+            else:
+                picks = [rng.choice(menus[rng.randint(0, p.alpha)])
+                         for _ in range(p.ni)]
+                scheme = ConversionScheme(p, tuple(picks[:p.ki]), tuple(picks[p.ki:]))
+            msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
+            feasible = check_feasible(ens, scheme)
+            seen.add((feasible, any(scheme.sigma)))
+            if not feasible:
+                with pytest.raises(InfeasibleSchemeError):
+                    run_conversion(p, initial, final, scheme, msg)
+                continue
+            finals, _ = run_conversion(p, initial, final, scheme, msg)
+            span = p.kf * p.alpha
+            for t, cw in enumerate(finals):
+                want = encode(final, msg[t * span:(t + 1) * span])
+                assert np.array_equal(cw, want)
+        # Among schemes that read a parity node, both outcomes occur.
+        assert (True, True) in seen and (False, True) in seen
+
+
+def test_permuted_systematic_set_rejected():
+    # Swapping the first two generator columns keeps the [3,2] code
+    # systematic and MDS, but data node 0 then stores message block 1,
+    # which the conversion layout cannot express.
+    p = SplitParams(2, 1, 1, 1, 1, 5)
+    initial, final = canonical_codes(p)
+    gen = initial.generator.array[:, [1, 0, 2]]
+    swapped = VectorCode(3, 2, 1, p.field(), Matrix(p.field(), gen), (1, 0))
+    assert verify_mds(swapped)
+    with pytest.raises(ValueError, match="systematic"):
+        ensemble_from_codes(p, swapped, final)
+    with pytest.raises(ValueError, match="systematic"):
+        run_conversion(p, swapped, final, default_scheme(p), [1, 2])

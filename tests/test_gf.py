@@ -18,7 +18,7 @@ def test_axioms_exhaustive_small_fields(q):
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.sub(0, a)) == 0
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)
@@ -56,15 +56,6 @@ def test_prime_field_matches_int_arithmetic(a, b):
     assert f.mul(a % 13, b % 13) == (a * b) % 13
 
 
-@given(e=st.integers(0, 30))
-def test_pow_matches_repeated_multiplication(e):
-    f = field(8)
-    acc = 1
-    for _ in range(e):
-        acc = f.mul(acc, 3)
-    assert f.pow(3, e) == acc
-
-
 def test_unsupported_orders_rejected():
     for q in (0, 1, 6, 9, 10, 12, 25, 27):
         with pytest.raises(ValueError):
@@ -95,9 +86,6 @@ def test_array_kernels_match_scalar_ops(q):
     f = field(q)
     rng = random.Random(7)
     u = np.array([rng.randrange(q) for _ in range(20)], dtype=np.int64)
-    v = np.array([rng.randrange(q) for _ in range(20)], dtype=np.int64)
-    got = f.arr_mul(u, v)
-    assert [f.mul(int(a), int(b)) for a, b in zip(u, v)] == got.tolist()
     c = rng.randrange(1, q)
     assert [f.mul(int(a), c) for a in u] == f.arr_scale(u, c).tolist()
     block = np.array([[rng.randrange(q) for _ in range(6)] for _ in range(4)],

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from convertbw.bounds import entropy_V_lb, theorem_bound
+from convertbw.bounds import entropy_V_lb
 from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
                                    default_scheme, empty_scheme)
@@ -15,7 +15,7 @@ from convertbw.linalg import enumerate_subspaces
 from convertbw.mds import verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, certify_bound,
-                              check_scheme_inequalities, find_achieving,
+                              check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 
 
@@ -125,35 +125,6 @@ def test_random_pairs_are_mds_and_systematic():
         assert initial.systematic_set == tuple(range(p.ki))
         seen.add(initial.generator)
     assert len(seen) > 1  # mixes genuinely vary
-
-
-def test_find_achieving_default_regime():
-    # rf >= kf: the re-encoding cost equals the bound, so a scheme at
-    # the bound always exists.
-    p, ens = build(2, 1, 2, 1, 1, 5)
-    scheme = find_achieving(p, ens, SearchBudget())
-    assert scheme is not None
-    assert scheme.read_total == theorem_bound(p).value == 2
-
-
-def test_find_achieving_alpha2_point_reports_outcome():
-    p, ens = build(2, 2, 1, 1, 2, 5)
-    scheme = find_achieving(p, ens, SearchBudget())
-    # Tightness is over the best code pair; for this pair the search
-    # reports none at the bound value of 6.
-    assert scheme is None or scheme.read_total == 6
-
-
-def test_find_achieving_fractional_bound_is_none():
-    p, ens = build(2, 3, 1, 2, 1, 11)
-    assert theorem_bound(p).value == Fraction(10, 3)
-    assert find_achieving(p, ens, SearchBudget()) is None
-
-
-def test_find_achieving_requires_tight_point():
-    p, ens = build(2, 2, 1, 5, 1, 11)
-    with pytest.raises(ValueError):
-        find_achieving(p, ens, SearchBudget())
 
 
 def test_scheme_inequalities_frozen_example():
