@@ -154,13 +154,18 @@ def scheme_bandwidth(scheme: ConversionScheme) -> BandwidthReport:
     return BandwidthReport(scheme.params, scheme.beta, scheme.sigma)
 
 
+def _check_scheme_params(p: SplitParams, scheme: ConversionScheme) -> None:
+    """The scheme was built for the conversion point p (any field)."""
+    sp = scheme.params
+    if (sp.lf, sp.kf, sp.rf, sp.ri, sp.alpha) != (p.lf, p.kf, p.rf, p.ri, p.alpha):
+        raise ValueError(
+            f"scheme is for {sp.as_dict()}, conversion is for {p.as_dict()}")
+
+
 def check_feasible(ens: LinearEnsemble, scheme: ConversionScheme) -> bool:
     """True iff the downloaded rows span every final parity row, i.e.
     the coordinator can deterministically produce all new nodes."""
-    p = ens.params
-    sp = scheme.params
-    if (sp.lf, sp.kf, sp.rf, sp.ri, sp.alpha) != (p.lf, p.kf, p.rf, p.ri, p.alpha):
-        raise ValueError("scheme and ensemble parameters differ")
+    _check_scheme_params(ens.params, scheme)
     maps = _scheme_maps(ens, scheme)
     downloads = mapped_rows(ens, maps, list(ens.info_nodes) + list(ens.initial_parities))
     targets = ens.stack(ens.final_parities)
@@ -186,11 +191,12 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
 
     Raises InfeasibleSchemeError when the scheme cannot produce the
     final parities.  The codes are assumed to satisfy the MDS property
-    (see verify_mds); shapes, fields, systematic layout and feasibility
+    (see verify_mds); shapes, fields, scheme parameters and feasibility
     are validated here.
     """
     p = params
     _check_code_pair(p, initial, final)
+    _check_scheme_params(p, scheme)
     fld = initial.field
     initial_nodes = encode(initial, message)
 

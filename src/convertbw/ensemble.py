@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gf import Field
-from .linalg import Matrix, mat_rank, rank_pair, vstack
+from .linalg import Matrix, mat_rank, rank_pair
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -103,29 +103,20 @@ class LinearEnsemble:
         p = self.params
         return self.final_parities[t * p.rf:(t + 1) * p.rf]
 
-    def stack(self, items: Iterable[NodeId | Matrix]) -> Matrix:
-        """Stacked coefficient rows: NodeIds contribute their blocks (set
-        semantics, canonical order), matrices are taken as given."""
-        nodes: set[NodeId] = set()
-        mats: list[Matrix] = []
-        for it in items:
-            if isinstance(it, NodeId):
-                nodes.add(it)
-            elif isinstance(it, Matrix):
-                mats.append(it)
-            else:
-                raise TypeError(f"cannot stack {type(it).__name__}")
-        pieces = [self._blocks[v] for v in sorted(nodes, key=NodeId.sort_key)]
-        pieces.extend(m for m in mats if m.rows > 0)
-        if not pieces:
-            return Matrix.zeros(self.field, 0, self.params.message_dim)
-        return vstack(pieces)
+    def stack(self, nodes: Iterable[NodeId]) -> Matrix:
+        """Stacked coefficient blocks of a node set, in canonical order."""
+        return self._rows(self._blocks[v].array
+                          for v in sorted(set(nodes), key=NodeId.sort_key))
+
+    def _rows(self, pieces: Iterable[np.ndarray]) -> Matrix:
+        """One Matrix of raw row blocks over the message (none: 0 rows)."""
+        empty = np.zeros((0, self.params.message_dim), dtype=np.int64)
+        return Matrix(self.field, np.concatenate([empty, *pieces]))
 
 
 def _check_code_pair(p: SplitParams, initial: VectorCode,
                      final: VectorCode) -> None:
-    """Both codes fit p, share a field, and are systematic on their
-    first k nodes, so data node j stores message block j."""
+    """Both codes fit p and share a field."""
     if (initial.n, initial.k, initial.alpha) != (p.ni, p.ki, p.alpha):
         raise ValueError(
             f"initial code is [{initial.n},{initial.k},{initial.alpha}], "
@@ -136,11 +127,6 @@ def _check_code_pair(p: SplitParams, initial: VectorCode,
             f"expected [{p.nf},{p.kf},{p.alpha}]")
     if initial.field != final.field:
         raise ValueError("initial and final codes use different fields")
-    for name, code in (("initial", initial), ("final", final)):
-        if code.systematic_set != tuple(range(code.k)):
-            raise ValueError(
-                f"{name} code must be systematic on nodes 0..{code.k - 1}, "
-                f"got systematic_set {list(code.systematic_set)}")
 
 
 def final_parity_rows(p: SplitParams, final: VectorCode) -> np.ndarray:
@@ -176,30 +162,25 @@ def ensemble_from_codes(params: SplitParams, initial: VectorCode,
     return LinearEnsemble(p, fld, blocks)
 
 
-def entropy(ens: LinearEnsemble, items: Iterable[NodeId | Matrix]) -> int:
+def entropy(ens: LinearEnsemble, nodes: Iterable[NodeId]) -> int:
     """Joint entropy in q-ary symbols (= rank of the stacked rows)."""
-    items = list(items)
-    if all(isinstance(it, NodeId) for it in items):
-        key = frozenset(items)
-        cached = ens._entropy_cache.get(key)
-        if cached is not None:
-            return cached
-        val = mat_rank(ens.stack(items))
-        ens._entropy_cache[key] = val
-        return val
-    return mat_rank(ens.stack(items))
+    key = frozenset(nodes)
+    val = ens._entropy_cache.get(key)
+    if val is None:
+        val = ens._entropy_cache[key] = mat_rank(ens.stack(key))
+    return val
 
 
-def cond_entropy(ens: LinearEnsemble, a: Iterable[NodeId | Matrix],
-                 b: Iterable[NodeId | Matrix]) -> int:
+def cond_entropy(ens: LinearEnsemble, a: Iterable[NodeId],
+                 b: Iterable[NodeId]) -> int:
     """H(A | B) = H(A, B) - H(B), always nonnegative."""
     a = list(a)
     b = list(b)
     return entropy(ens, a + b) - entropy(ens, b)
 
 
-def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId | Matrix],
-                b: Iterable[NodeId | Matrix]) -> int:
+def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
+                b: Iterable[NodeId]) -> int:
     """I(A ; B) = H(A) + H(B) - H(A, B), always nonnegative."""
     a = list(a)
     b = list(b)
@@ -216,10 +197,8 @@ def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
         if m.cols != ens.params.alpha:
             raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
         if m.rows:
-            pieces.append(m @ ens.block(v))
-    if not pieces:
-        return Matrix.zeros(ens.field, 0, ens.params.message_dim)
-    return vstack(pieces)
+            pieces.append(ens.field.arr_matmul(m.array, ens.block(v).array))
+    return ens._rows(pieces)
 
 
 @dataclass
@@ -265,6 +244,22 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
     return rep
 
 
+def _rows_mi(a: Matrix, b: Matrix) -> int:
+    """Mutual information of two row sets: rank(a) + rank(b) - rank(a; b)."""
+    ra, joint = rank_pair(a, b)
+    return ra + mat_rank(b) - joint
+
+
+def _h_mapped(ens, maps, nodes) -> int:
+    return mat_rank(mapped_rows(ens, maps, nodes))
+
+
+def _min_h_mapped(ens, maps, pool, size) -> int:
+    if size == 0:
+        return 0
+    return min(_h_mapped(ens, maps, c) for c in combinations(pool, size))
+
+
 def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
                    f_b: Mapping[NodeId, Matrix],
                    d1: Iterable[NodeId], d2: Iterable[NodeId]) -> bool:
@@ -284,12 +279,8 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
     if not _nodes_independent(ens, sorted(rest, key=NodeId.sort_key)):
         raise IndependencePreconditionError(
             "nodes outside D1 u D2 are not independent")
-    fa = mapped_rows(ens, f_a, a_nodes)
-    fb = mapped_rows(ens, f_b, b_nodes)
-    mi = mat_rank(fa) + mat_rank(fb) - mat_rank(vstack([fa, fb]))
-    bound = mat_rank(mapped_rows(ens, f_a, d1)) + \
-        mat_rank(mapped_rows(ens, f_b, d2))
-    return mi <= bound
+    mi = _rows_mi(mapped_rows(ens, f_a, a_nodes), mapped_rows(ens, f_b, b_nodes))
+    return mi <= _h_mapped(ens, f_a, d1) + _h_mapped(ens, f_b, d2)
 
 
 def check_min_avg(ens: LinearEnsemble,
@@ -307,12 +298,9 @@ def check_min_avg(ens: LinearEnsemble,
         if not _nodes_independent(ens, subset):
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
-    maps = {v: m for v, m in family}
-    singles = sum(mat_rank(mapped_rows(ens, maps, [v])) for v, _ in family)
-    best = min(
-        mat_rank(mapped_rows(ens, maps, subset))
-        for subset in combinations([v for v, _ in family], a)
-    ) if a > 0 else 0
+    maps = dict(family)
+    singles = sum(_h_mapped(ens, maps, [v]) for v in maps)
+    best = _min_h_mapped(ens, maps, list(maps), a)
     return Fraction(best) <= Fraction(a, b) * singles
 
 
@@ -334,20 +322,8 @@ def _empty_map(ens: LinearEnsemble) -> Matrix:
 
 def _download_mi(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix]) -> int:
     """I(parity downloads ; info downloads) over the initial codeword."""
-    uy = mapped_rows(ens, maps, ens.initial_parities)
-    vx = mapped_rows(ens, maps, ens.info_nodes)
-    ru, joint = rank_pair(uy, vx)
-    return ru + mat_rank(vx) - joint
-
-
-def _h_mapped(ens, maps, nodes) -> int:
-    return mat_rank(mapped_rows(ens, maps, nodes))
-
-
-def _min_h_mapped(ens, maps, pool, size) -> int:
-    if size == 0:
-        return 0
-    return min(_h_mapped(ens, maps, c) for c in combinations(pool, size))
+    return _rows_mi(mapped_rows(ens, maps, ens.initial_parities),
+                    mapped_rows(ens, maps, ens.info_nodes))
 
 
 def corollary1_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
@@ -513,7 +489,8 @@ def check_cond_entropy_final(ens: LinearEnsemble, scheme,
         yf = [v for t in ts for v in ens.final_parities_of_codeword(t)]
         v_rows = mapped_rows(ens, maps,
                              [v for t in ts for v in ens.info_of_codeword(t)])
-        return cond_entropy(ens, yf, [v_rows])
+        h_v, h_vy = rank_pair(v_rows, ens.stack(yf))
+        return h_vy - h_v
 
     return lhs_for(s) == sum(lhs_for([t]) for t in s)
 

@@ -69,10 +69,15 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    # Array kernels.
+    def check_elements(self, a: np.ndarray) -> None:
+        """Reject an int64 array with any entry outside [0, q); nothing
+        is reduced modulo q."""
+        # Negative entries wrap to huge values as uint64, so one max()
+        # catches both ends.
+        if a.size and a.view(np.uint64).max() >= self.q:
+            raise ValueError(f"entries outside [0, {self.q}) for {self!r}")
 
-    def arr_normalize(self, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    # Array kernels.
 
     def arr_scale(self, v: np.ndarray, c: int) -> np.ndarray:
         raise NotImplementedError
@@ -122,9 +127,6 @@ class PrimeField(Field):
         if a % self.q == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return pow(a, -1, self.q)
-
-    def arr_normalize(self, a: np.ndarray) -> np.ndarray:
-        return np.asarray(a, dtype=np.int64) % self.q
 
     def arr_scale(self, v, c):
         return (v * c) % self.q
@@ -212,12 +214,6 @@ class BinaryField(Field):
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(self._exp[(self.q - 1) - self._log[a]])
-
-    def arr_normalize(self, a: np.ndarray) -> np.ndarray:
-        out = np.asarray(a, dtype=np.int64)
-        if out.size and (out.min() < 0 or out.max() >= self.q):
-            raise ValueError(f"entries outside [0, {self.q}) for {self!r}")
-        return out
 
     def arr_scale(self, v, c):
         if c == 0:

@@ -1,6 +1,7 @@
 """Dense exact linear algebra over the fields in :mod:`convertbw.gf`.
 
-A Matrix couples a Field with an immutable 2-D numpy int64 array.  All
+A Matrix couples a Field with an immutable 2-D numpy int64 array; its
+constructor rejects entries outside [0, q).  All
 routines use fraction-free Gaussian elimination with deterministic
 pivoting (first nonzero entry in column order), so results are
 reproducible across runs and platforms.
@@ -21,10 +22,10 @@ class Matrix:
     __slots__ = ("field", "_a")
 
     def __init__(self, field: Field, rows):
-        a = np.asarray(rows, dtype=np.int64)
+        a = np.array(rows, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {a.shape}")
-        a = field.arr_normalize(a).copy()
+        field.check_elements(a)
         a.setflags(write=False)
         self.field = field
         self._a = a
@@ -65,8 +66,6 @@ class Matrix:
             raise ValueError("matrix product across different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
         return Matrix(self.field, self.field.arr_matmul(self._a, other._a))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -168,16 +167,12 @@ def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
 
 def mat_rank(m: Matrix) -> int:
     """Rank of m over its field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     _, pivots = _echelon(m.field, m.array, reduced=False)
     return len(pivots)
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    if m.rows == 0 or m.cols == 0:
-        return Matrix.zeros(m.field, 0, m.cols)
     a, pivots = _echelon(m.field, m.array, reduced=True)
     return Matrix(m.field, a[: len(pivots), :])
 

@@ -25,14 +25,14 @@ class CorruptDataError(ValueError):
 
 @dataclass(frozen=True)
 class VectorCode:
-    """An [n, k, alpha] systematic vector code over a finite field."""
+    """An [n, k, alpha] vector code over a finite field, systematic on
+    its first k nodes: data node j stores message block j."""
 
     n: int
     k: int
     alpha: int
     field: Field
     generator: Matrix
-    systematic_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
         ka = self.k * self.alpha
@@ -40,18 +40,10 @@ class VectorCode:
         if self.generator.shape != (ka, na):
             raise ValueError(
                 f"generator shape {self.generator.shape} != ({ka}, {na})")
-        if len(self.systematic_set) != self.k or \
-                len(set(self.systematic_set)) != self.k:
-            raise ValueError("systematic_set must name k distinct nodes")
-        if any(not 0 <= i < self.n for i in self.systematic_set):
-            raise ValueError("systematic_set index out of range")
-        proj = self.generator.array[:, self._syscols()]
-        if not np.array_equal(proj, np.eye(ka, dtype=np.int64)):
-            raise ValueError("generator is not systematic on systematic_set")
-
-    def _syscols(self) -> list[int]:
-        return [i * self.alpha + t for i in self.systematic_set
-                for t in range(self.alpha)]
+        if not np.array_equal(self.generator.array[:, :ka],
+                              np.eye(ka, dtype=np.int64)):
+            raise ValueError(
+                f"generator is not systematic on nodes 0..{self.k - 1}")
 
     def node_cols(self, i: int) -> list[int]:
         if not 0 <= i < self.n:
@@ -70,7 +62,6 @@ class VectorCode:
             "alpha": self.alpha,
             "q": self.field.q,
             "generator": self.generator.flat(),
-            "systematic_set": list(self.systematic_set),
         }
 
     @classmethod
@@ -81,7 +72,7 @@ class VectorCode:
         if len(flat) != k * alpha * n * alpha:
             raise ValueError("generator entry count does not match n, k, alpha")
         gen = Matrix(fld, np.array(flat, dtype=np.int64).reshape(k * alpha, n * alpha))
-        return cls(n, k, alpha, fld, gen, tuple(int(i) for i in d["systematic_set"]))
+        return cls(n, k, alpha, fld, gen)
 
 
 def _scalar_systematic_grs(n: int, k: int, fld: Field) -> Matrix:
@@ -110,17 +101,18 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
             f"guarantee the MDS property")
     scalar = _scalar_systematic_grs(n, k, fld)
     gen = Matrix(fld, np.kron(scalar.array, np.eye(alpha, dtype=np.int64)))
-    return VectorCode(n, k, alpha, fld, gen, tuple(range(k)))
+    return VectorCode(n, k, alpha, fld, gen)
 
 
 def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
     """Encode a message of k*alpha subsymbols; returns an (n, alpha)
     array of node symbols."""
-    msg = code.field.arr_normalize(np.asarray(list(message), dtype=np.int64))
+    msg = np.asarray(list(message), dtype=np.int64)
     if msg.shape != (code.k * code.alpha,):
         raise ValueError(
             f"message length {msg.shape[0] if msg.ndim == 1 else msg.shape} "
             f"!= k*alpha = {code.k * code.alpha}")
+    code.field.check_elements(msg)
     cw = code.field.arr_matmul(msg[None, :], code.generator.array)[0]
     out = cw.reshape(code.n, code.alpha)
     out.setflags(write=False)
@@ -140,9 +132,10 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
     fld = code.field
     symbols = {}
     for i in idx:
-        s = fld.arr_normalize(np.asarray(list(available[i]), dtype=np.int64))
+        s = np.asarray(list(available[i]), dtype=np.int64)
         if s.shape != (code.alpha,):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
+        fld.check_elements(s)
         symbols[i] = s
     use = idx[: code.k]
     cols = [c for i in use for c in code.node_cols(i)]

@@ -81,13 +81,9 @@ class _SchemeSpace:
         self.nodes = nodes
         # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
         # the slot's node block, as a raw ndarray.
-        self.mapped: list[list[list[np.ndarray]]] = []
-        for v in nodes:
-            block = ens.block(v)
-            per_dim = []
-            for d in range(p.alpha + 1):
-                per_dim.append([(s @ block).array for s in self.subspaces[d]])
-            self.mapped.append(per_dim)
+        self.mapped = [[[fld.arr_matmul(s.array, ens.block(v).array)
+                         for s in subs] for subs in self.subspaces]
+                       for v in nodes]
         self.targets = ens.stack(ens.final_parities)
         self.target_rank = mat_rank(self.targets)
 
@@ -97,12 +93,8 @@ class _SchemeSpace:
         return ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
 
     def stack_for(self, profile, combo) -> Matrix:
-        pieces = [self.mapped[s][d][i]
-                  for s, (d, i) in enumerate(zip(profile, combo))
-                  if d > 0]
-        if not pieces:
-            return Matrix.zeros(self.ens.field, 0, self.params.message_dim)
-        return Matrix(self.ens.field, np.vstack(pieces))
+        return Matrix(self.ens.field, np.concatenate(
+            [self.mapped[s][d][i] for s, (d, i) in enumerate(zip(profile, combo))]))
 
 
 def _iter_combos(space: _SchemeSpace, profile) -> Iterator[tuple[int, ...]]:
@@ -224,11 +216,13 @@ def _mix_parity_columns(code: VectorCode, rng, max_tries: int = 200) -> VectorCo
         w = random_invertible(fld, ra, rng)
         parity = fld.arr_matmul(gen[:, ka:], w.array)
         cand_gen = Matrix(fld, np.hstack([gen[:, :ka], parity]))
-        cand = VectorCode(code.n, code.k, code.alpha, fld, cand_gen,
-                          code.systematic_set)
+        cand = VectorCode(code.n, code.k, code.alpha, fld, cand_gen)
         if verify_mds(cand):
             return cand
-    raise RuntimeError("could not sample an MDS parity mix; field too small?")
+    raise ValueError(
+        f"no MDS parity mix of the [{code.n},{code.k},{code.alpha}] code "
+        f"over {fld!r} in {max_tries} random draws; use a larger --q, "
+        f"or --trials 1 for the canonical pair only")
 
 
 def random_mds_pair(p: SplitParams, rng) -> tuple[VectorCode, VectorCode]:

@@ -1,6 +1,7 @@
 """CLI tests: flags, output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -151,6 +152,44 @@ def test_search_reports_sound(capsys):
     assert [r["pair"] for r in reports] == ["canonical", "random-1"]
     assert all(r["verdict"] == "sound" for r in reports)
     assert all(r["inequality_audit"]["failures"] == [] for r in reports)
+
+
+def test_search_unsampleable_parity_mix_is_usage_error(capsys):
+    # No random parity mix of the [7,4] code over GF(7) passes the MDS
+    # check, so the random pair cannot be drawn: a parameter problem.
+    code, out, err = run_cli(["search", "--lf", "2", "--kf", "2", "--rf", "1",
+                              "--ri", "3", "--alpha", "1", "--q", "7",
+                              "--trials", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[7,4,1] code over GF(7)" in err and "--q" in err
+
+
+# sha256 of stdout and the exit code of five fast invocations: stdout
+# must stay byte-identical across refactors, not only between two runs.
+GOLDEN = [
+    (["bound", "--lf", "2", "--kf", "3", "--rf", "1", "--ri", "2",
+      "--alpha", "3"],
+     "e8135d634db3db127775ebe61cc275276386cdddf34d885b3af184e6960d10b9", 0),
+    (["sweep", "--lf", "2", "3", "--kf", "1", "4", "--rf", "1", "3",
+      "--alpha", "1", "2"],
+     "496c795d03892afcd68f2eebacd5f5824f801bd5ed6fc832ad292d43b0d7b80c", 0),
+    (["verify", "--q", "5", "--trials", "20"],
+     "b373d71131d926796546986e0ef125b806c34765cbc349e440d0c1aa56e73034", 0),
+    (["simulate", "--lf", "2", "--kf", "3", "--rf", "2", "--ri", "2",
+      "--alpha", "2", "--q", "8"],
+     "c1baea000a6ee8496ddf8e86f9aa623cdb9dc2e23e833580a26ab7a621c065e7", 0),
+    (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
+      "--alpha", "1", "--q", "5", "--trials", "3"],
+     "2b45ac8ad7b54f961cbde71e60ad77b2bba70149fa94b4ddc6282c7e64531c38", 0),
+]
+
+
+def test_golden_stdout_digests(capsys):
+    for args, digest, want_code in GOLDEN:
+        code, out, _ = run_cli(args, capsys)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
+            (digest, want_code), args[0]
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convertbw.convertible import (ConversionScheme,
                                    InfeasibleSchemeError, canonical_codes,
@@ -14,7 +16,7 @@ from convertbw.convertible import (ConversionScheme,
                                    scheme_bandwidth)
 from convertbw.ensemble import ensemble_from_codes
 from convertbw.linalg import Matrix, enumerate_subspaces
-from convertbw.mds import VectorCode, decode_from, encode, verify_mds
+from convertbw.mds import VectorCode, decode_from, encode
 from convertbw.params import SplitParams
 
 
@@ -101,6 +103,29 @@ def test_scheme_json_round_trip():
         (Matrix(fld, [[1, 0]]),))
     back = ConversionScheme.from_json_dict(p, scheme.to_json_dict())
     assert back == scheme
+    # Entry 7 on GF(7) is refused, not read as the canonical map [1, 0].
+    doc = {"beta": [1, 2], "sigma": [1], "A": [[1, 7], [1, 0, 0, 1]],
+           "B": [[1, 0]]}
+    with pytest.raises(ValueError, match="outside"):
+        ConversionScheme.from_json_dict(p.with_q(7), doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([7, 8]), alpha=st.integers(1, 2), data=st.data())
+def test_scheme_json_round_trip_property(q, alpha, data):
+    p = SplitParams(2, 1, 1, 2, alpha, q)
+    fld = p.field()
+
+    def random_map():
+        rows = data.draw(st.integers(0, alpha))
+        flat = data.draw(st.lists(st.integers(0, q - 1),
+                                  min_size=rows * alpha, max_size=rows * alpha))
+        return Matrix(fld, np.array(flat, dtype=np.int64).reshape(rows, alpha))
+
+    scheme = ConversionScheme.from_maps(
+        p, [random_map() for _ in range(p.ki)],
+        [random_map() for _ in range(p.ri)])
+    assert ConversionScheme.from_json_dict(p, scheme.to_json_dict()) == scheme
 
 
 def test_default_scheme_feasible():
@@ -129,6 +154,12 @@ def test_scheme_parameter_mismatch_rejected():
     other = SplitParams(2, 1, 1, 1, 1, 7)
     with pytest.raises(ValueError):
         check_feasible(ens, default_scheme(other))
+    # A scheme for (2,3,1,1,1) has six data maps; run on (2,2,1,3,1) it
+    # would read initial parity nodes 4 and 5 as if they were data nodes.
+    p, initial, final, _ = build(2, 2, 1, 3, 1, 7)
+    other_scheme = default_scheme(SplitParams(2, 3, 1, 1, 1, 7))
+    with pytest.raises(ValueError, match="scheme is for"):
+        run_conversion(p, initial, final, other_scheme, [1, 2, 3, 4])
 
 
 def test_run_conversion_round_trip_all_subsets():
@@ -232,15 +263,11 @@ def test_conversion_matches_direct_final_encoding():
 
 
 def test_permuted_systematic_set_rejected():
-    # Swapping the first two generator columns keeps the [3,2] code
-    # systematic and MDS, but data node 0 then stores message block 1,
-    # which the conversion layout cannot express.
+    # Swapping the first two generator columns keeps the [3,2] code MDS,
+    # but data node 0 then stores message block 1, which the conversion
+    # layout cannot express, so the code is refused when it is built.
     p = SplitParams(2, 1, 1, 1, 1, 5)
-    initial, final = canonical_codes(p)
+    initial, _ = canonical_codes(p)
     gen = initial.generator.array[:, [1, 0, 2]]
-    swapped = VectorCode(3, 2, 1, p.field(), Matrix(p.field(), gen), (1, 0))
-    assert verify_mds(swapped)
-    with pytest.raises(ValueError, match="systematic"):
-        ensemble_from_codes(p, swapped, final)
-    with pytest.raises(ValueError, match="systematic"):
-        run_conversion(p, swapped, final, default_scheme(p), [1, 2])
+    with pytest.raises(ValueError, match="systematic on nodes 0..1"):
+        VectorCode(3, 2, 1, p.field(), Matrix(p.field(), gen))

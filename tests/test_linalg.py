@@ -173,8 +173,11 @@ def test_subspace_dim_out_of_range():
 
 
 def test_matrix_basics():
-    m = Matrix(F5, [[6, -1], [0, 2]])  # prime entries reduce mod p
+    m = Matrix(F5, [[1, 4], [0, 2]])
     assert m.tolist() == [[1, 4], [0, 2]]
+    for bad in ([[6, 4]], [[1, -1]]):  # prime entries are not reduced mod p
+        with pytest.raises(ValueError, match="outside"):
+            Matrix(F5, bad)
     assert m.flat() == [1, 4, 0, 2]
     assert m.transpose().tolist() == [[1, 0], [4, 2]]
     with pytest.raises(ValueError):

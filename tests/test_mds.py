@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convertbw.gf import field
 from convertbw.linalg import Matrix
@@ -75,6 +77,9 @@ def test_encode_rejects_wrong_length():
     code = make_systematic_mds(4, 2, 1, F5)
     with pytest.raises(ValueError):
         encode(code, [1, 2, 3])
+    for bad in ([5, 0], [0, -1]):  # not reduced modulo p
+        with pytest.raises(ValueError, match="outside"):
+            encode(code, bad)
 
 
 def test_decode_from_systematic_nodes():
@@ -110,13 +115,20 @@ def test_decode_reports_corruption_with_extra_node():
     tampered = {0: cw[0], 1: cw[1], 2: [(int(cw[2][0]) + 1) % 5]}
     with pytest.raises(CorruptDataError):
         decode_from(code, tampered)
+    # Raising a symbol by p is tampering too, not the same symbol mod p.
+    code7 = make_systematic_mds(7, 4, 1, F7)
+    cw7 = encode(code7, [1, 2, 3, 4])
+    raised = {i: cw7[i] for i in range(7)}
+    raised[4] = cw7[4] + 7
+    with pytest.raises(ValueError, match="outside"):
+        decode_from(code7, raised)
 
 
 def test_verify_mds_fails_on_duplicated_parity_column():
     code = make_systematic_mds(4, 2, 1, F5)
     g = code.generator.array.copy()
     g[:, 3] = g[:, 2]
-    dup = VectorCode(4, 2, 1, F5, Matrix(F5, g), code.systematic_set)
+    dup = VectorCode(4, 2, 1, F5, Matrix(F5, g))
     assert not verify_mds(dup)
 
 
@@ -129,7 +141,7 @@ def test_layered_code_mds_iff_scalar_layer_mds():
     g = bad_scalar.generator.array.copy()
     g[:, 3] = g[:, 2]
     g2 = np.kron(g, np.eye(2, dtype=np.int64))
-    bad = VectorCode(4, 2, 2, F5, Matrix(F5, g2), (0, 1))
+    bad = VectorCode(4, 2, 2, F5, Matrix(F5, g2))
     assert not verify_mds(bad)
 
 
@@ -149,7 +161,7 @@ def test_systematic_invariant_enforced():
     g = code.generator.array.copy()
     g[0, 0] = 3  # break the identity projection
     with pytest.raises(ValueError):
-        VectorCode(4, 2, 1, F5, Matrix(F5, g), (0, 1))
+        VectorCode(4, 2, 1, F5, Matrix(F5, g))
 
 
 def test_json_round_trip():
@@ -157,5 +169,22 @@ def test_json_round_trip():
     doc = code.to_json_dict()
     back = VectorCode.from_json_dict(doc)
     assert back.generator == code.generator
-    assert back.systematic_set == code.systematic_set
     assert verify_mds(back)
+    doc["generator"][-1] = 7  # a parity entry outside GF(7)
+    with pytest.raises(ValueError, match="outside"):
+        VectorCode.from_json_dict(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([7, 8]), k=st.integers(1, 3), r=st.integers(0, 2),
+       alpha=st.integers(1, 2), data=st.data())
+def test_json_round_trip_property(q, k, r, alpha, data):
+    # Any parity section next to the identity is a valid systematic code.
+    fld = field(q)
+    ka, ra = k * alpha, r * alpha
+    flat = data.draw(st.lists(st.integers(0, q - 1),
+                              min_size=ka * ra, max_size=ka * ra))
+    parity = np.array(flat, dtype=np.int64).reshape(ka, ra)
+    gen = Matrix(fld, np.hstack([np.eye(ka, dtype=np.int64), parity]))
+    code = VectorCode(k + r, k, alpha, fld, gen)
+    assert VectorCode.from_json_dict(code.to_json_dict()) == code
