@@ -87,9 +87,11 @@ class ConversionScheme:
         alpha = params.alpha
 
         def unflatten(flat, rows):
-            a = np.array(list(flat), dtype=np.int64).reshape(rows, alpha)
-            return Matrix(fld, a)
+            return Matrix(fld, np.asarray(list(flat)).reshape(rows, alpha))
 
+        if len(d["A"]) != len(d["beta"]) or len(d["B"]) != len(d["sigma"]):
+            raise ValueError("scheme needs one A map per beta entry and "
+                             "one B map per sigma entry")
         info = tuple(unflatten(f, b) for f, b in zip(d["A"], d["beta"]))
         parity = tuple(unflatten(f, s) for f, s in zip(d["B"], d["sigma"]))
         return cls(params, info, parity)

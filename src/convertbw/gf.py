@@ -18,6 +18,7 @@ import numpy as np
 
 PRIME_LIMIT = 251
 BINARY_DEGREE_LIMIT = 8
+_INT64 = np.dtype(np.int64)
 
 # Irreducible polynomials over GF(2), one per degree.  Bit i is the
 # coefficient of x^i; bit m (the degree) is always set.
@@ -47,8 +48,10 @@ def is_prime(n: int) -> bool:
 class Field:
     """Interface shared by both field families.
 
-    Scalar operations take and return ints in [0, q).  The arr_* kernels
-    operate on numpy int64 arrays whose entries are already reduced.
+    Scalar operations take and return ints in [0, q); add and sub are
+    elementwise, so they also take two arrays of elements.  The arr_*
+    kernels operate on numpy int64 arrays whose entries are already
+    reduced.
     """
 
     q: int
@@ -69,13 +72,31 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def check_elements(self, a: np.ndarray) -> None:
-        """Reject an int64 array with any entry outside [0, q); nothing
-        is reduced modulo q."""
+    def as_elements(self, data) -> np.ndarray:
+        """data as a new int64 array of field elements.
+
+        Every entry must be an integer in [0, q): a float 5.5 is refused,
+        not truncated to 5, and nothing is reduced modulo q.  An int64
+        array passes with one dtype test and is copied, so the result
+        never shares memory with the input.
+        """
+        a = np.asarray(data)
+        if a.dtype is not _INT64:
+            kind = a.dtype.kind
+            if kind not in "biuf":
+                raise ValueError(f"non-integer entries for {self!r}")
+            with np.errstate(invalid="ignore"):
+                cast = a.astype(np.int64)
+            if kind == "f" and not np.array_equal(cast, a):
+                raise ValueError(f"non-integer entries for {self!r}")
+            a = cast
+        elif isinstance(data, np.ndarray):
+            a = a.copy()
         # Negative entries wrap to huge values as uint64, so one max()
         # catches both ends.
         if a.size and a.view(np.uint64).max() >= self.q:
             raise ValueError(f"entries outside [0, {self.q}) for {self!r}")
+        return a
 
     # Array kernels.
 

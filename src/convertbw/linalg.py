@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the fields in :mod:`convertbw.gf`.
 
 A Matrix couples a Field with an immutable 2-D numpy int64 array; its
-constructor rejects entries outside [0, q).  All
+constructor rejects non-integer entries and entries outside [0, q).  All
 routines use fraction-free Gaussian elimination with deterministic
 pivoting (first nonzero entry in column order), so results are
 reproducible across runs and platforms.
@@ -22,10 +22,9 @@ class Matrix:
     __slots__ = ("field", "_a")
 
     def __init__(self, field: Field, rows):
-        a = np.array(rows, dtype=np.int64)
+        a = field.as_elements(rows)
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {a.shape}")
-        field.check_elements(a)
         a.setflags(write=False)
         self.field = field
         self._a = a

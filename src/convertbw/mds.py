@@ -71,7 +71,7 @@ class VectorCode:
         flat = list(d["generator"])
         if len(flat) != k * alpha * n * alpha:
             raise ValueError("generator entry count does not match n, k, alpha")
-        gen = Matrix(fld, np.array(flat, dtype=np.int64).reshape(k * alpha, n * alpha))
+        gen = Matrix(fld, np.asarray(flat).reshape(k * alpha, n * alpha))
         return cls(n, k, alpha, fld, gen)
 
 
@@ -107,12 +107,11 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
 def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
     """Encode a message of k*alpha subsymbols; returns an (n, alpha)
     array of node symbols."""
-    msg = np.asarray(list(message), dtype=np.int64)
+    msg = code.field.as_elements(list(message))
     if msg.shape != (code.k * code.alpha,):
         raise ValueError(
             f"message length {msg.shape[0] if msg.ndim == 1 else msg.shape} "
             f"!= k*alpha = {code.k * code.alpha}")
-    code.field.check_elements(msg)
     cw = code.field.arr_matmul(msg[None, :], code.generator.array)[0]
     out = cw.reshape(code.n, code.alpha)
     out.setflags(write=False)
@@ -132,10 +131,9 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
     fld = code.field
     symbols = {}
     for i in idx:
-        s = np.asarray(list(available[i]), dtype=np.int64)
+        s = fld.as_elements(list(available[i]))
         if s.shape != (code.alpha,):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
-        fld.check_elements(s)
         symbols[i] = s
     use = idx[: code.k]
     cols = [c for i in use for c in code.node_cols(i)]

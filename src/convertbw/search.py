@@ -6,6 +6,10 @@ downloaded dimension; within a dimension level, profiles and subspace
 indices are visited lexicographically.  The first feasible scheme found
 is therefore a global read-cost minimizer among linear schemes, and the
 lexicographically smallest such minimizer.
+
+Within a profile the walk is incremental and cuts branches by a rank
+bound (see min_bandwidth_exhaustive); `visited` is a position in the
+enumeration order, cut branches included, not a count of evaluations.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
 from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows, _scheme_maps
-from .linalg import Matrix, enumerate_subspaces, mat_rank, rank_pair, \
+from .linalg import Matrix, _echelon_inplace, enumerate_subspaces, mat_rank, \
     random_invertible
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
@@ -32,7 +36,7 @@ class SearchBudget:
     """Limits for one scheme search."""
 
     max_total_dim: int | None = None   # cap on downloaded rows (None: ki*alpha)
-    max_visits: int = 10_000_000       # cap on feasibility evaluations
+    max_visits: int = 10_000_000       # cap on schemes in enumeration order
 
     def __post_init__(self) -> None:
         if self.max_visits < 1:
@@ -45,7 +49,7 @@ class SearchBudget:
 class SearchOutcome:
     """Result of min_bandwidth_exhaustive."""
 
-    status: str                     # "found" or "budget-exhausted"
+    status: str                     # "found", "max-visits" or "max-total-dim"
     gamma: int | None = None
     scheme: ConversionScheme | None = None
     visited: int = 0
@@ -92,15 +96,15 @@ class _SchemeSpace:
         picks = [self.subspaces[d][i] for d, i in zip(profile, combo)]
         return ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
 
-    def stack_for(self, profile, combo) -> Matrix:
-        return Matrix(self.ens.field, np.concatenate(
-            [self.mapped[s][d][i] for s, (d, i) in enumerate(zip(profile, combo))]))
+
+class _VisitCap(Exception):
+    """The walk reached SearchBudget.max_visits."""
 
 
-def _iter_combos(space: _SchemeSpace, profile) -> Iterator[tuple[int, ...]]:
-    from itertools import product
-    ranges = [range(len(space.subspaces[d])) for d in profile]
-    return product(*ranges)
+def _reduce(fld, rows: np.ndarray, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """rows minus their pivot-column coordinates times the reduced
+    basis: a fresh array with zeros in every pivot column."""
+    return fld.sub(rows, fld.arr_matmul(rows[:, pivots], basis))
 
 
 def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
@@ -111,31 +115,84 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     Completes whenever the budget allows reaching the always-feasible
     full-data-download level; a budget stop is reported distinctly and
     never as a nonexistence claim.
+
+    Within one profile the slots are walked depth first in product
+    order.  Each depth carries the reduced-echelon basis of the rows
+    downloaded so far and the target rows reduced against it, so a
+    visit eliminates only the new slot's rows.  A subtree is skipped
+    when the residual target rank exceeds the rows the remaining slots
+    can add; it is still counted in `visited`, which is the position in
+    the full enumeration order.
     """
     p = ens.params
+    fld = ens.field
     space = _SchemeSpace(ens)
     slots = len(space.nodes)
     cap = p.ki * p.alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
+    sizes = [len(subs) for subs in space.subspaces]
+    targets = space.targets.array
+    n_targets = targets.shape[0]
+    no_rows = np.zeros((0, targets.shape[1]), dtype=np.int64)
     visited = 0
-    # Any feasible stack must span the target rows, so levels below the
-    # target rank cannot be feasible and are skipped wholesale.
-    for gamma in range(space.target_rank, cap + 1):
-        for profile in _compositions(gamma, slots, p.alpha):
-            for combo in _iter_combos(space, profile):
+
+    def walk(profile, left, below, depth, basis, pivots, residual, combo):
+        # left[j]: rows slots j.. may still add; below[j]: schemes under
+        # one node at depth j.  Returns the feasible combo or None.
+        nonlocal visited
+        if left[depth] < n_targets and \
+                len(_echelon_inplace(fld, residual.copy())) > left[depth]:
+            if visited + below[depth] > budget.max_visits:
+                visited = budget.max_visits
+                raise _VisitCap
+            visited += below[depth]
+            return None
+        last = depth == slots - 1
+        for i, rows in enumerate(space.mapped[depth][profile[depth]]):
+            new_basis, new_pivots, new_res = basis, pivots, residual
+            if rows.shape[0]:
+                x = _reduce(fld, rows, basis, pivots)
+                piv = _echelon_inplace(fld, x, reduced=True)
+                if piv:
+                    x = x[: len(piv)]
+                    new_res = _reduce(fld, residual, x, piv)
+                    if not last:
+                        new_basis = np.concatenate(
+                            [_reduce(fld, basis, x, piv), x])
+                        new_pivots = pivots + piv
+            if last:
                 visited += 1
                 if visited > budget.max_visits:
-                    return SearchOutcome("budget-exhausted", visited=visited - 1)
-                downloads = space.stack_for(profile, combo)
-                rd, rj = rank_pair(downloads, space.targets)
-                if rd == rj:
+                    visited -= 1
+                    raise _VisitCap
+                if not new_res.any():
+                    return combo + (i,)
+            else:
+                found = walk(profile, left, below, depth + 1, new_basis,
+                             new_pivots, new_res, combo + (i,))
+                if found is not None:
+                    return found
+        return None
+
+    # Any feasible stack must span the target rows, so levels below the
+    # target rank cannot be feasible and are skipped wholesale.
+    try:
+        for gamma in range(space.target_rank, cap + 1):
+            for profile in _compositions(gamma, slots, p.alpha):
+                left = [sum(profile[j:]) for j in range(slots)]
+                below = [math.prod(sizes[d] for d in profile[j:])
+                         for j in range(slots)]
+                combo = walk(profile, left, below, 0, no_rows, [], targets, ())
+                if combo is not None:
                     scheme = space.scheme_for(profile, combo)
                     if on_feasible is not None:
                         on_feasible(scheme)
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
-    return SearchOutcome("budget-exhausted", visited=visited)
+    except _VisitCap:
+        return SearchOutcome("max-visits", visited=visited)
+    return SearchOutcome("max-total-dim", visited=visited)
 
 
 @dataclass

@@ -108,6 +108,17 @@ def test_scheme_json_round_trip():
            "B": [[1, 0]]}
     with pytest.raises(ValueError, match="outside"):
         ConversionScheme.from_json_dict(p.with_q(7), doc)
+    # A non-integer entry is refused, not truncated to the map [1, 0].
+    doc["A"][0] = [1.5, 0]
+    with pytest.raises(ValueError, match="non-integer"):
+        ConversionScheme.from_json_dict(p.with_q(7), doc)
+    # Surplus maps are refused, not dropped by pairing maps with dims.
+    p7 = SplitParams(2, 1, 1, 1, 2, 7)
+    doc = default_scheme(p7).to_json_dict()
+    doc["A"].append([9, 9, 9])
+    doc["B"].append([5])
+    with pytest.raises(ValueError, match="one A map per beta entry"):
+        ConversionScheme.from_json_dict(p7, doc)
 
 
 @settings(max_examples=40, deadline=None)

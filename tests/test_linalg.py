@@ -184,5 +184,9 @@ def test_matrix_basics():
         Matrix(F5, [1, 2, 3])  # not 2-D
     with pytest.raises(ValueError):
         Matrix(F4, [[9, 0]])  # out of range for a binary field
+    for bad in ([[1.9, 2]], [[float("nan"), 0]]):  # never truncated
+        with pytest.raises(ValueError, match="non-integer"):
+            Matrix(F5, bad)
+    assert Matrix(F5, [[2.0, 1]]).tolist() == [[2, 1]]
     with pytest.raises(ValueError):
         Matrix(F5, [[1]]) @ Matrix(F5, [[1, 2], [3, 4]])

@@ -124,6 +124,15 @@ def test_decode_reports_corruption_with_extra_node():
         decode_from(code7, raised)
 
 
+def test_non_integer_symbols_rejected():
+    code = make_systematic_mds(4, 2, 1, F5)
+    cw = encode(code, [1, 2])
+    with pytest.raises(ValueError, match="non-integer"):
+        decode_from(code, {0: [1.9], 1: cw[1]})  # not read as 1
+    with pytest.raises(ValueError, match="non-integer"):
+        encode(code, [1, 2.5])
+
+
 def test_verify_mds_fails_on_duplicated_parity_column():
     code = make_systematic_mds(4, 2, 1, F5)
     g = code.generator.array.copy()
@@ -172,6 +181,9 @@ def test_json_round_trip():
     assert verify_mds(back)
     doc["generator"][-1] = 7  # a parity entry outside GF(7)
     with pytest.raises(ValueError, match="outside"):
+        VectorCode.from_json_dict(doc)
+    doc["generator"][-1] = 6.5  # not truncated to 6
+    with pytest.raises(ValueError, match="non-integer"):
         VectorCode.from_json_dict(doc)
 
 

@@ -12,10 +12,11 @@ from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
                                    default_scheme, empty_scheme)
 from convertbw.ensemble import ensemble_from_codes
-from convertbw.linalg import enumerate_subspaces
+from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair
 from convertbw.mds import verify_mds
 from convertbw.params import SplitParams
-from convertbw.search import (SearchBudget, certify_bound,
+from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
+                              _SchemeSpace, certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 
@@ -80,10 +81,69 @@ def test_default_scheme_caps_the_minimum():
 def test_budget_exhaustion_reported_distinctly():
     p, ens = build(2, 2, 1, 1, 2, 5)
     out = min_bandwidth_exhaustive(ens, SearchBudget(max_visits=50))
-    assert not out.found and out.status == "budget-exhausted"
+    assert not out.found and out.status == "max-visits"
     assert out.visited == 50
     out2 = min_bandwidth_exhaustive(ens, SearchBudget(max_total_dim=4))
-    assert not out2.found
+    assert not out2.found and out2.status == "max-total-dim"
+
+
+def reference_search(ens, budget):
+    """The enumerator the incremental walk replaced, kept as the plain
+    reference path: one full rank_pair of the whole download stack per
+    scheme, in enumeration order."""
+    p = ens.params
+    space = _SchemeSpace(ens)
+    slots = len(space.nodes)
+    cap = p.ki * p.alpha
+    if budget.max_total_dim is not None:
+        cap = min(cap, budget.max_total_dim)
+    visited = 0
+    for gamma in range(space.target_rank, cap + 1):
+        for profile in _compositions(gamma, slots, p.alpha):
+            ranges = [range(len(space.subspaces[d])) for d in profile]
+            for combo in product(*ranges):
+                visited += 1
+                if visited > budget.max_visits:
+                    return SearchOutcome("max-visits", visited=visited - 1)
+                downloads = Matrix(ens.field, np.concatenate(
+                    [space.mapped[s][d][i]
+                     for s, (d, i) in enumerate(zip(profile, combo))]))
+                rd, rj = rank_pair(downloads, space.targets)
+                if rd == rj:
+                    return SearchOutcome("found", gamma=gamma,
+                                         scheme=space.scheme_for(profile, combo),
+                                         visited=visited)
+    return SearchOutcome("max-total-dim", visited=visited)
+
+
+def _differential_cases():
+    # Every certified point with the canonical pair and seeded random
+    # pairs (two pairs only at alpha = 2, where the reference takes
+    # seconds per pair), one GF(8) point, and both budget caps.
+    points = [((2, 1, 1, 1, 1, 5), 3), ((2, 1, 2, 1, 1, 5), 3),
+              ((2, 2, 1, 1, 1, 5), 3), ((2, 2, 1, 1, 2, 5), 2),
+              ((2, 3, 2, 2, 1, 8), 3)]
+    cases = [(pt, k, SearchBudget()) for pt, pairs in points for k in range(pairs)]
+    cases += [((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_visits=v))
+              for v in (1, 50, 29696, 29697)]
+    cases.append(((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_total_dim=6)))
+    return [pytest.param(pt, k, b, id="-".join(map(str, pt)) + f"/pair{k}/"
+                         f"visits{b.max_visits}/dim{b.max_total_dim}")
+            for pt, k, b in cases]
+
+
+@pytest.mark.parametrize("point,pair,budget", _differential_cases())
+def test_search_matches_reference_enumerator(point, pair, budget):
+    p = SplitParams(*point)
+    rng = random.Random(0)
+    codes = canonical_codes(p)
+    for _ in range(pair):
+        codes = random_mds_pair(p, rng)
+    ens = ensemble_from_codes(p, *codes)
+    got = min_bandwidth_exhaustive(ens, budget)
+    want = reference_search(ens, budget)
+    assert (got.status, got.gamma, got.visited, got.scheme) == \
+        (want.status, want.gamma, want.visited, want.scheme)
 
 
 def test_search_is_deterministic():
