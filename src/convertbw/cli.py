@@ -32,15 +32,13 @@ EXIT_USAGE = 2
 def _threads_cap() -> int:
     """Parse CONVERT_BW_THREADS; execution is single-process, so any
     positive cap is honored trivially."""
-    raw = os.environ.get("CONVERT_BW_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("CONVERT_BW_THREADS", "1")
     try:
         val = int(raw)
     except ValueError:
-        raise SystemExit(f"CONVERT_BW_THREADS must be an integer, got {raw!r}")
+        val = 0
     if val < 1:
-        raise SystemExit("CONVERT_BW_THREADS must be >= 1")
+        raise ValueError(f"CONVERT_BW_THREADS must be an integer >= 1, got {raw!r}")
     return val
 
 
@@ -151,6 +149,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.trials < 0:
+        parser.error("--trials must be >= 0")
     points = verify.default_grid(qs=args.q, lfs=args.lf, kfs=args.kf,
                                  rfs=args.rf, ris=args.ri, alphas=args.alpha,
                                  max_ni=args.max_ni)
@@ -166,12 +166,13 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     p = _split_params(args, parser, need_q=True)
+    if args.messages < 1:
+        parser.error("--messages must be >= 1")
     rng = random.Random(args.seed)
     initial, final = canonical_codes(p)
     scheme = default_scheme(p)
     failures = 0
     unchanged_ok = True
-    report = None
     for _ in range(args.messages):
         msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
         finals, report = run_conversion(p, initial, final, scheme, msg)
@@ -188,7 +189,7 @@ def cmd_simulate(args, parser) -> int:
     doc = {
         "params": p.as_dict(),
         "messages": args.messages,
-        "bandwidth": report.to_json_dict() if report else None,
+        "bandwidth": report.to_json_dict(),
         "round_trip_failures": failures,
         "info_nodes_unchanged": unchanged_ok,
     }
@@ -198,6 +199,8 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_search(args, parser) -> int:
     p = _split_params(args, parser, need_q=True)
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
     budget = search.SearchBudget(max_total_dim=args.max_dim,
                                  max_visits=args.max_visits)
     reports = search.certify_bound(p, trials=args.trials, budget=budget,
@@ -267,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _threads_cap()
         return args.fn(args, parser)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -206,21 +206,16 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     # coefficient rows and the stored values both follow this order.
     used = [(i, m) for i, m in enumerate(scheme.info_maps + scheme.parity_maps)
             if m.rows]
-    if used:
-        downloads = vstack([m @ initial.node_block(i) for i, m in used])
-    else:
-        downloads = Matrix.zeros(fld, 0, p.message_dim)
+    downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
+                       + [m @ initial.node_block(i) for i, m in used])
     combine = solve_left(Matrix(fld, final_parity_rows(p, final)), downloads)
     if combine is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    if used:
-        values = np.vstack([fld.arr_matmul(m.array, initial_nodes[i][:, None])
-                            for i, m in used])
-        new_values = fld.arr_matmul(combine.array, values)[:, 0]
-    else:
-        new_values = np.zeros(p.lf * p.rf * p.alpha, dtype=np.int64)
-    new_nodes = new_values.reshape(p.lf * p.rf, p.alpha)
+    values = np.concatenate([np.zeros((0, 1), dtype=np.int64)] + [
+        fld.arr_matmul(m.array, initial_nodes[i][:, None]) for i, m in used])
+    new_nodes = fld.arr_matmul(combine.array, values).reshape(
+        p.lf * p.rf, p.alpha)
 
     final_codewords = []
     for t in range(p.lf):

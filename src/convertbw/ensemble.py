@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gf import Field
-from .linalg import Matrix, mat_rank, rank_pair
+from .linalg import Matrix, mat_rank, rank_pair, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -462,12 +462,11 @@ def check_stability(ens: LinearEnsemble) -> CheckReport:
                 rep.failures.append({
                     "kind": "final-parity-mi", "codeword": t,
                     "parity": yf.index, "mi": got, "expected": p.alpha})
-    from .linalg import in_span
+    finals = [(yf, rref(ens.block(yf))) for yf in ens.final_parities]
     for yi in ens.initial_parities:
-        bi = ens.block(yi)
-        for yf in ens.final_parities:
-            bf = ens.block(yf)
-            if in_span(bi, bf) and in_span(bf, bi):
+        bi = rref(ens.block(yi))
+        for yf, bf in finals:
+            if bi == bf:
                 rep.ok = False
                 rep.failures.append({
                     "kind": "parity-row-space-coincidence",

@@ -1,10 +1,14 @@
 """Dense exact linear algebra over the fields in :mod:`convertbw.gf`.
 
 A Matrix couples a Field with an immutable 2-D numpy int64 array; its
-constructor rejects non-integer entries and entries outside [0, q).  All
-routines use fraction-free Gaussian elimination with deterministic
-pivoting (first nonzero entry in column order), so results are
-reproducible across runs and platforms.
+constructor rejects non-integer entries and entries outside [0, q).
+
+Elimination scales each pivot row by the inverse of its pivot, the first
+nonzero entry in column order, so results are reproducible.  Every span
+question goes through _reduced_basis (reduced row-echelon basis and its
+pivot columns) and _reduce (rows minus their pivot-column coordinates
+times that basis: zero exactly on rows in the span).  mat_rank keeps
+plain elimination, the independent reference of the tests.
 """
 
 from __future__ import annotations
@@ -134,57 +138,52 @@ def _echelon_inplace(field: Field, a: np.ndarray, reduced: bool = False) -> list
     return pivots
 
 
-def _echelon(field: Field, a: np.ndarray, reduced: bool):
+def _reduced_basis(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The reduced row-echelon basis of a's row space (a new array, zero
+    rows dropped) and its pivot columns."""
     a = a.copy()
-    pivots = _echelon_inplace(field, a, reduced=reduced)
-    return a, pivots
+    pivots = _echelon_inplace(field, a, reduced=True)
+    return a[: len(pivots)], pivots
+
+
+def _reduce(field: Field, rows: np.ndarray, basis: np.ndarray,
+            pivots: list[int]) -> np.ndarray:
+    """rows minus their pivot-column coordinates times the reduced
+    basis: a new array with zeros in every pivot column, zero exactly
+    where a row lies in the span of basis."""
+    return field.sub(rows, field.arr_matmul(rows[:, pivots], basis))
+
+
+def _check_span_args(target: Matrix, basis: Matrix) -> None:
+    if target.field != basis.field or target.cols != basis.cols:
+        raise ValueError(f"span question across {target!r} and {basis!r}")
 
 
 def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
-    """(rank(basis), rank(basis stacked with extra)) in one pass.
-
-    The basis block is echelonized first, the extra rows are reduced
-    against its pivots, and the residual is echelonized on its own, so
-    the joint rank costs no more than one elimination of the stack.
-    """
-    if basis.cols != extra.cols:
-        raise ValueError(f"column mismatch: {basis.cols} != {extra.cols}")
-    if basis.field != extra.field:
-        raise ValueError("rank_pair across different fields")
+    """(rank(basis), rank(basis stacked with extra)) in one pass: the
+    extra rows reduced against the basis add the rank of their residual."""
+    _check_span_args(extra, basis)
     field = basis.field
-    b = basis.array.copy()
-    pivots = _echelon_inplace(field, b)
-    rank_b = len(pivots)
-    if extra.rows == 0:
-        return rank_b, rank_b
-    t = extra.array.copy()
-    for i, c in enumerate(pivots):
-        t = field.arr_submul(t, b[i, :], t[:, c])
-    rank_extra = len(_echelon_inplace(field, t))
-    return rank_b, rank_b + rank_extra
+    b, pivots = _reduced_basis(field, basis.array)
+    residual = _reduce(field, extra.array, b, pivots)
+    return len(pivots), len(pivots) + len(_echelon_inplace(field, residual))
 
 
 def mat_rank(m: Matrix) -> int:
-    """Rank of m over its field."""
-    _, pivots = _echelon(m.field, m.array, reduced=False)
-    return len(pivots)
+    """Rank of m over its field, by plain (non-reduced) elimination."""
+    return len(_echelon_inplace(m.field, m.array.copy()))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    a, pivots = _echelon(m.field, m.array, reduced=True)
-    return Matrix(m.field, a[: len(pivots), :])
+    return Matrix(m.field, _reduced_basis(m.field, m.array)[0])
 
 
 def in_span(target: Matrix, basis: Matrix) -> bool:
     """True iff every row of target lies in the row space of basis."""
-    if target.cols != basis.cols:
-        raise ValueError(
-            f"column mismatch: target has {target.cols}, basis has {basis.cols}")
-    if target.rows == 0:
-        return True
-    rb, rjoint = rank_pair(basis, target)
-    return rb == rjoint
+    _check_span_args(target, basis)
+    b, pivots = _reduced_basis(basis.field, basis.array)
+    return not _reduce(basis.field, target.array, b, pivots).any()
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -192,44 +191,30 @@ def mat_inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
     n = m.rows
-    if n == 0:
-        return Matrix.zeros(m.field, 0, 0)
-    aug = np.hstack([m.array, np.eye(n, dtype=np.int64)])
-    a, pivots = _echelon(m.field, aug, reduced=True)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    a, pivots = _reduced_basis(
+        m.field, np.hstack([m.array, np.eye(n, dtype=np.int64)]))
+    # [m | I] always has rank n; m is invertible iff every pivot is in m.
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.field, a[:n, n:])
+    return Matrix(m.field, a[:, n:])
 
 
 def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     """Find T with T @ basis = target, or None if some row is outside
     the row space of basis."""
-    if target.cols != basis.cols:
-        raise ValueError(
-            f"column mismatch: target has {target.cols}, basis has {basis.cols}")
+    _check_span_args(target, basis)
     field = basis.field
-    nb = basis.rows
-    if target.rows == 0:
-        return Matrix.zeros(field, 0, nb)
-    if nb == 0:
-        if np.any(target.array):
-            return None
-        return Matrix.zeros(field, target.rows, 0)
-    # Row-reduce basis while tracking the transform: R = T0 @ basis.
-    aug = np.hstack([basis.array, np.eye(nb, dtype=np.int64)])
-    a, pivots = _echelon(field, aug, reduced=True)
-    pivots = [c for c in pivots if c < basis.cols]
-    rk = len(pivots)
-    red = a[:rk, : basis.cols]
-    t0 = a[:rk, basis.cols:]
-    # Each target row decomposes over the reduced basis via its pivot
-    # coordinates; verify the residual is zero.
-    coeffs = target.array[:, pivots]
-    recon = field.arr_matmul(coeffs, red) if rk else np.zeros_like(target.array)
-    if not np.array_equal(recon, target.array):
+    n = basis.cols
+    # Reducing [basis | I] tracks the transform: each row R | T0 of the
+    # result has R = T0 @ basis, and the rows with a pivot below n span
+    # the row space of basis.
+    a, pivots = _reduced_basis(
+        field, np.hstack([basis.array, np.eye(basis.rows, dtype=np.int64)]))
+    pivots = [c for c in pivots if c < n]
+    red, t0 = a[: len(pivots), :n], a[: len(pivots), n:]
+    if _reduce(field, target.array, red, pivots).any():
         return None
-    t = field.arr_matmul(coeffs, t0) if rk else np.zeros((target.rows, nb), dtype=np.int64)
-    return Matrix(field, t)
+    return Matrix(field, field.arr_matmul(target.array[:, pivots], t0))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

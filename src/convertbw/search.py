@@ -25,8 +25,8 @@ from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
 from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows, _scheme_maps
-from .linalg import Matrix, _echelon_inplace, enumerate_subspaces, mat_rank, \
-    random_invertible
+from .linalg import (Matrix, _echelon_inplace, _reduce, _reduced_basis,
+                     enumerate_subspaces, mat_rank, random_invertible)
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -101,12 +101,6 @@ class _VisitCap(Exception):
     """The walk reached SearchBudget.max_visits."""
 
 
-def _reduce(fld, rows: np.ndarray, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """rows minus their pivot-column coordinates times the reduced
-    basis: a fresh array with zeros in every pivot column."""
-    return fld.sub(rows, fld.arr_matmul(rows[:, pivots], basis))
-
-
 def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                              on_feasible: Callable[[ConversionScheme], None] | None = None
                              ) -> SearchOutcome:
@@ -152,10 +146,8 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
         for i, rows in enumerate(space.mapped[depth][profile[depth]]):
             new_basis, new_pivots, new_res = basis, pivots, residual
             if rows.shape[0]:
-                x = _reduce(fld, rows, basis, pivots)
-                piv = _echelon_inplace(fld, x, reduced=True)
+                x, piv = _reduced_basis(fld, _reduce(fld, rows, basis, pivots))
                 if piv:
-                    x = x[: len(piv)]
                     new_res = _reduce(fld, residual, x, piv)
                     if not last:
                         new_basis = np.concatenate(

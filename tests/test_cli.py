@@ -205,6 +205,23 @@ def test_threads_env_validation(capsys, monkeypatch):
     code, out, _ = run_cli(["bound", "--lf", "2", "--kf", "2", "--rf", "1",
                             "--ri", "1"], capsys)
     assert code == 0
-    monkeypatch.setenv("CONVERT_BW_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["bound", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1"])
+    for bad in ("zero", "abc", "0"):
+        monkeypatch.setenv("CONVERT_BW_THREADS", bad)
+        code, out, err = run_cli(["bound", "--lf", "2", "--kf", "2",
+                                  "--rf", "1", "--ri", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: CONVERT_BW_THREADS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1", "--q", "5",
+     "--trials", "0"],
+    ["verify", "--q", "5", "--trials", "-5"],
+    ["simulate", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1", "--q", "5",
+     "--messages", "0"],
+])
+def test_counts_that_certify_nothing_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -97,6 +97,13 @@ def test_array_kernels_match_scalar_ops(q):
         for j in range(6):
             want = f.sub(int(block[i, j]), f.mul(int(coeffs[i]), int(row[j])))
             assert upd[i, j] == want
+    # Array sub (the kernel of linalg._reduce) against scalar sub and add.
+    other = block[::-1]
+    diff = f.sub(block, other)
+    assert diff.tolist() == [[f.sub(int(a), int(b)) for a, b in zip(r, s)]
+                             for r, s in zip(block, other)]
+    assert [[f.add(int(d), int(b)) for d, b in zip(r, s)]
+            for r, s in zip(diff, other)] == block.tolist()
 
 
 @pytest.mark.parametrize("q", [7, 8])

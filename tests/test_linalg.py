@@ -124,6 +124,50 @@ def test_solve_left_empty_basis():
     assert solve_left(Matrix(F5, [[1, 0, 0]]), Matrix.zeros(F5, 0, 3)) is None
 
 
+def _random_of_rank(fld, rows, cols, rank, rng):
+    """A rows x cols matrix of rank at most `rank` (almost always equal)."""
+    return random_matrix(fld, rows, rank, rng) @ random_matrix(fld, rank, cols, rng)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_span_layer_matches_plain_elimination(q):
+    # Differential test of the reduced-basis span functions against
+    # mat_rank's plain elimination: 0-row, rank-deficient and full-rank
+    # bases, targets inside and outside the span.
+    fld = field(q)
+    rng = random.Random(q)
+    for case in range(80):
+        cols = rng.randint(1, 6)
+        rows = case % 6
+        basis = _random_of_rank(fld, rows, cols,
+                                rng.randint(0, min(rows, cols)), rng)
+        n_target = rng.randint(0, 3)
+        if case % 2:
+            target = random_matrix(fld, n_target, rows, rng) @ basis
+        else:
+            target = random_matrix(fld, n_target, cols, rng)
+        rb, rj = rank_pair(basis, target)
+        assert (rb, rj) == (mat_rank(basis), mat_rank(vstack([basis, target])))
+        assert in_span(target, basis) == (rb == rj)
+        t = solve_left(target, basis)
+        if rb == rj:
+            assert t is not None and t.shape == (n_target, rows)
+            assert (t @ basis) == target
+        else:
+            assert t is None
+        r = rref(basis)
+        assert rref(r) == r and r.rows == mat_rank(r) == rb
+
+        n = case % 5
+        m = _random_of_rank(fld, n, n, rng.randint(max(0, n - 1), n), rng)
+        if mat_rank(m) == n:
+            inv = mat_inverse(m)
+            assert (m @ inv) == (inv @ m) == Matrix.identity(fld, n)
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                mat_inverse(m)
+
+
 def test_subspace_count_examples():
     assert len(enumerate_subspaces(2, F2, 1)) == 3
     assert len(enumerate_subspaces(2, F3, 1)) == 4
