@@ -20,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import bounds, search, verify
-from .convertible import default_scheme, run_conversion, canonical_codes
-from .mds import decode_from
+from .convertible import (InfeasibleSchemeError, canonical_codes,
+                          default_scheme, run_conversion)
+from .mds import CorruptDataError, decode_from
 from .params import SplitParams
 
 EXIT_OK = 0
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
     try:
         _threads_cap()
         return args.fn(args, parser)
+    except (InfeasibleSchemeError, CorruptDataError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

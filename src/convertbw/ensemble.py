@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gf import Field
-from .linalg import Matrix, mat_rank, rank_pair, rref
+from .linalg import Matrix, _insert_rows, mat_rank, rank_pair, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -187,18 +187,21 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
     return entropy(ens, a) + entropy(ens, b) - entropy(ens, a + b)
 
 
+def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> np.ndarray:
+    """maps[v] @ block(v) as a raw array over the message."""
+    m = maps[v]
+    if m.cols != ens.params.alpha:
+        raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
+    return ens.field.arr_matmul(m.array, ens.block(v).array) if m.rows \
+        else np.zeros((0, ens.params.message_dim), dtype=np.int64)
+
+
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
     contributes maps[v] @ block(v)."""
-    pieces = []
-    for v in sorted(set(nodes), key=NodeId.sort_key):
-        m = maps[v]
-        if m.cols != ens.params.alpha:
-            raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
-        if m.rows:
-            pieces.append(ens.field.arr_matmul(m.array, ens.block(v).array))
-    return ens._rows(pieces)
+    return ens._rows(_mapped(ens, maps, v)
+                     for v in sorted(set(nodes), key=NodeId.sort_key))
 
 
 @dataclass
@@ -244,20 +247,30 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
     return rep
 
 
-def _rows_mi(a: Matrix, b: Matrix) -> int:
-    """Mutual information of two row sets: rank(a) + rank(b) - rank(a; b)."""
-    ra, joint = rank_pair(a, b)
-    return ra + mat_rank(b) - joint
+def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
+               nodes: Iterable[NodeId]) -> dict[NodeId, list[list[int]]]:
+    """maps[v] @ block(v) for each node v as row lists: a download check
+    maps each node once and ranks subsets with linalg._insert_rows."""
+    return {v: _mapped(ens, maps, v).tolist() for v in nodes}
 
 
-def _h_mapped(ens, maps, nodes) -> int:
-    return mat_rank(mapped_rows(ens, maps, nodes))
+def _h_rows(fld: Field, rows: Mapping[NodeId, list], nodes) -> int:
+    """Rank of the union of the nodes' mapped rows."""
+    return len(_insert_rows(fld, [], [r for v in nodes for r in rows[v]]))
 
 
-def _min_h_mapped(ens, maps, pool, size) -> int:
+def _min_h_rows(fld: Field, rows, pool, size) -> int:
     if size == 0:
         return 0
-    return min(_h_mapped(ens, maps, c) for c in combinations(pool, size))
+    return min(_h_rows(fld, rows, c) for c in combinations(pool, size))
+
+
+def _rows_mi(fld: Field, rows: Mapping[NodeId, list], a, b) -> int:
+    """I(a ; b) of two node sets' mapped rows: H(a) + H(b) - H(a, b)."""
+    basis = _insert_rows(fld, [], [r for v in a for r in rows[v]])
+    h_a = len(basis)
+    joint = len(_insert_rows(fld, basis, [r for v in b for r in rows[v]]))
+    return h_a + _h_rows(fld, rows, b) - joint
 
 
 def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
@@ -279,8 +292,9 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
     if not _nodes_independent(ens, sorted(rest, key=NodeId.sort_key)):
         raise IndependencePreconditionError(
             "nodes outside D1 u D2 are not independent")
-    mi = _rows_mi(mapped_rows(ens, f_a, a_nodes), mapped_rows(ens, f_b, b_nodes))
-    return mi <= _h_mapped(ens, f_a, d1) + _h_mapped(ens, f_b, d2)
+    rows = _node_rows(ens, {**f_a, **f_b}, a_nodes | b_nodes)
+    mi = _rows_mi(ens.field, rows, a_nodes, b_nodes)
+    return mi <= _h_rows(ens.field, rows, d1) + _h_rows(ens.field, rows, d2)
 
 
 def check_min_avg(ens: LinearEnsemble,
@@ -298,9 +312,9 @@ def check_min_avg(ens: LinearEnsemble,
         if not _nodes_independent(ens, subset):
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
-    maps = dict(family)
-    singles = sum(_h_mapped(ens, maps, [v]) for v in maps)
-    best = _min_h_mapped(ens, maps, list(maps), a)
+    rows = _node_rows(ens, dict(family), [v for v, _ in family])
+    singles = sum(_h_rows(ens.field, rows, [v]) for v in rows)
+    best = _min_h_rows(ens.field, rows, list(rows), a)
     return Fraction(best) <= Fraction(a, b) * singles
 
 
@@ -322,8 +336,8 @@ def _empty_map(ens: LinearEnsemble) -> Matrix:
 
 def _download_mi(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix]) -> int:
     """I(parity downloads ; info downloads) over the initial codeword."""
-    return _rows_mi(mapped_rows(ens, maps, ens.initial_parities),
-                    mapped_rows(ens, maps, ens.info_nodes))
+    rows = _node_rows(ens, maps, (*ens.initial_parities, *ens.info_nodes))
+    return _rows_mi(ens.field, rows, ens.initial_parities, ens.info_nodes)
 
 
 def corollary1_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
@@ -337,10 +351,12 @@ def corollary1_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
         raise ValueError("inadmissible (S1, S2, b1, b2) split")
     if mi is None:
         mi = _download_mi(ens, maps)
-    minsum = _min_h_mapped(ens, maps, s1, b1) + _min_h_mapped(ens, maps, s2, b2)
-    avg1 = Fraction(b1, len(s1)) * sum(_h_mapped(ens, maps, [v]) for v in s1) \
+    fld = ens.field
+    rows = _node_rows(ens, maps, [*s1, *s2])
+    minsum = _min_h_rows(fld, rows, s1, b1) + _min_h_rows(fld, rows, s2, b2)
+    avg1 = Fraction(b1, len(s1)) * sum(_h_rows(fld, rows, [v]) for v in s1) \
         if s1 else Fraction(0)
-    avg2 = Fraction(b2, len(s2)) * _h_mapped(ens, maps, s2) if s2 else Fraction(0)
+    avg2 = Fraction(b2, len(s2)) * _h_rows(fld, rows, s2) if s2 else Fraction(0)
     return mi <= minsum and Fraction(minsum) <= avg1 + avg2
 
 
@@ -353,8 +369,9 @@ def corollary2_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
         raise ValueError("S must have at least ri nodes")
     if mi is None:
         mi = _download_mi(ens, maps)
-    mn = _min_h_mapped(ens, maps, s, p.ri)
-    avg = Fraction(p.ri, len(s)) * _h_mapped(ens, maps, s) if s else Fraction(0)
+    rows = _node_rows(ens, maps, s)
+    mn = _min_h_rows(ens.field, rows, s, p.ri)
+    avg = Fraction(p.ri, len(s)) * _h_rows(ens.field, rows, s) if s else Fraction(0)
     return mi <= mn and Fraction(mn) <= avg
 
 

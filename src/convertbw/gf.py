@@ -8,8 +8,8 @@ supported:
   over a fixed irreducible polynomial with exp/log lookup tables.
 
 Each field also exposes vectorized kernels over numpy int64 arrays
-(scaling, row update, matrix product) that the matrix
-routines in :mod:`convertbw.linalg` build on.
+(scaling, row update, matrix product), and row_submul on Python lists,
+that the matrix routines in :mod:`convertbw.linalg` build on.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Field:
     Scalar operations take and return ints in [0, q); add and sub are
     elementwise, so they also take two arrays of elements.  The arr_*
     kernels operate on numpy int64 arrays whose entries are already
-    reduced.
+    reduced; row_submul(row, b, c) returns row - c * b as a new list.
     """
 
     q: int
@@ -111,6 +111,9 @@ class Field:
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def row_submul(self, row: list[int], b: list[int], c: int) -> list[int]:
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         if self.degree == 1:
             return f"GF({self.q})"
@@ -159,6 +162,10 @@ class PrimeField(Field):
         # Entries < 251 and inner dimensions stay desk-scale, so the
         # int64 accumulator cannot overflow.
         return (a @ b) % self.q
+
+    def row_submul(self, row, b, c):
+        q = self.q
+        return [(x - c * y) % q for x, y in zip(row, b)]
 
 
 class BinaryField(Field):
@@ -220,6 +227,8 @@ class BinaryField(Field):
         exp[q - 1:] = exp[: q - 1]
         self._exp = exp
         self._log = log
+        self._exp_list = exp.tolist()
+        self._log_list = log.tolist()
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -256,6 +265,13 @@ class BinaryField(Field):
         for k in range(a.shape[1]):
             out = self.arr_submul(out, b[k, :], a[:, k])
         return out
+
+    def row_submul(self, row, b, c):
+        if c == 0:
+            return list(row)
+        exp, log = self._exp_list, self._log_list
+        lc = log[c]
+        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(row, b)]
 
 
 _FIELD_CACHE: dict[int, Field] = {}

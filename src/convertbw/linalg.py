@@ -4,11 +4,13 @@ A Matrix couples a Field with an immutable 2-D numpy int64 array; its
 constructor rejects non-integer entries and entries outside [0, q).
 
 Elimination scales each pivot row by the inverse of its pivot, the first
-nonzero entry in column order, so results are reproducible.  Every span
-question goes through _reduced_basis (reduced row-echelon basis and its
-pivot columns) and _reduce (rows minus their pivot-column coordinates
-times that basis: zero exactly on rows in the span).  mat_rank keeps
-plain elimination, the independent reference of the tests.
+nonzero entry in column order, so results are reproducible.  Ranks come
+from _insert_rows on Python lists, since most are of a few rows, where
+numpy's per-call cost would dominate.  Questions that need the basis
+(rref, in_span, solve_left, mat_inverse, the scheme search) go through
+_reduced_basis (reduced row-echelon basis and its pivot columns) and
+_reduce (rows minus their pivot-column coordinates times that basis:
+zero exactly on rows in the span) on numpy arrays.
 """
 
 from __future__ import annotations
@@ -139,11 +141,28 @@ def _echelon_inplace(field: Field, a: np.ndarray, reduced: bool = False) -> list
 
 
 def _reduced_basis(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The reduced row-echelon basis of a's row space (a new array, zero
-    rows dropped) and its pivot columns."""
-    a = a.copy()
+    """The reduced row-echelon basis of a's row space (a view of a, which
+    is echelonized in place, zero rows dropped) and its pivot columns."""
     pivots = _echelon_inplace(field, a, reduced=True)
     return a[: len(pivots)], pivots
+
+
+def _insert_rows(field: Field, basis: list, rows: list) -> list:
+    """Extend basis, (pivot column, row) pairs, by rows; return it.  Each
+    row is reduced against the basis rows in insertion order; a nonzero
+    remainder joins, scaled to 1 at its first nonzero column (its pivot)."""
+    for r in rows:
+        for p, b in basis:
+            c = r[p]
+            if c:
+                r = field.row_submul(r, b, c)
+        for p, x in enumerate(r):
+            if x:
+                if x != 1:   # r - (1 - 1/x) r = r / x
+                    r = field.row_submul(r, r, field.sub(1, field.inv(x)))
+                basis.append((p, r))
+                break
+    return basis
 
 
 def _reduce(field: Field, rows: np.ndarray, basis: np.ndarray,
@@ -161,28 +180,26 @@ def _check_span_args(target: Matrix, basis: Matrix) -> None:
 
 def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
     """(rank(basis), rank(basis stacked with extra)) in one pass: the
-    extra rows reduced against the basis add the rank of their residual."""
+    extra rows are inserted into the basis rows' echelon form."""
     _check_span_args(extra, basis)
-    field = basis.field
-    b, pivots = _reduced_basis(field, basis.array)
-    residual = _reduce(field, extra.array, b, pivots)
-    return len(pivots), len(pivots) + len(_echelon_inplace(field, residual))
+    rows = _insert_rows(basis.field, [], basis.array.tolist())
+    return len(rows), len(_insert_rows(basis.field, rows, extra.array.tolist()))
 
 
 def mat_rank(m: Matrix) -> int:
-    """Rank of m over its field, by plain (non-reduced) elimination."""
-    return len(_echelon_inplace(m.field, m.array.copy()))
+    """Rank of m over its field."""
+    return len(_insert_rows(m.field, [], m.array.tolist()))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    return Matrix(m.field, _reduced_basis(m.field, m.array)[0])
+    return Matrix(m.field, _reduced_basis(m.field, m.array.copy())[0])
 
 
 def in_span(target: Matrix, basis: Matrix) -> bool:
     """True iff every row of target lies in the row space of basis."""
     _check_span_args(target, basis)
-    b, pivots = _reduced_basis(basis.field, basis.array)
+    b, pivots = _reduced_basis(basis.field, basis.array.copy())
     return not _reduce(basis.field, target.array, b, pivots).any()
 
 

@@ -4,10 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import convertbw
+from convertbw import cli, convertible
 from convertbw.cli import main
+from convertbw.mds import CorruptDataError
 
 
 def run_cli(args, capsys):
@@ -225,3 +232,33 @@ def test_counts_that_certify_nothing_are_usage_errors(args, capsys):
         main(args)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _corrupt(code, available):
+    raise CorruptDataError("node 2 symbols are inconsistent with the other nodes")
+
+
+@pytest.mark.parametrize("name, patch, message", [
+    ("default_scheme", convertible.empty_scheme,
+     "downloaded rows do not span the final parity rows"),
+    ("decode_from", _corrupt, "node 2 symbols are inconsistent"),
+])
+def test_failed_conversion_or_decode_exits_1(name, patch, message, capsys,
+                                             monkeypatch):
+    # Both errors subclass ValueError, but they are failed checks: exit 1.
+    monkeypatch.setattr(cli, name, patch)
+    code, out, err = run_cli(["simulate", "--lf", "2", "--kf", "2", "--rf", "1",
+                              "--ri", "1", "--q", "5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_python_m_runs_the_cli(capsys):
+    args = ["bound", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1"]
+    src = str(Path(convertbw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "convertbw", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    code, out, _ = run_cli(args, capsys)
+    assert proc.returncode == code == 0 and proc.stdout == out

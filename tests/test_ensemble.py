@@ -1,6 +1,7 @@
 """Entropy-oracle tests: exact rank entropies and the structural checks."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -318,3 +319,78 @@ def test_node_id_validation():
         NodeId("bogus", 0)
     with pytest.raises(ValueError):
         NodeId("info", -1)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
+    # The download checks rank each node's mapped rows with the list
+    # kernel; every rank they use must equal numpy plain elimination of
+    # mapped_rows for the same nodes.  Maps are seeded, 0-row ones included.
+    from convertbw import ensemble as E
+    from convertbw.ensemble import (_download_mi, corollary1_holds,
+                                    corollary2_holds, mapped_rows,
+                                    random_corollary1_tuple,
+                                    random_corollary2_set)
+    from convertbw.linalg import _echelon_inplace
+
+    p, ens = build(2, 2, 1, 2, 2, q)
+    fld = ens.field
+    nodes = list(ens.all_nodes())
+    rng = random.Random(q)
+
+    def ref(maps, vs):
+        m = mapped_rows(ens, maps, vs)
+        return len(_echelon_inplace(fld, m.array.copy()))
+
+    def ref_mi(maps, a, b):
+        return ref(maps, a) + ref(maps, b) - ref(maps, [*a, *b])
+
+    used = []   # (nodes, rank) and ("mi", MI) as the checks compute them
+    h_rows, rows_mi = E._h_rows, E._rows_mi
+
+    def recording_h(f, rows, vs):
+        vs = list(vs)
+        used.append((vs, h_rows(f, rows, vs)))
+        return used[-1][1]
+
+    def recording_mi(f, rows, a, b):
+        used.append(("mi", rows_mi(f, rows, a, b)))
+        return used[-1][1]
+
+    monkeypatch.setattr(E, "_h_rows", recording_h)
+    monkeypatch.setattr(E, "_rows_mi", recording_mi)
+    zero_rows = evaluated = 0
+    for _ in range(12):
+        maps = {v: random_matrix(fld, rng.randint(0, p.alpha), p.alpha, rng)
+                for v in nodes}
+        zero_rows += sum(not m.rows for m in maps.values())
+        rows = E._node_rows(ens, maps, nodes)
+        for size in range(4):
+            for sub in combinations(nodes, size):
+                assert h_rows(fld, rows, sub) == ref(maps, sub)
+        assert _download_mi(ens, maps) == ref_mi(
+            maps, ens.initial_parities, ens.info_nodes)
+
+        rng.shuffle(nodes)
+        a_set, b_set = nodes[:rng.randint(1, 3)], nodes[3:3 + rng.randint(1, 3)]
+        used.clear()
+        try:
+            check_mi_bound(ens, {v: maps[v] for v in a_set},
+                           {v: maps[v] for v in b_set}, a_set[:1], b_set[1:])
+            evaluated += 1
+            assert [h for vs, h in used if vs == "mi"] == [
+                ref_mi(maps, a_set, b_set)]
+        except IndependencePreconditionError:
+            pass
+        b = rng.randint(2, 4)
+        try:
+            check_min_avg(ens, [(v, maps[v]) for v in nodes[:b]],
+                          rng.randint(1, b))
+            evaluated += 1
+        except IndependencePreconditionError:
+            pass
+        s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
+        corollary1_holds(ens, maps, s1, s2, b1, b2)
+        corollary2_holds(ens, maps, random_corollary2_set(ens, rng))
+        assert all(h == ref(maps, vs) for vs, h in used if vs != "mi")
+    assert zero_rows > 0 and evaluated > 6

@@ -104,6 +104,15 @@ def test_array_kernels_match_scalar_ops(q):
                              for r, s in zip(block, other)]
     assert [[f.add(int(d), int(b)) for d, b in zip(r, s)]
             for r, s in zip(diff, other)] == block.tolist()
+    # Array add against scalar add.
+    assert f.add(block, other).tolist() == [
+        [f.add(int(a), int(b)) for a, b in zip(r, s)]
+        for r, s in zip(block, other)]
+    # The list kernel row_submul against scalar sub and mul, c = 0 too.
+    x, y = block[0].tolist(), row.tolist()
+    for c in (0, 1, rng.randrange(2, q)):
+        assert f.row_submul(x, y, c) == [f.sub(a, f.mul(c, b))
+                                         for a, b in zip(x, y)]
 
 
 @pytest.mark.parametrize("q", [7, 8])

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from convertbw.gf import field
-from convertbw.linalg import (Matrix, enumerate_subspaces, gaussian_binomial,
+from convertbw.linalg import (Matrix, _echelon_inplace, enumerate_subspaces,
+                              gaussian_binomial,
                               in_span, mat_inverse, mat_rank, rank_pair,
                               random_invertible, random_matrix, rref,
                               solve_left, vstack)
@@ -129,10 +130,38 @@ def _random_of_rank(fld, rows, cols, rank, rng):
     return random_matrix(fld, rows, rank, rng) @ random_matrix(fld, rank, cols, rng)
 
 
+def _ref_rank(m):
+    """Reference rank: the pivot count of numpy plain elimination."""
+    return len(_echelon_inplace(m.field, m.array.copy()))
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_rank_kernel_matches_plain_elimination(q):
+    # Differential test of the list kernel behind mat_rank and rank_pair
+    # against numpy elimination, up to the 16 x 14 stacks of the verify
+    # grid: 0 rows, 0 columns, 1 row, rank-deficient and full-rank.
+    fld = field(q)
+    rng = random.Random(100 + q)
+    shapes = [(0, 5), (4, 0), (0, 0), (1, 1), (1, 7), (16, 14), (14, 16)]
+    shapes += [(rng.randint(0, 16), rng.randint(1, 14)) for _ in range(120)]
+    for i, (rows, cols) in enumerate(shapes):
+        if i % 3 == 0:
+            m = random_matrix(fld, rows, cols, rng)
+        else:
+            m = _random_of_rank(fld, rows, cols,
+                                rng.randint(0, min(rows, cols)), rng)
+        assert mat_rank(m) == _ref_rank(m)
+        extra = random_matrix(fld, rng.randint(0, 4), cols, rng)
+        if i % 2 and m.rows:
+            extra = random_matrix(fld, extra.rows, rows, rng) @ m
+        assert rank_pair(m, extra) == (_ref_rank(m),
+                                       _ref_rank(vstack([m, extra])))
+
+
 @pytest.mark.parametrize("q", [7, 8])
 def test_span_layer_matches_plain_elimination(q):
     # Differential test of the reduced-basis span functions against
-    # mat_rank's plain elimination: 0-row, rank-deficient and full-rank
+    # numpy plain elimination: 0-row, rank-deficient and full-rank
     # bases, targets inside and outside the span.
     fld = field(q)
     rng = random.Random(q)
@@ -147,7 +176,7 @@ def test_span_layer_matches_plain_elimination(q):
         else:
             target = random_matrix(fld, n_target, cols, rng)
         rb, rj = rank_pair(basis, target)
-        assert (rb, rj) == (mat_rank(basis), mat_rank(vstack([basis, target])))
+        assert (rb, rj) == (_ref_rank(basis), _ref_rank(vstack([basis, target])))
         assert in_span(target, basis) == (rb == rj)
         t = solve_left(target, basis)
         if rb == rj:
@@ -156,11 +185,11 @@ def test_span_layer_matches_plain_elimination(q):
         else:
             assert t is None
         r = rref(basis)
-        assert rref(r) == r and r.rows == mat_rank(r) == rb
+        assert rref(r) == r and r.rows == _ref_rank(r) == rb
 
         n = case % 5
         m = _random_of_rank(fld, n, n, rng.randint(max(0, n - 1), n), rng)
-        if mat_rank(m) == n:
+        if _ref_rank(m) == n:
             inv = mat_inverse(m)
             assert (m @ inv) == (inv @ m) == Matrix.identity(fld, n)
         else:
