@@ -18,7 +18,7 @@ import numpy as np
 from .ensemble import (LinearEnsemble, _check_code_pair, _scheme_maps,
                        final_parity_rows, mapped_rows)
 from .linalg import Matrix, in_span, rref, solve_left, vstack
-from .mds import VectorCode, encode, make_systematic_mds
+from .mds import VectorCode, encode, json_count, make_systematic_mds
 from .params import SplitParams
 
 
@@ -86,14 +86,17 @@ class ConversionScheme:
         fld = params.field()
         alpha = params.alpha
 
-        def unflatten(flat, rows):
+        def unflatten(flat, rows, what):
+            rows = json_count(rows, what)
             return Matrix(fld, np.asarray(list(flat)).reshape(rows, alpha))
 
         if len(d["A"]) != len(d["beta"]) or len(d["B"]) != len(d["sigma"]):
             raise ValueError("scheme needs one A map per beta entry and "
                              "one B map per sigma entry")
-        info = tuple(unflatten(f, b) for f, b in zip(d["A"], d["beta"]))
-        parity = tuple(unflatten(f, s) for f, s in zip(d["B"], d["sigma"]))
+        info = tuple(unflatten(f, b, "beta entry")
+                     for f, b in zip(d["A"], d["beta"]))
+        parity = tuple(unflatten(f, s, "sigma entry")
+                       for f, s in zip(d["B"], d["sigma"]))
         return cls(params, info, parity)
 
 

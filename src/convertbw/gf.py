@@ -7,9 +7,8 @@ supported:
 - binary extension fields GF(2^m) for m <= 8, using a polynomial basis
   over a fixed irreducible polynomial with exp/log lookup tables.
 
-Each field also exposes vectorized kernels over numpy int64 arrays
-(scaling, row update, matrix product), and row_submul on Python lists,
-that the matrix routines in :mod:`convertbw.linalg` build on.
+Each field has one elimination kernel on Python lists, row_submul, and
+vectorized kernels over numpy int64 arrays for matrix products.
 """
 
 from __future__ import annotations
@@ -49,9 +48,11 @@ class Field:
     """Interface shared by both field families.
 
     Scalar operations take and return ints in [0, q); add and sub are
-    elementwise, so they also take two arrays of elements.  The arr_*
-    kernels operate on numpy int64 arrays whose entries are already
-    reduced; row_submul(row, b, c) returns row - c * b as a new list.
+    elementwise, so they also take two arrays of elements.
+    row_submul(row, b, c), row - c * b as a new list, is the kernel of
+    every elimination in convertbw.linalg and the search.  The arr_*
+    kernels take reduced int64 arrays; only products (arr_matmul) use
+    them in the package, the tests' reference elimination all three.
     """
 
     q: int

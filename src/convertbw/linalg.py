@@ -3,14 +3,15 @@
 A Matrix couples a Field with an immutable 2-D numpy int64 array; its
 constructor rejects non-integer entries and entries outside [0, q).
 
-Elimination scales each pivot row by the inverse of its pivot, the first
-nonzero entry in column order, so results are reproducible.  Ranks come
-from _insert_rows on Python lists, since most are of a few rows, where
-numpy's per-call cost would dominate.  Questions that need the basis
-(rref, in_span, solve_left, mat_inverse, the scheme search) go through
-_reduced_basis (reduced row-echelon basis and its pivot columns) and
-_reduce (rows minus their pivot-column coordinates times that basis:
-zero exactly on rows in the span) on numpy arrays.
+All elimination runs on Python lists, since most matrices here have a
+few rows, where numpy's per-call cost would dominate, and its one field
+kernel is Field.row_submul.  _insert_rows keeps an echelon basis in
+insertion order: (pivot column, row) pairs, each row scaled to 1 at its
+pivot (its first nonzero entry) and zero at the pivots of the rows
+before it.  Ranks count the rows that join; _reduce_row leaves nothing
+of exactly the rows in the span; rref, mat_inverse and solve_left
+back-substitute the basis sorted by pivot (_rref_rows), so results are
+canonical.  Products (Matrix.matmul) use the numpy arr_matmul kernel.
 """
 
 from __future__ import annotations
@@ -109,53 +110,23 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(field, np.vstack([m.array for m in mats]))
 
 
-def _echelon_inplace(field: Field, a: np.ndarray, reduced: bool = False) -> list[int]:
-    """Echelonize *a* in place; returns the pivot columns (pivot i in row i).
-
-    Pivot rows are scaled to 1 and eliminated below; with reduced=True the
-    result is the reduced row-echelon form (each pivot also the only
-    nonzero entry in its column).
-    """
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        v = int(a[r, c])
-        if v != 1:
-            a[r, :] = field.arr_scale(a[r, :], field.inv(v))
-        if r + 1 < m:
-            a[r + 1:, :] = field.arr_submul(a[r + 1:, :], a[r, :], a[r + 1:, c])
-        if reduced and r > 0:
-            a[:r, :] = field.arr_submul(a[:r, :], a[r, :], a[:r, c])
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _reduced_basis(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The reduced row-echelon basis of a's row space (a view of a, which
-    is echelonized in place, zero rows dropped) and its pivot columns."""
-    pivots = _echelon_inplace(field, a, reduced=True)
-    return a[: len(pivots)], pivots
+def _reduce_row(field: Field, basis: list, r: list) -> list:
+    """r minus the multiple of each basis row, in insertion order, that
+    clears r at that row's pivot: zero at every pivot, and zero exactly
+    when r lies in the span of the basis."""
+    for p, b in basis:
+        c = r[p]
+        if c:
+            r = field.row_submul(r, b, c)
+    return r
 
 
 def _insert_rows(field: Field, basis: list, rows: list) -> list:
-    """Extend basis, (pivot column, row) pairs, by rows; return it.  Each
-    row is reduced against the basis rows in insertion order; a nonzero
-    remainder joins, scaled to 1 at its first nonzero column (its pivot)."""
+    """Extend basis, (pivot column, row) pairs, by rows; return it.  The
+    nonzero remainder of a row under _reduce_row joins, scaled to 1 at
+    its first nonzero column (its pivot)."""
     for r in rows:
-        for p, b in basis:
-            c = r[p]
-            if c:
-                r = field.row_submul(r, b, c)
+        r = _reduce_row(field, basis, r)
         for p, x in enumerate(r):
             if x:
                 if x != 1:   # r - (1 - 1/x) r = r / x
@@ -165,12 +136,21 @@ def _insert_rows(field: Field, basis: list, rows: list) -> list:
     return basis
 
 
-def _reduce(field: Field, rows: np.ndarray, basis: np.ndarray,
-            pivots: list[int]) -> np.ndarray:
-    """rows minus their pivot-column coordinates times the reduced
-    basis: a new array with zeros in every pivot column, zero exactly
-    where a row lies in the span of basis."""
-    return field.sub(rows, field.arr_matmul(rows[:, pivots], basis))
+def _rref_rows(field: Field, rows: list) -> list:
+    """The reduced row-echelon basis of the span of rows, as (pivot,
+    row) pairs sorted by pivot: the inserted rows, each cleared at the
+    larger pivots from the last pivot up."""
+    out: list = []
+    for p, r in sorted(_insert_rows(field, [], rows),
+                       key=lambda pr: pr[0], reverse=True):
+        out.append((p, _reduce_row(field, out, r)))
+    out.reverse()
+    return out
+
+
+def _matrix(field: Field, rows: list, cols: int) -> Matrix:
+    """A Matrix of list rows, each cols long (no rows is a 0 x cols one)."""
+    return Matrix(field, np.array(rows, dtype=np.int64).reshape(len(rows), cols))
 
 
 def _check_span_args(target: Matrix, basis: Matrix) -> None:
@@ -193,14 +173,14 @@ def mat_rank(m: Matrix) -> int:
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    return Matrix(m.field, _reduced_basis(m.field, m.array.copy())[0])
+    return _matrix(m.field, [r for _, r in _rref_rows(m.field, m.array.tolist())],
+                   m.cols)
 
 
 def in_span(target: Matrix, basis: Matrix) -> bool:
     """True iff every row of target lies in the row space of basis."""
-    _check_span_args(target, basis)
-    b, pivots = _reduced_basis(basis.field, basis.array.copy())
-    return not _reduce(basis.field, target.array, b, pivots).any()
+    rb, rj = rank_pair(basis, target)
+    return rb == rj
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -208,12 +188,12 @@ def mat_inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
     n = m.rows
-    a, pivots = _reduced_basis(
-        m.field, np.hstack([m.array, np.eye(n, dtype=np.int64)]))
+    rows = _rref_rows(
+        m.field, np.hstack([m.array, np.eye(n, dtype=np.int64)]).tolist())
     # [m | I] always has rank n; m is invertible iff every pivot is in m.
-    if pivots != list(range(n)):
+    if [p for p, _ in rows] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.field, a[:, n:])
+    return _matrix(m.field, [r[n:] for _, r in rows], n)
 
 
 def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
@@ -221,17 +201,21 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     the row space of basis."""
     _check_span_args(target, basis)
     field = basis.field
-    n = basis.cols
-    # Reducing [basis | I] tracks the transform: each row R | T0 of the
-    # result has R = T0 @ basis, and the rows with a pivot below n span
-    # the row space of basis.
-    a, pivots = _reduced_basis(
-        field, np.hstack([basis.array, np.eye(basis.rows, dtype=np.int64)]))
-    pivots = [c for c in pivots if c < n]
-    red, t0 = a[: len(pivots), :n], a[: len(pivots), n:]
-    if _reduce(field, target.array, red, pivots).any():
-        return None
-    return Matrix(field, field.arr_matmul(target.array[:, pivots], t0))
+    n, k = basis.cols, basis.rows
+    # Each reduced row R | T0 of [basis | I] has R = T0 @ basis, and the
+    # rows with a pivot below n are the reduced basis of the row space
+    # of basis.  Clearing t | 0 at their pivots subtracts t[p] * (R | T0)
+    # for each, leaving t - T @ basis | -T, with T = sum of t[p] * T0.
+    span = [(p, r) for p, r in _rref_rows(
+        field, np.hstack([basis.array, np.eye(k, dtype=np.int64)]).tolist())
+        if p < n]
+    out = []
+    for t in target.array.tolist():
+        r = _reduce_row(field, span, t + [0] * k)
+        if any(r[:n]):
+            return None
+        out.append([field.sub(0, x) for x in r[n:]])
+    return _matrix(field, out, k)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -23,6 +23,14 @@ class CorruptDataError(ValueError):
     """Supplied node symbols are inconsistent with any single message."""
 
 
+def json_count(x, what: str) -> int:
+    """x if it is a plain nonnegative int: a float 7.9, a bool or a
+    string "3" read from JSON is refused, not cast."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class VectorCode:
     """An [n, k, alpha] vector code over a finite field, systematic on
@@ -66,8 +74,8 @@ class VectorCode:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "VectorCode":
-        fld = make_field(int(d["q"]))
-        n, k, alpha = int(d["n"]), int(d["k"]), int(d["alpha"])
+        fld = make_field(json_count(d["q"], "q"))
+        n, k, alpha = (json_count(d[key], key) for key in ("n", "k", "alpha"))
         flat = list(d["generator"])
         if len(flat) != k * alpha * n * alpha:
             raise ValueError("generator entry count does not match n, k, alpha")

@@ -25,8 +25,8 @@ from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
 from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows, _scheme_maps
-from .linalg import (Matrix, _echelon_inplace, _reduce, _reduced_basis,
-                     enumerate_subspaces, mat_rank, random_invertible)
+from .linalg import (Matrix, _insert_rows, _reduce_row, enumerate_subspaces,
+                     mat_rank, random_invertible)
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -84,8 +84,8 @@ class _SchemeSpace:
         nodes = list(ens.info_nodes) + list(ens.initial_parities)
         self.nodes = nodes
         # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
-        # the slot's node block, as a raw ndarray.
-        self.mapped = [[[fld.arr_matmul(s.array, ens.block(v).array)
+        # the slot's node block, as lists of rows for linalg._insert_rows.
+        self.mapped = [[[fld.arr_matmul(s.array, ens.block(v).array).tolist()
                          for s in subs] for subs in self.subspaces]
                        for v in nodes]
         self.targets = ens.stack(ens.final_parities)
@@ -111,12 +111,14 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     never as a nonexistence claim.
 
     Within one profile the slots are walked depth first in product
-    order.  Each depth carries the reduced-echelon basis of the rows
-    downloaded so far and the target rows reduced against it, so a
-    visit eliminates only the new slot's rows.  A subtree is skipped
-    when the residual target rank exceeds the rows the remaining slots
-    can add; it is still counted in `visited`, which is the position in
-    the full enumeration order.
+    order.  Each depth carries the echelon basis, in insertion order, of
+    the rows downloaded so far (linalg._insert_rows) and the nonzero
+    target rows reduced against it, so a visit eliminates only the new
+    slot's rows and reduces the residual against only the rows that
+    joined (every basis row is already zero at every earlier pivot).  A
+    subtree is skipped when the residual rank exceeds the rows the
+    remaining slots can add; it is still counted in `visited`, which is
+    the position in the full enumeration order.
     """
     p = ens.params
     fld = ens.field
@@ -126,17 +128,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
     sizes = [len(subs) for subs in space.subspaces]
-    targets = space.targets.array
-    n_targets = targets.shape[0]
-    no_rows = np.zeros((0, targets.shape[1]), dtype=np.int64)
+    targets = [r for r in space.targets.array.tolist() if any(r)]
     visited = 0
 
-    def walk(profile, left, below, depth, basis, pivots, residual, combo):
+    def walk(profile, left, below, depth, basis, residual, combo):
         # left[j]: rows slots j.. may still add; below[j]: schemes under
         # one node at depth j.  Returns the feasible combo or None.
         nonlocal visited
-        if left[depth] < n_targets and \
-                len(_echelon_inplace(fld, residual.copy())) > left[depth]:
+        if len(residual) > left[depth] and \
+                len(_insert_rows(fld, [], residual)) > left[depth]:
             if visited + below[depth] > budget.max_visits:
                 visited = budget.max_visits
                 raise _VisitCap
@@ -144,25 +144,22 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
             return None
         last = depth == slots - 1
         for i, rows in enumerate(space.mapped[depth][profile[depth]]):
-            new_basis, new_pivots, new_res = basis, pivots, residual
-            if rows.shape[0]:
-                x, piv = _reduced_basis(fld, _reduce(fld, rows, basis, pivots))
-                if piv:
-                    new_res = _reduce(fld, residual, x, piv)
-                    if not last:
-                        new_basis = np.concatenate(
-                            [_reduce(fld, basis, x, piv), x])
-                        new_pivots = pivots + piv
+            new_basis = _insert_rows(fld, list(basis), rows)
+            joined = new_basis[len(basis):]
+            new_res = residual
+            if joined:
+                new_res = [r for r in (_reduce_row(fld, joined, r)
+                                       for r in residual) if any(r)]
             if last:
                 visited += 1
                 if visited > budget.max_visits:
                     visited -= 1
                     raise _VisitCap
-                if not new_res.any():
+                if not new_res:
                     return combo + (i,)
             else:
                 found = walk(profile, left, below, depth + 1, new_basis,
-                             new_pivots, new_res, combo + (i,))
+                             new_res, combo + (i,))
                 if found is not None:
                     return found
         return None
@@ -175,7 +172,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                 left = [sum(profile[j:]) for j in range(slots)]
                 below = [math.prod(sizes[d] for d in profile[j:])
                          for j in range(slots)]
-                combo = walk(profile, left, below, 0, no_rows, [], targets, ())
+                combo = walk(profile, left, below, 0, [], targets, ())
                 if combo is not None:
                     scheme = space.scheme_for(profile, combo)
                     if on_feasible is not None:

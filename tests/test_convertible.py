@@ -119,6 +119,12 @@ def test_scheme_json_round_trip():
     doc["B"].append([5])
     with pytest.raises(ValueError, match="one A map per beta entry"):
         ConversionScheme.from_json_dict(p7, doc)
+    # Map sizes are plain ints: true is not read as 1, -1 not inferred.
+    for key, bad in (("beta", True), ("beta", 1.0), ("sigma", -1)):
+        doc = default_scheme(p7).to_json_dict()
+        doc[key][0] = bad
+        with pytest.raises(ValueError, match=f"{key} entry must be"):
+            ConversionScheme.from_json_dict(p7, doc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -331,7 +331,7 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
                                     corollary2_holds, mapped_rows,
                                     random_corollary1_tuple,
                                     random_corollary2_set)
-    from convertbw.linalg import _echelon_inplace
+    from plain_elimination import ref_rank
 
     p, ens = build(2, 2, 1, 2, 2, q)
     fld = ens.field
@@ -339,8 +339,7 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
     rng = random.Random(q)
 
     def ref(maps, vs):
-        m = mapped_rows(ens, maps, vs)
-        return len(_echelon_inplace(fld, m.array.copy()))
+        return ref_rank(mapped_rows(ens, maps, vs))
 
     def ref_mi(maps, a, b):
         return ref(maps, a) + ref(maps, b) - ref(maps, [*a, *b])

@@ -97,7 +97,8 @@ def test_array_kernels_match_scalar_ops(q):
         for j in range(6):
             want = f.sub(int(block[i, j]), f.mul(int(coeffs[i]), int(row[j])))
             assert upd[i, j] == want
-    # Array sub (the kernel of linalg._reduce) against scalar sub and add.
+    # Array sub (used by the test reference elimination) against scalar
+    # sub and add.
     other = block[::-1]
     diff = f.sub(block, other)
     assert diff.tolist() == [[f.sub(int(a), int(b)) for a, b in zip(r, s)]

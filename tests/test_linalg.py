@@ -5,11 +5,11 @@ import random
 import pytest
 
 from convertbw.gf import field
-from convertbw.linalg import (Matrix, _echelon_inplace, enumerate_subspaces,
-                              gaussian_binomial,
+from convertbw.linalg import (Matrix, enumerate_subspaces, gaussian_binomial,
                               in_span, mat_inverse, mat_rank, rank_pair,
                               random_invertible, random_matrix, rref,
                               solve_left, vstack)
+from plain_elimination import ref_inverse, ref_rank, ref_rref, ref_solve_left
 
 F5 = field(5)
 F2 = field(2)
@@ -130,11 +130,6 @@ def _random_of_rank(fld, rows, cols, rank, rng):
     return random_matrix(fld, rows, rank, rng) @ random_matrix(fld, rank, cols, rng)
 
 
-def _ref_rank(m):
-    """Reference rank: the pivot count of numpy plain elimination."""
-    return len(_echelon_inplace(m.field, m.array.copy()))
-
-
 @pytest.mark.parametrize("q", [7, 8])
 def test_rank_kernel_matches_plain_elimination(q):
     # Differential test of the list kernel behind mat_rank and rank_pair
@@ -150,23 +145,24 @@ def test_rank_kernel_matches_plain_elimination(q):
         else:
             m = _random_of_rank(fld, rows, cols,
                                 rng.randint(0, min(rows, cols)), rng)
-        assert mat_rank(m) == _ref_rank(m)
+        assert mat_rank(m) == ref_rank(m)
         extra = random_matrix(fld, rng.randint(0, 4), cols, rng)
         if i % 2 and m.rows:
             extra = random_matrix(fld, extra.rows, rows, rng) @ m
-        assert rank_pair(m, extra) == (_ref_rank(m),
-                                       _ref_rank(vstack([m, extra])))
+        assert rank_pair(m, extra) == (ref_rank(m),
+                                       ref_rank(vstack([m, extra])))
 
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_span_layer_matches_plain_elimination(q):
-    # Differential test of the reduced-basis span functions against
-    # numpy plain elimination: 0-row, rank-deficient and full-rank
-    # bases, targets inside and outside the span.
+    # Differential test of the span functions against numpy plain
+    # elimination: 0-row, 0-column, rank-deficient and full-rank bases,
+    # targets inside and outside the span.  rref, solve_left and
+    # mat_inverse must equal the reference entry for entry.
     fld = field(q)
     rng = random.Random(q)
     for case in range(80):
-        cols = rng.randint(1, 6)
+        cols = rng.randint(1, 6) if case % 8 else 0
         rows = case % 6
         basis = _random_of_rank(fld, rows, cols,
                                 rng.randint(0, min(rows, cols)), rng)
@@ -176,21 +172,25 @@ def test_span_layer_matches_plain_elimination(q):
         else:
             target = random_matrix(fld, n_target, cols, rng)
         rb, rj = rank_pair(basis, target)
-        assert (rb, rj) == (_ref_rank(basis), _ref_rank(vstack([basis, target])))
+        assert (rb, rj) == (ref_rank(basis), ref_rank(vstack([basis, target])))
         assert in_span(target, basis) == (rb == rj)
         t = solve_left(target, basis)
+        assert t == ref_solve_left(target, basis)
         if rb == rj:
             assert t is not None and t.shape == (n_target, rows)
             assert (t @ basis) == target
         else:
             assert t is None
         r = rref(basis)
-        assert rref(r) == r and r.rows == _ref_rank(r) == rb
+        assert r == ref_rref(basis) and r.shape == (rb, cols)
+        assert rref(r) == r
+        assert rref(vstack([basis, target])) == ref_rref(vstack([basis, target]))
 
         n = case % 5
         m = _random_of_rank(fld, n, n, rng.randint(max(0, n - 1), n), rng)
-        if _ref_rank(m) == n:
-            inv = mat_inverse(m)
+        inv = ref_inverse(m)
+        if inv is not None:
+            assert mat_inverse(m) == inv
             assert (m @ inv) == (inv @ m) == Matrix.identity(fld, n)
         else:
             with pytest.raises(ValueError, match="singular"):

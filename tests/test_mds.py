@@ -185,6 +185,15 @@ def test_json_round_trip():
     doc["generator"][-1] = 6.5  # not truncated to 6
     with pytest.raises(ValueError, match="non-integer"):
         VectorCode.from_json_dict(doc)
+    # Header fields are plain ints: each value below would load as the
+    # code's own field if truncated, cast or parsed.
+    scalar = make_systematic_mds(3, 2, 1, F7)
+    for c, key, bad in ((code, "q", 7.9), (code, "n", "5"), (code, "k", 3.0),
+                        (scalar, "alpha", True)):
+        doc = c.to_json_dict()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"{key} must be a nonnegative"):
+            VectorCode.from_json_dict(doc)
 
 
 @settings(max_examples=40, deadline=None)

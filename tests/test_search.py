@@ -105,9 +105,10 @@ def reference_search(ens, budget):
                 visited += 1
                 if visited > budget.max_visits:
                     return SearchOutcome("max-visits", visited=visited - 1)
-                downloads = Matrix(ens.field, np.concatenate(
-                    [space.mapped[s][d][i]
-                     for s, (d, i) in enumerate(zip(profile, combo))]))
+                downloads = Matrix(ens.field, np.array(
+                    [r for s, (d, i) in enumerate(zip(profile, combo))
+                     for r in space.mapped[s][d][i]],
+                    dtype=np.int64).reshape(-1, space.targets.cols))
                 rd, rj = rank_pair(downloads, space.targets)
                 if rd == rj:
                     return SearchOutcome("found", gamma=gamma,
