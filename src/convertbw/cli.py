@@ -65,15 +65,14 @@ def _split_params(args, parser, need_q: bool) -> SplitParams:
         parser.error(str(exc))
 
 
-def _add_point_flags(sp, with_q: str = "optional") -> None:
+def _add_point_flags(sp) -> None:
     sp.add_argument("--lf", type=int, required=True,
                     help="number of final codewords (>= 2)")
     sp.add_argument("--kf", type=int, required=True, help="final data nodes")
     sp.add_argument("--rf", type=int, required=True, help="final parity nodes")
     sp.add_argument("--ri", type=int, required=True, help="initial parity nodes")
     sp.add_argument("--alpha", type=int, default=1, help="subsymbols per node")
-    if with_q != "none":
-        sp.add_argument("--q", type=int, default=None, help="field order")
+    sp.add_argument("--q", type=int, default=None, help="field order")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -30,7 +30,8 @@ INFO = "info"
 INITIAL_PARITY = "initial-parity"
 FINAL_PARITY = "final-parity"
 
-_KIND_ORDER = {INFO: 0, INITIAL_PARITY: 1, FINAL_PARITY: 2}
+# Node kinds in canonical order; a NodeId stores its kind's position.
+_KINDS = (INFO, INITIAL_PARITY, FINAL_PARITY)
 
 
 class IndependencePreconditionError(Exception):
@@ -38,25 +39,39 @@ class IndependencePreconditionError(Exception):
     inequality itself was not evaluated."""
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(tuple):
     """A storage node: kind plus 0-based index within its kind.
 
     Final parities are indexed globally in [0, lf*rf); codeword t owns
     indices [t*rf, (t+1)*rf).
+
+    A NodeId is the tuple (kind rank, index), so nodes compare, hash and
+    sort as plain tuples.  The canonical order is every info node, then
+    every initial parity, then every final parity, each kind by index.
     """
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.index < 0:
+    def __new__(cls, kind: str, index: int) -> NodeId:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if index < 0:
             raise ValueError("node index must be nonnegative")
+        return tuple.__new__(cls, (_KINDS.index(kind), index))
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind], self.index)
+    def __getnewargs__(self) -> tuple[str, int]:
+        return (self.kind, self.index)
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[self[0]]
+
+    @property
+    def index(self) -> int:
+        return self[1]
+
+    def __repr__(self) -> str:
+        return f"NodeId(kind={self.kind!r}, index={self.index!r})"
 
 
 def info_node(j: int) -> NodeId:
@@ -105,8 +120,7 @@ class LinearEnsemble:
 
     def stack(self, nodes: Iterable[NodeId]) -> Matrix:
         """Stacked coefficient blocks of a node set, in canonical order."""
-        return self._rows(self._blocks[v].array
-                          for v in sorted(set(nodes), key=NodeId.sort_key))
+        return self._rows(self._blocks[v].array for v in sorted(set(nodes)))
 
     def _rows(self, pieces: Iterable[np.ndarray]) -> Matrix:
         """One Matrix of raw row blocks over the message (none: 0 rows)."""
@@ -142,12 +156,12 @@ def final_parity_rows(p: SplitParams, final: VectorCode) -> np.ndarray:
 
 
 def ensemble_from_codes(params: SplitParams, initial: VectorCode,
-                        final: VectorCode, *, verify: bool = True) -> LinearEnsemble:
-    """Assemble the node-variable model from an initial/final code pair;
-    final parities are embedded by final_parity_rows."""
+                        final: VectorCode) -> LinearEnsemble:
+    """Assemble the node-variable model from an MDS initial/final code
+    pair; final parities are embedded by final_parity_rows."""
     p = params
     _check_code_pair(p, initial, final)
-    if verify and not (verify_mds(initial) and verify_mds(final)):
+    if not (verify_mds(initial) and verify_mds(final)):
         raise ValueError("code pair does not satisfy the MDS property")
     fld = initial.field
     a = p.alpha
@@ -200,8 +214,7 @@ def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
     contributes maps[v] @ block(v)."""
-    return ens._rows(_mapped(ens, maps, v)
-                     for v in sorted(set(nodes), key=NodeId.sort_key))
+    return ens._rows(_mapped(ens, maps, v) for v in sorted(set(nodes)))
 
 
 @dataclass
@@ -222,9 +235,9 @@ class CheckReport:
         return d
 
 
-def _nodes_independent(ens: LinearEnsemble, nodes: Sequence[NodeId]) -> bool:
+def _nodes_independent(ens: LinearEnsemble, nodes: Iterable[NodeId]) -> bool:
     """Rank additivity: the joint entropy equals the sum of the parts."""
-    nodes = sorted(set(nodes), key=NodeId.sort_key)
+    nodes = set(nodes)
     total = sum(entropy(ens, [v]) for v in nodes)
     return entropy(ens, nodes) == total
 
@@ -289,7 +302,7 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
     if not d1 <= a_nodes or not d2 <= b_nodes:
         raise ValueError("need D1 within A and D2 within B")
     rest = (a_nodes | b_nodes) - (d1 | d2)
-    if not _nodes_independent(ens, sorted(rest, key=NodeId.sort_key)):
+    if not _nodes_independent(ens, rest):
         raise IndependencePreconditionError(
             "nodes outside D1 u D2 are not independent")
     rows = _node_rows(ens, {**f_a, **f_b}, a_nodes | b_nodes)
@@ -298,13 +311,11 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
 
 
 def check_min_avg(ens: LinearEnsemble,
-                  family: Sequence[tuple[NodeId, Matrix]],
-                  a: int, b: int | None = None) -> bool:
+                  family: Sequence[tuple[NodeId, Matrix]], a: int) -> bool:
     """min over a-subsets of H(f_A(Z_A)) <= (a/b) * sum_i H(f_i(Z_i)),
-    provided every a-subset of the Z_i is independent."""
-    if b is None:
-        b = len(family)
-    if b != len(family) or len({v for v, _ in family}) != b:
+    b = len(family), provided every a-subset of the Z_i is independent."""
+    b = len(family)
+    if len({v for v, _ in family}) != b:
         raise ValueError("family must list b distinct nodes")
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
@@ -440,7 +451,7 @@ def random_corollary1_tuple(ens: LinearEnsemble, rng):
         pool = list(ens.info_nodes)
         rng.shuffle(pool)
         n2 = rng.randint(b2, p.ki)
-        s2 = sorted(pool[:n2], key=NodeId.sort_key)
+        s2 = sorted(pool[:n2])
         return s1, s2, b1, b2
 
 
@@ -453,7 +464,7 @@ def random_corollary2_set(ens: LinearEnsemble, rng):
     pool = list(ens.info_nodes)
     rng.shuffle(pool)
     n = rng.randint(p.ri, p.ki)
-    return sorted(pool[:n], key=NodeId.sort_key)
+    return sorted(pool[:n])
 
 
 def check_stability(ens: LinearEnsemble) -> CheckReport:

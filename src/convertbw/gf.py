@@ -5,7 +5,8 @@ supported:
 
 - prime fields GF(p) for primes p <= 251, using modular arithmetic;
 - binary extension fields GF(2^m) for m <= 8, using a polynomial basis
-  over a fixed irreducible polynomial with exp/log lookup tables.
+  modulo one fixed primitive polynomial per degree, with exp/log lookup
+  tables over the powers of x.
 
 Each field has one elimination kernel on Python lists, row_submul, and
 vectorized kernels over numpy int64 arrays for matrix products.
@@ -19,8 +20,9 @@ PRIME_LIMIT = 251
 BINARY_DEGREE_LIMIT = 8
 _INT64 = np.dtype(np.int64)
 
-# Irreducible polynomials over GF(2), one per degree.  Bit i is the
-# coefficient of x^i; bit m (the degree) is always set.
+# Primitive polynomials over GF(2), one per degree: each is irreducible
+# and x has order 2^m - 1 modulo it.  Bit i is the coefficient of x^i;
+# bit m (the degree) is always set.
 _IRREDUCIBLE = {
     1: 0b11,         # x + 1
     2: 0b111,        # x^2 + x + 1
@@ -170,66 +172,37 @@ class PrimeField(Field):
 
 
 class BinaryField(Field):
-    """GF(2^m) in a polynomial basis, m <= 8.
+    """GF(2^m) in a polynomial basis, m <= 8, modulo the fixed primitive
+    polynomial _IRREDUCIBLE[m].
 
-    Multiplication uses exp/log tables built from a primitive element;
-    the table build doubles as a check that the modulus is irreducible.
+    Since the modulus is primitive, x (the element 2) generates the
+    multiplicative group, so the exp/log tables are one walk over the
+    powers of x.  The scalar ops and row_submul read the tables as
+    Python lists, the arr_* kernels as int64 arrays.
     """
 
-    def __init__(self, degree: int, poly: int | None = None):
+    def __init__(self, degree: int):
         if not (1 <= degree <= BINARY_DEGREE_LIMIT):
             raise ValueError(
                 f"binary extension degree must be in [1, {BINARY_DEGREE_LIMIT}], got {degree}")
-        if poly is None:
-            poly = _IRREDUCIBLE[degree]
-        if not (poly >> degree) & 1:
-            raise ValueError(f"modulus 0b{poly:b} does not have degree {degree}")
-        self.q = 1 << degree
+        q = 1 << degree
+        poly = _IRREDUCIBLE[degree]
+        self.q = q
         self.degree = degree
-        self.poly = poly
-        self._build_tables()
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> self.degree) & 1:
-                a ^= self.poly
-        return result
-
-    def _build_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            gen = 1
-        else:
-            gen = None
-            for cand in range(2, q):
-                seen = set()
-                x = 1
-                for _ in range(q - 1):
-                    seen.add(x)
-                    x = self._poly_mul(x, cand)
-                if len(seen) == q - 1:
-                    gen = cand
-                    break
-            if gen is None:
-                raise ValueError(
-                    f"0b{self.poly:b} admits no primitive element; not irreducible?")
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        # exp holds two periods so that log[a] + log[b] needs no reduction.
+        exp = [0] * (2 * (q - 1))
+        log = [0] * q
         x = 1
         for i in range(q - 1):
-            exp[i] = x
+            exp[i] = exp[i + q - 1] = x
             log[x] = i
-            x = self._poly_mul(x, gen)
-        exp[q - 1:] = exp[: q - 1]
-        self._exp = exp
-        self._log = log
-        self._exp_list = exp.tolist()
-        self._log_list = log.tolist()
+            x <<= 1
+            if x & q:
+                x ^= poly
+        self._exp_list = exp
+        self._log_list = log
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.array(log, dtype=np.int64)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -239,12 +212,13 @@ class BinaryField(Field):
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        log = self._log_list
+        return self._exp_list[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(self._exp[(self.q - 1) - self._log[a]])
+        return self._exp_list[(self.q - 1) - self._log_list[a]]
 
     def arr_scale(self, v, c):
         if c == 0:

@@ -12,12 +12,13 @@ violations.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
 from .convertible import canonical_codes, default_scheme
-from .ensemble import (IndependencePreconditionError, LinearEnsemble,
-                       _download_mi, check_cond_entropy_final,
+from .ensemble import (CheckReport, IndependencePreconditionError,
+                       LinearEnsemble, _download_mi, check_cond_entropy_final,
                        check_joint_entropy,
                        check_mds_reconstruction, check_mi_bound,
                        check_min_avg, check_prop_parity_iid,
@@ -135,8 +136,16 @@ def corollary_trial(ens: LinearEnsemble, rng: random.Random,
     return "ok" if corollary2_holds(ens, maps, s, mi=mi) else "violation"
 
 
-_RANDOM_CHECKS = ("mi-bound-random", "min-avg-random",
-                  "mi-chain1-random", "mi-chain2-random")
+_RANDOM_CHECKS = (
+    ("mi-bound-random", lemma_mi_trial),
+    ("min-avg-random", lemma_min_avg_trial),
+    ("mi-chain1-random", partial(corollary_trial, which=1)),
+    ("mi-chain2-random", partial(corollary_trial, which=2)),
+)
+
+# The counters each trial result adds one to.
+_TALLY = {"ok": ("evaluated",), "violation": ("evaluated", "violations"),
+          "precondition": ("precondition_failures",), "skipped": ("skipped",)}
 
 
 def run_randomized_checks(ens: LinearEnsemble, trials: int,
@@ -145,36 +154,16 @@ def run_randomized_checks(ens: LinearEnsemble, trials: int,
     download-map draws; report per-check tallies."""
     counts = {name: {"evaluated": 0, "violations": 0,
                      "precondition_failures": 0, "skipped": 0}
-              for name in _RANDOM_CHECKS}
+              for name, _ in _RANDOM_CHECKS}
     for i in range(trials):
-        name = _RANDOM_CHECKS[i % 4]
-        if name == "mi-bound-random":
-            res = lemma_mi_trial(ens, rng)
-        elif name == "min-avg-random":
-            res = lemma_min_avg_trial(ens, rng)
-        elif name == "mi-chain1-random":
-            res = corollary_trial(ens, rng, 1)
-        else:
-            res = corollary_trial(ens, rng, 2)
-        c = counts[name]
-        if res == "precondition":
-            c["precondition_failures"] += 1
-        elif res == "skipped":
-            c["skipped"] += 1
-        else:
-            c["evaluated"] += 1
-            if res == "violation":
-                c["violations"] += 1
-    out = []
-    for name in _RANDOM_CHECKS:
-        c = counts[name]
-        out.append({
-            "check": name,
-            "instance-params": ens.params.as_dict(),
-            "status": "pass" if c["violations"] == 0 else "fail",
-            "counts": c,
-        })
-    return out
+        name, trial = _RANDOM_CHECKS[i % len(_RANDOM_CHECKS)]
+        for key in _TALLY[trial(ens, rng)]:
+            counts[name][key] += 1
+    return [{"check": name,
+             "instance-params": ens.params.as_dict(),
+             "status": "pass" if c["violations"] == 0 else "fail",
+             "counts": c}
+            for name, c in counts.items()]
 
 
 def _prop3_reports(ens: LinearEnsemble, rng: random.Random,
@@ -197,12 +186,8 @@ def _prop3_reports(ens: LinearEnsemble, rng: random.Random,
         for s_set in subsets:
             if not check_cond_entropy_final(ens, scheme, s_set):
                 failures.append({"scheme": label, "S": s_set})
-    return {
-        "check": "cond-entropy-split",
-        "instance-params": p.as_dict(),
-        "status": "pass" if not failures else "fail",
-        **({"counterexample": failures[:10]} if failures else {}),
-    }
+    return CheckReport("cond-entropy-split", p.as_dict(), not failures,
+                       failures).to_json_dict()
 
 
 def verify_instance(p: SplitParams, *, trials: int = 0,

@@ -321,6 +321,24 @@ def test_node_id_validation():
         NodeId("info", -1)
 
 
+def test_node_id_order_equality_and_copies():
+    import copy
+    import pickle
+    nodes = [final_parity_node(0), initial_parity_node(2), info_node(1),
+             initial_parity_node(0), info_node(0), final_parity_node(3)]
+    assert sorted(nodes) == [info_node(0), info_node(1),
+                             initial_parity_node(0), initial_parity_node(2),
+                             final_parity_node(0), final_parity_node(3)]
+    v = NodeId("initial-parity", 2)
+    assert v == initial_parity_node(2) and v != final_parity_node(2)
+    assert hash(v) == hash(initial_parity_node(2))
+    assert len({v, initial_parity_node(2), info_node(2)}) == 2
+    assert (v.kind, v.index) == ("initial-parity", 2)
+    assert repr(v) == "NodeId(kind='initial-parity', index=2)"
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is NodeId and w == v and (w.kind, w.index) == (v.kind, v.index)
+
+
 @pytest.mark.parametrize("q", [7, 8])
 def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
     # The download checks rank each node's mapped rows with the list

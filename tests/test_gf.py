@@ -1,11 +1,14 @@
 """Field arithmetic tests: axioms, inverses, vector kernels."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convertbw.gf import BinaryField, PrimeField, field, is_prime
+from convertbw.gf import (_IRREDUCIBLE, BinaryField, PrimeField, field,
+                          is_prime)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 LARGE_ORDERS = [32, 64, 128, 251, 256]
@@ -74,10 +77,31 @@ def test_field_kinds():
     assert not is_prime(1) and is_prime(2) and not is_prime(9)
 
 
-def test_reducible_binary_modulus_rejected():
-    # x^4 + 1 = (x + 1)^4 over GF(2)
-    with pytest.raises(ValueError):
-        BinaryField(4, poly=0b10001)
+def _clmul_mod(a, b, m):
+    """a * b as polynomials over GF(2), reduced modulo _IRREDUCIBLE[m]."""
+    prod = 0
+    for i in range(m):
+        if (b >> i) & 1:
+            prod ^= a << i
+    for i in range(2 * m - 2, m - 1, -1):
+        if (prod >> i) & 1:
+            prod ^= _IRREDUCIBLE[m] << (i - m)
+    return prod
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_binary_mul_is_carryless_product_mod_fixed_modulus(m):
+    f = BinaryField(m)
+    q = 1 << m
+    # The exp table walks every nonzero element once: x is primitive.
+    assert sorted(f._exp_list[:q - 1]) == list(range(1, q))
+    if m <= 4:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(m)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert f.mul(a, b) == _clmul_mod(a, b, m)
 
 
 @pytest.mark.parametrize("q", [5, 16])
