@@ -17,8 +17,8 @@ import numpy as np
 
 from .ensemble import (LinearEnsemble, _check_code_pair, _scheme_maps,
                        final_parity_rows, mapped_rows)
-from .linalg import Matrix, in_span, rref, solve_left, vstack
-from .mds import VectorCode, encode, json_count, make_systematic_mds
+from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
+from .mds import VectorCode, _codeword, json_count, make_systematic_mds
 from .params import SplitParams
 
 
@@ -203,7 +203,7 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     _check_code_pair(p, initial, final)
     _check_scheme_params(p, scheme)
     fld = initial.field
-    initial_nodes = encode(initial, message)
+    stored = _codeword(initial, message)
 
     # Downloading nodes in node order (data nodes, then parities); the
     # coefficient rows and the stored values both follow this order.
@@ -211,19 +211,14 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
             if m.rows]
     downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
                        + [m @ initial.node_block(i) for i, m in used])
-    combine = solve_left(Matrix(fld, final_parity_rows(p, final)), downloads)
+    combine = solve_left(final_parity_rows(p, final), downloads)
     if combine is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    values = np.concatenate([np.zeros((0, 1), dtype=np.int64)] + [
-        fld.arr_matmul(m.array, initial_nodes[i][:, None]) for i, m in used])
-    new_nodes = fld.arr_matmul(combine.array, values).reshape(
-        p.lf * p.rf, p.alpha)
+    values = vstack([Matrix.zeros(fld, 0, 1)] + [
+        m @ stored.take_cols(initial.node_cols(i)).transpose() for i, m in used])
+    new = [x for (x,) in (combine @ values).data]
 
-    final_codewords = []
-    for t in range(p.lf):
-        cw = np.vstack([initial_nodes[t * p.kf:(t + 1) * p.kf],
-                        new_nodes[t * p.rf:(t + 1) * p.rf]])
-        cw.setflags(write=False)
-        final_codewords.append(cw)
-    return final_codewords, scheme_bandwidth(scheme)
+    old, kfa, rfa = stored.data[0], p.kf * p.alpha, p.rf * p.alpha
+    return [_frozen(old[t * kfa:(t + 1) * kfa] + tuple(new[t * rfa:(t + 1) * rfa]),
+                    p.nf, p.alpha) for t in range(p.lf)], scheme_bandwidth(scheme)

@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .gf import Field
 from .linalg import Matrix, _insert_rows, mat_rank, rank_pair, rref
 from .mds import VectorCode, verify_mds
@@ -120,12 +118,12 @@ class LinearEnsemble:
 
     def stack(self, nodes: Iterable[NodeId]) -> Matrix:
         """Stacked coefficient blocks of a node set, in canonical order."""
-        return self._rows(self._blocks[v].array for v in sorted(set(nodes)))
+        return self._rows(self._blocks[v] for v in sorted(set(nodes)))
 
-    def _rows(self, pieces: Iterable[np.ndarray]) -> Matrix:
-        """One Matrix of raw row blocks over the message (none: 0 rows)."""
-        empty = np.zeros((0, self.params.message_dim), dtype=np.int64)
-        return Matrix(self.field, np.concatenate([empty, *pieces]))
+    def _rows(self, blocks: Iterable[Matrix]) -> Matrix:
+        """The rows of blocks over the message stacked (none: 0 rows)."""
+        return Matrix._of_rows(self.field, [r for b in blocks for r in b.data],
+                               self.params.message_dim)
 
 
 def _check_code_pair(p: SplitParams, initial: VectorCode,
@@ -143,16 +141,19 @@ def _check_code_pair(p: SplitParams, initial: VectorCode,
         raise ValueError("initial and final codes use different fields")
 
 
-def final_parity_rows(p: SplitParams, final: VectorCode) -> np.ndarray:
+def final_parity_rows(p: SplitParams, final: VectorCode) -> Matrix:
     """All lf*rf final parity blocks stacked in global index order, as
-    linear functions of the initial message: a reduced lf*rf*alpha x
-    ki*alpha array.
+    linear functions of the initial message: an lf*rf*alpha x ki*alpha
+    Matrix.
 
     The t-th final codeword is embedded on message node coordinates
     [t*kf, (t+1)*kf), so the rows are block diagonal.
     """
-    per_codeword = final.generator.array[:, p.kf * p.alpha:].T
-    return np.kron(np.eye(p.lf, dtype=np.int64), per_codeword)
+    w = p.kf * p.alpha
+    per_codeword = [r for g in range(p.kf, p.nf) for r in final.node_block(g).data]
+    return Matrix._of_rows(final.field, [
+        (0,) * (t * w) + r + (0,) * ((p.lf - 1 - t) * w)
+        for t in range(p.lf) for r in per_codeword], p.message_dim)
 
 
 def ensemble_from_codes(params: SplitParams, initial: VectorCode,
@@ -165,14 +166,14 @@ def ensemble_from_codes(params: SplitParams, initial: VectorCode,
         raise ValueError("code pair does not satisfy the MDS property")
     fld = initial.field
     a = p.alpha
-    eye = np.eye(p.message_dim, dtype=np.int64)
-    blocks = {info_node(j): Matrix(fld, eye[j * a:(j + 1) * a])
-              for j in range(p.ki)}
+    # The code is systematic, so data node j's block is message block j.
+    blocks = {info_node(j): initial.node_block(j) for j in range(p.ki)}
     for i in range(p.ri):
         blocks[initial_parity_node(i)] = initial.node_block(p.ki + i)
-    targets = final_parity_rows(p, final)
+    targets = final_parity_rows(p, final).data
     for g in range(p.lf * p.rf):
-        blocks[final_parity_node(g)] = Matrix(fld, targets[g * a:(g + 1) * a])
+        blocks[final_parity_node(g)] = Matrix._of_rows(
+            fld, targets[g * a:(g + 1) * a], p.message_dim)
     return LinearEnsemble(p, fld, blocks)
 
 
@@ -201,13 +202,12 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
     return entropy(ens, a) + entropy(ens, b) - entropy(ens, a + b)
 
 
-def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> np.ndarray:
-    """maps[v] @ block(v) as a raw array over the message."""
+def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> Matrix:
+    """maps[v] @ block(v): rows over the message."""
     m = maps[v]
     if m.cols != ens.params.alpha:
         raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
-    return ens.field.arr_matmul(m.array, ens.block(v).array) if m.rows \
-        else np.zeros((0, ens.params.message_dim), dtype=np.int64)
+    return m @ ens.block(v)
 
 
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
@@ -261,10 +261,10 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
 
 
 def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
-               nodes: Iterable[NodeId]) -> dict[NodeId, list[list[int]]]:
-    """maps[v] @ block(v) for each node v as row lists: a download check
+               nodes: Iterable[NodeId]) -> dict[NodeId, tuple]:
+    """maps[v] @ block(v) for each node v as row tuples: a download check
     maps each node once and ranks subsets with linalg._insert_rows."""
-    return {v: _mapped(ens, maps, v).tolist() for v in nodes}
+    return {v: _mapped(ens, maps, v).data for v in nodes}
 
 
 def _h_rows(fld: Field, rows: Mapping[NodeId, list], nodes) -> int:
@@ -341,10 +341,6 @@ def _scheme_maps(ens: LinearEnsemble, scheme) -> dict[NodeId, Matrix]:
     return maps
 
 
-def _empty_map(ens: LinearEnsemble) -> Matrix:
-    return Matrix.zeros(ens.field, 0, ens.params.alpha)
-
-
 def _download_mi(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix]) -> int:
     """I(parity downloads ; info downloads) over the initial codeword."""
     rows = _node_rows(ens, maps, (*ens.initial_parities, *ens.info_nodes))
@@ -395,7 +391,7 @@ def check_corollaries(ens: LinearEnsemble, scheme, *, rng=None,
     p = ens.params
     maps = _scheme_maps(ens, scheme)
     for v in (*ens.info_nodes, *ens.initial_parities):
-        maps.setdefault(v, _empty_map(ens))
+        maps.setdefault(v, Matrix.zeros(ens.field, 0, p.alpha))
     rep = CheckReport("download-mi-chains", p.as_dict(), True)
     mi = _download_mi(ens, maps)
 

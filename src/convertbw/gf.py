@@ -8,8 +8,8 @@ supported:
   modulo one fixed primitive polynomial per degree, with exp/log lookup
   tables over the powers of x.
 
-Each field has one elimination kernel on Python lists, row_submul, and
-vectorized kernels over numpy int64 arrays for matrix products.
+Each field has one kernel on Python lists, row_submul, behind all its
+arithmetic in the package; the numpy arr_* kernels are a reference.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ class Field:
     Scalar operations take and return ints in [0, q); add and sub are
     elementwise, so they also take two arrays of elements.
     row_submul(row, b, c), row - c * b as a new list, is the kernel of
-    every elimination in convertbw.linalg and the search.  The arr_*
-    kernels take reduced int64 arrays; only products (arr_matmul) use
-    them in the package, the tests' reference elimination all three.
+    every elimination and product in convertbw.linalg and the search.
+    The arr_* kernels (on reduced int64 arrays) serve only the tests'
+    reference and perfbench/spans.py, which wraps them by name.
     """
 
     q: int
@@ -76,12 +76,12 @@ class Field:
         return range(self.q)
 
     def as_elements(self, data) -> np.ndarray:
-        """data as a new int64 array of field elements.
+        """data as an int64 array of field elements.
 
         Every entry must be an integer in [0, q): a float 5.5 is refused,
         not truncated to 5, and nothing is reduced modulo q.  An int64
-        array passes with one dtype test and is copied, so the result
-        never shares memory with the input.
+        array passes with one dtype test and is returned as is; callers
+        copy what they keep (Matrix keeps tuples of ints).
         """
         a = np.asarray(data)
         if a.dtype is not _INT64:
@@ -93,8 +93,6 @@ class Field:
             if kind == "f" and not np.array_equal(cast, a):
                 raise ValueError(f"non-integer entries for {self!r}")
             a = cast
-        elif isinstance(data, np.ndarray):
-            a = a.copy()
         # Negative entries wrap to huge values as uint64, so one max()
         # catches both ends.
         if a.size and a.view(np.uint64).max() >= self.q:
@@ -256,8 +254,11 @@ def field(q: int) -> Field:
     """Return the field of order q.
 
     Supported orders: primes up to 251 and powers of two up to 256.
-    Other prime powers raise ValueError.
+    Other prime powers, and any q that is not a plain int (a float 8.0,
+    a bool), raise ValueError.
     """
+    if type(q) is not int:
+        raise ValueError(f"field order must be an int, got {q!r}")
     if q in _FIELD_CACHE:
         return _FIELD_CACHE[q]
     if q < 2:

@@ -1,17 +1,20 @@
 """Dense exact linear algebra over the fields in :mod:`convertbw.gf`.
 
-A Matrix couples a Field with an immutable 2-D numpy int64 array; its
-constructor rejects non-integer entries and entries outside [0, q).
+A Matrix couples a Field with a tuple of row tuples of Python ints and
+a column count.  Matrix(field, rows) is the one place entries are
+checked (integers in [0, q)); results computed in the package are built
+unchecked by Matrix._of_rows.  numpy is used only at the edge: the
+input check and the read-only Matrix.array export.
 
-All elimination runs on Python lists, since most matrices here have a
-few rows, where numpy's per-call cost would dominate, and its one field
-kernel is Field.row_submul.  _insert_rows keeps an echelon basis in
-insertion order: (pivot column, row) pairs, each row scaled to 1 at its
-pivot (its first nonzero entry) and zero at the pivots of the rows
-before it.  Ranks count the rows that join; _reduce_row leaves nothing
-of exactly the rows in the span; rref, mat_inverse and solve_left
-back-substitute the basis sorted by pivot (_rref_rows), so results are
-canonical.  Products (Matrix.matmul) use the numpy arr_matmul kernel.
+All arithmetic runs on Python lists, since most matrices here have a
+few rows, and its one field kernel is Field.row_submul: a product adds
+c * row for each nonzero coefficient c as row_submul(acc, row, -c).
+_insert_rows keeps an echelon basis in insertion order: (pivot column,
+row) pairs, each row scaled to 1 at its pivot (its first nonzero entry)
+and zero at the pivots of the rows before it.  Ranks count the rows that
+join; _reduce_row leaves nothing of exactly the rows in the span; rref,
+mat_inverse and solve_left back-substitute the basis sorted by pivot
+(_rref_rows), so results are canonical.
 """
 
 from __future__ import annotations
@@ -23,74 +26,97 @@ import numpy as np
 from .gf import Field
 
 
-class Matrix:
-    """Immutable rectangular matrix over a finite field."""
+def _frozen(values, *shape: int) -> np.ndarray:
+    """values as a new read-only int64 array of the given shape."""
+    out = np.array(values, dtype=np.int64).reshape(shape)
+    out.setflags(write=False)
+    return out
 
-    __slots__ = ("field", "_a")
+
+class Matrix:
+    """Immutable matrix over a finite field: row tuples `data`, `cols`."""
+
+    __slots__ = ("field", "data", "cols")
 
     def __init__(self, field: Field, rows):
         a = field.as_elements(rows)
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {a.shape}")
-        a.setflags(write=False)
         self.field = field
-        self._a = a
+        self.data = tuple(map(tuple, a.tolist()))
+        self.cols = a.shape[1]
+
+    @classmethod
+    def _of_rows(cls, field: Field, rows, cols: int) -> "Matrix":
+        """Unchecked: rows are sequences of field elements, cols long."""
+        m = object.__new__(cls)
+        m.field = field
+        m.data = tuple(map(tuple, rows))
+        m.cols = cols
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._of_rows(field, [(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._of_rows(field, [[int(i == j) for j in range(n)]
+                                    for i in range(n)], n)
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
+        return len(self.data)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
+        return len(self.data), self.cols
 
     @property
     def array(self) -> np.ndarray:
-        """The underlying read-only numpy array."""
-        return self._a
+        """The entries as a new read-only int64 array."""
+        return _frozen(self.data, *self.shape)
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self._a[:, list(indices)])
+        idx = list(indices)
+        return Matrix._of_rows(self.field, [[r[i] for i in idx]
+                                            for r in self.data], len(idx))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self._a.T)
+        cols = zip(*self.data) if self.data else [()] * self.cols
+        return Matrix._of_rows(self.field, cols, len(self.data))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("matrix product across different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return Matrix(self.field, self.field.arr_matmul(self._a, other._a))
+        fld = self.field
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = zero
+            for c, b in zip(row, other.data):
+                if c:   # acc - (-c) b = acc + c b
+                    acc = fld.row_submul(acc, b, fld.sub(0, c))
+            out.append(acc)
+        return Matrix._of_rows(fld, out, other.cols)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.matmul(other)
+    __matmul__ = matmul
 
     def tolist(self) -> list[list[int]]:
-        return self._a.tolist()
+        return [list(r) for r in self.data]
 
     def flat(self) -> list[int]:
         """Row-major flat entry list."""
-        return [int(x) for x in self._a.reshape(-1)]
+        return [x for r in self.data for x in r]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.shape == other.shape
-                and np.array_equal(self._a, other._a))
+                and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.shape, self._a.tobytes()))
+        return hash((self.field.q, self.cols, self.data))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -107,7 +133,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
             raise ValueError("vstack across different fields")
         if m.cols != cols:
             raise ValueError(f"column mismatch: {m.cols} != {cols}")
-    return Matrix(field, np.vstack([m.array for m in mats]))
+    return Matrix._of_rows(field, [r for m in mats for r in m.data], cols)
 
 
 def _reduce_row(field: Field, basis: list, r: list) -> list:
@@ -148,11 +174,6 @@ def _rref_rows(field: Field, rows: list) -> list:
     return out
 
 
-def _matrix(field: Field, rows: list, cols: int) -> Matrix:
-    """A Matrix of list rows, each cols long (no rows is a 0 x cols one)."""
-    return Matrix(field, np.array(rows, dtype=np.int64).reshape(len(rows), cols))
-
-
 def _check_span_args(target: Matrix, basis: Matrix) -> None:
     if target.field != basis.field or target.cols != basis.cols:
         raise ValueError(f"span question across {target!r} and {basis!r}")
@@ -162,19 +183,19 @@ def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
     """(rank(basis), rank(basis stacked with extra)) in one pass: the
     extra rows are inserted into the basis rows' echelon form."""
     _check_span_args(extra, basis)
-    rows = _insert_rows(basis.field, [], basis.array.tolist())
-    return len(rows), len(_insert_rows(basis.field, rows, extra.array.tolist()))
+    rows = _insert_rows(basis.field, [], basis.data)
+    return len(rows), len(_insert_rows(basis.field, rows, extra.data))
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank of m over its field."""
-    return len(_insert_rows(m.field, [], m.array.tolist()))
+    return len(_insert_rows(m.field, [], m.data))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    return _matrix(m.field, [r for _, r in _rref_rows(m.field, m.array.tolist())],
-                   m.cols)
+    return Matrix._of_rows(m.field, [r for _, r in _rref_rows(m.field, m.data)],
+                           m.cols)
 
 
 def in_span(target: Matrix, basis: Matrix) -> bool:
@@ -188,12 +209,12 @@ def mat_inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
     n = m.rows
-    rows = _rref_rows(
-        m.field, np.hstack([m.array, np.eye(n, dtype=np.int64)]).tolist())
+    eye = Matrix.identity(m.field, n).data
+    rows = _rref_rows(m.field, [r + e for r, e in zip(m.data, eye)])
     # [m | I] always has rank n; m is invertible iff every pivot is in m.
     if [p for p, _ in rows] != list(range(n)):
         raise ValueError("matrix is singular")
-    return _matrix(m.field, [r[n:] for _, r in rows], n)
+    return Matrix._of_rows(m.field, [r[n:] for _, r in rows], n)
 
 
 def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
@@ -206,16 +227,16 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     # rows with a pivot below n are the reduced basis of the row space
     # of basis.  Clearing t | 0 at their pivots subtracts t[p] * (R | T0)
     # for each, leaving t - T @ basis | -T, with T = sum of t[p] * T0.
+    eye = Matrix.identity(field, k).data
     span = [(p, r) for p, r in _rref_rows(
-        field, np.hstack([basis.array, np.eye(k, dtype=np.int64)]).tolist())
-        if p < n]
+        field, [b + e for b, e in zip(basis.data, eye)]) if p < n]
     out = []
-    for t in target.array.tolist():
-        r = _reduce_row(field, span, t + [0] * k)
+    for t in target.data:
+        r = _reduce_row(field, span, t + (0,) * k)
         if any(r[:n]):
             return None
         out.append([field.sub(0, x) for x in r[n:]])
-    return _matrix(field, out, k)
+    return Matrix._of_rows(field, out, k)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -239,8 +260,6 @@ def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Ma
     d = dim_sub
     if not 0 <= d <= n:
         raise ValueError(f"subspace dimension {d} out of range [0, {n}]")
-    if d == 0:
-        return [Matrix.zeros(field, 0, n)]
     from itertools import combinations, product
 
     out: list[Matrix] = []
@@ -254,24 +273,19 @@ def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Ma
             for c in range(p + 1, n)
             if c not in pivot_set
         ]
-        base = np.zeros((d, n), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
         for values in product(elems, repeat=len(free_slots)):
-            a = base.copy()
+            a = [[int(c == p) for c in range(n)] for p in pivots]
             for (i, c), v in zip(free_slots, values):
-                a[i, c] = v
-            out.append(Matrix(field, a))
+                a[i][c] = v
+            out.append(Matrix._of_rows(field, a, n))
     return out
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
     """Uniformly random matrix, driven by a random.Random instance."""
-    a = np.array(
-        [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)],
-        dtype=np.int64,
-    ).reshape(rows, cols)
-    return Matrix(field, a)
+    q = field.q
+    return Matrix._of_rows(field, [[rng.randrange(q) for _ in range(cols)]
+                                   for _ in range(rows)], cols)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

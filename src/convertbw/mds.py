@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .gf import Field, field as make_field
-from .linalg import Matrix, mat_inverse, mat_rank
+from .linalg import Matrix, _frozen, mat_inverse, mat_rank
 
 
 class CorruptDataError(ValueError):
@@ -48,8 +48,8 @@ class VectorCode:
         if self.generator.shape != (ka, na):
             raise ValueError(
                 f"generator shape {self.generator.shape} != ({ka}, {na})")
-        if not np.array_equal(self.generator.array[:, :ka],
-                              np.eye(ka, dtype=np.int64)):
+        if self.generator.take_cols(range(ka)) != \
+                Matrix.identity(self.generator.field, ka):
             raise ValueError(
                 f"generator is not systematic on nodes 0..{self.k - 1}")
 
@@ -86,14 +86,11 @@ class VectorCode:
 def _scalar_systematic_grs(n: int, k: int, fld: Field) -> Matrix:
     """Scalar [n, k] systematic generator from a Vandermonde matrix on
     the evaluation points 0..n-1."""
-    v = np.zeros((k, n), dtype=np.int64)
-    for j in range(n):
-        acc = 1
-        for i in range(k):
-            v[i, j] = acc
-            acc = fld.mul(acc, j)
-    vm = Matrix(fld, v)
-    head = vm.take_cols(list(range(k)))
+    rows = [[1] * n]
+    for _ in range(1, k):
+        rows.append([fld.mul(x, j) for j, x in enumerate(rows[-1])])
+    vm = Matrix._of_rows(fld, rows, n)
+    head = vm.take_cols(range(k))
     return mat_inverse(head) @ vm
 
 
@@ -108,22 +105,27 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
             f"field order {fld.q} < n = {n}: this construction cannot "
             f"guarantee the MDS property")
     scalar = _scalar_systematic_grs(n, k, fld)
-    gen = Matrix(fld, np.kron(scalar.array, np.eye(alpha, dtype=np.int64)))
-    return VectorCode(n, k, alpha, fld, gen)
+    # Copy s of the scalar code acts on subsymbol s of every node.
+    gen = [[x if s == t else 0 for x in row for t in range(alpha)]
+           for row in scalar.data for s in range(alpha)]
+    return VectorCode(n, k, alpha, fld, Matrix._of_rows(fld, gen, n * alpha))
 
 
-def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
-    """Encode a message of k*alpha subsymbols; returns an (n, alpha)
-    array of node symbols."""
+def _codeword(code: VectorCode, message: Sequence[int]) -> Matrix:
+    """The codeword of a validated message: one row of n*alpha symbols."""
     msg = code.field.as_elements(list(message))
     if msg.shape != (code.k * code.alpha,):
         raise ValueError(
             f"message length {msg.shape[0] if msg.ndim == 1 else msg.shape} "
             f"!= k*alpha = {code.k * code.alpha}")
-    cw = code.field.arr_matmul(msg[None, :], code.generator.array)[0]
-    out = cw.reshape(code.n, code.alpha)
-    out.setflags(write=False)
-    return out
+    row = Matrix._of_rows(code.field, [msg.tolist()], msg.shape[0])
+    return row @ code.generator
+
+
+def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
+    """Encode a message of k*alpha subsymbols; returns an (n, alpha)
+    read-only array of node symbols."""
+    return _frozen(_codeword(code, message).data[0], code.n, code.alpha)
 
 
 def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.ndarray:
@@ -142,20 +144,17 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
         s = fld.as_elements(list(available[i]))
         if s.shape != (code.alpha,):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
-        symbols[i] = s
+        symbols[i] = tuple(s.tolist())
     use = idx[: code.k]
     cols = [c for i in use for c in code.node_cols(i)]
-    gsub = code.generator.take_cols(cols)
-    y = np.concatenate([symbols[i] for i in use])
-    msg = fld.arr_matmul(y[None, :], mat_inverse(gsub).array)[0]
+    y = Matrix._of_rows(fld, [[x for i in use for x in symbols[i]]], len(cols))
+    msg = y @ mat_inverse(code.generator.take_cols(cols))
     for i in idx[code.k:]:
-        expect = fld.arr_matmul(msg[None, :],
-                                code.generator.take_cols(code.node_cols(i)).array)[0]
-        if not np.array_equal(expect, symbols[i]):
+        if (msg @ code.generator.take_cols(code.node_cols(i))).data[0] \
+                != symbols[i]:
             raise CorruptDataError(
                 f"node {i} symbols are inconsistent with the other nodes")
-    msg.setflags(write=False)
-    return msg
+    return _frozen(msg.data[0], len(cols))
 
 
 def verify_mds(code: VectorCode) -> bool:

@@ -23,6 +23,8 @@ class SplitParams:
     ri: parity nodes of the initial codeword
     alpha: subsymbols stored per node
     q: field order, optional until codes are constructed
+
+    Every count, and q when given, must be a plain int.
     """
 
     lf: int
@@ -33,6 +35,10 @@ class SplitParams:
     q: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("lf", "kf", "rf", "ri", "alpha"):
+            v = getattr(self, name)
+            if type(v) is not int:   # no float 2.0, no bool True
+                raise ValueError(f"{name} must be an int, got {v!r}")
         if self.lf < 2:
             raise ValueError(f"split conversion requires lf >= 2, got {self.lf}")
         if self.kf < 1:

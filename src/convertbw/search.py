@@ -19,8 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
@@ -84,10 +82,9 @@ class _SchemeSpace:
         nodes = list(ens.info_nodes) + list(ens.initial_parities)
         self.nodes = nodes
         # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
-        # the slot's node block, as lists of rows for linalg._insert_rows.
-        self.mapped = [[[fld.arr_matmul(s.array, ens.block(v).array).tolist()
-                         for s in subs] for subs in self.subspaces]
-                       for v in nodes]
+        # the slot's node block, as row tuples for linalg._insert_rows.
+        self.mapped = [[[(s @ ens.block(v)).data for s in subs]
+                        for subs in self.subspaces] for v in nodes]
         self.targets = ens.stack(ens.final_parities)
         self.target_rank = mat_rank(self.targets)
 
@@ -128,7 +125,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
     sizes = [len(subs) for subs in space.subspaces]
-    targets = [r for r in space.targets.array.tolist() if any(r)]
+    targets = [r for r in space.targets.data if any(r)]
     visited = 0
 
     def walk(profile, left, below, depth, basis, residual, combo):
@@ -257,11 +254,12 @@ def _mix_parity_columns(code: VectorCode, rng, max_tries: int = 200) -> VectorCo
     fld = code.field
     ka = code.k * code.alpha
     ra = r * code.alpha
-    gen = code.generator.array
+    gen = code.generator
     for _ in range(max_tries):
         w = random_invertible(fld, ra, rng)
-        parity = fld.arr_matmul(gen[:, ka:], w.array)
-        cand_gen = Matrix(fld, np.hstack([gen[:, :ka], parity]))
+        parity = gen.take_cols(range(ka, ka + ra)) @ w
+        cand_gen = Matrix._of_rows(
+            fld, [g[:ka] + t for g, t in zip(gen.data, parity.data)], ka + ra)
         cand = VectorCode(code.n, code.k, code.alpha, fld, cand_gen)
         if verify_mds(cand):
             return cand

@@ -39,6 +39,12 @@ def test_split_params_validation():
         SplitParams(2, 2, 1, 1, 1, 4)  # q < max(ni, nf) = 5
     with pytest.raises(ValueError):
         SplitParams(2, 2, 1, 1, 1, 9)  # unsupported order
+    # Counts and q must be plain ints: a float 2.0 would turn the bound
+    # into a float, a bool True would reach the code construction.
+    for bad in [(2, 2, 1, 1, 2.0, 5), (2, 2, 1, 1, True, 5), (2.0, 2, 1, 1),
+                (2, 2, 1, 1, 1, 7.0), (2, 2, 1, 1, 1, 5.5), (2, 2, False, 1)]:
+        with pytest.raises(ValueError, match="must be an int"):
+            SplitParams(*bad)
 
 
 def test_split_params_derived():
@@ -210,6 +216,26 @@ def test_run_conversion_keeps_info_bytes_identical():
     for t, cw in enumerate(finals):
         for j in range(p.kf):
             assert cw[j].tobytes() == initial_nodes[t * p.kf + j].tobytes()
+
+
+@pytest.mark.parametrize("point", [(2, 2, 1, 1, 2, 7), (2, 2, 2, 2, 2, 8),
+                                   (2, 1, 0, 1, 1, 5)])
+def test_outputs_are_read_only_int64_arrays(point):
+    # encode, decode_from and run_conversion hand out numpy arrays, the
+    # one place field data leaves the package's tuple rows.
+    p, initial, final, _ = build(*point)
+    rng = random.Random(8)
+    msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
+    finals, _ = run_conversion(p, initial, final, default_scheme(p), msg)
+    outs = [(encode(initial, msg), (p.ni, p.alpha))]
+    outs += [(cw, (p.nf, p.alpha)) for cw in finals]
+    outs += [(decode_from(final, {i: cw[i] for i in range(p.nf)}),
+              (p.kf * p.alpha,)) for cw in finals]
+    for arr, shape in outs:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
+        assert arr.shape == shape and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0
 
 
 def test_run_conversion_no_new_parities():

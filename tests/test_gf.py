@@ -67,6 +67,10 @@ def test_unsupported_orders_rejected():
         field(257)  # prime above the supported limit
     with pytest.raises(ValueError):
         field(512)  # 2^9 above the supported degree
+    field(8)  # cached: a float 8.0 must not find it by hash
+    for q in (7.5, 8.0, 5.0, True, "5"):
+        with pytest.raises(ValueError, match="must be an int"):
+            field(q)
 
 
 def test_field_kinds():

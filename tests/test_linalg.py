@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from convertbw.gf import field
@@ -195,6 +196,53 @@ def test_span_layer_matches_plain_elimination(q):
         else:
             with pytest.raises(ValueError, match="singular"):
                 mat_inverse(m)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_row_form_matches_numpy(q):
+    # Differential test of the tuple-row Matrix against numpy: products
+    # against the arr_matmul kernel, take_cols, transpose and vstack
+    # against numpy slicing, .T and np.vstack, with 0-row, 0-column and
+    # 0-inner shapes.  Entries must stay plain ints (JSON writes them).
+    fld = field(q)
+    rng = random.Random(300 + q)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0),
+              (0, 0, 2), (1, 1, 1), (8, 8, 16)]
+    shapes += [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(80)]
+    for m, k, n in shapes:
+        a = random_matrix(fld, m, k, rng)
+        b = random_matrix(fld, k, n, rng)
+        ab = a @ b
+        assert ab.shape == (m, n)
+        assert np.array_equal(ab.array, fld.arr_matmul(a.array, b.array))
+        assert all(type(x) is int for x in ab.flat())
+        idx = [rng.randrange(k) for _ in range(rng.randint(0, 5))] if k else []
+        picked = a.take_cols(idx)
+        assert picked.shape == (m, len(idx))
+        assert np.array_equal(picked.array, a.array[:, idx])
+        assert a.transpose().shape == (k, m)
+        assert np.array_equal(a.transpose().array, a.array.T)
+        c = random_matrix(fld, rng.randint(0, 3), k, rng)
+        stacked = vstack([a, c, a])
+        assert stacked.shape == (2 * m + c.rows, k)
+        assert np.array_equal(stacked.array,
+                              np.vstack([a.array, c.array, a.array]))
+
+
+def test_matrix_copies_input_and_exports_read_only():
+    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    m = Matrix(F5, a)
+    a[0, 0] = 4
+    assert m.tolist() == [[1, 2], [3, 4]]
+    assert m == Matrix(F5, [[1, 2], [3, 4]])
+    assert hash(m) == hash(Matrix(F5, [[1, 2], [3, 4]]))
+    out = m.array
+    assert out.dtype == np.int64 and out.shape == (2, 2)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 0
+    assert Matrix.zeros(F5, 0, 3).array.shape == (0, 3)
+    assert Matrix.zeros(F5, 3, 0).array.shape == (3, 0)
 
 
 def test_subspace_count_examples():
