@@ -7,9 +7,12 @@ indices are visited lexicographically.  The first feasible scheme found
 is therefore a global read-cost minimizer among linear schemes, and the
 lexicographically smallest such minimizer.
 
-Within a profile the walk is incremental and cuts branches by a rank
-bound (see min_bandwidth_exhaustive); `visited` is a position in the
-enumeration order, cut branches included, not a count of evaluations.
+A download profile (the dimension read from each node) is skipped whole
+when a cut table shows by rank alone that it cannot cover the new
+parities (see _CutTable); within a profile the walk is incremental and
+cuts branches by a rank bound (see min_bandwidth_exhaustive).
+`visited` is a position in the enumeration order, cut profiles and
+branches included, not a count of evaluations.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ class SearchBudget:
     max_visits: int = 10_000_000       # cap on schemes in enumeration order
 
     def __post_init__(self) -> None:
-        if self.max_visits < 1:
-            raise ValueError("max_visits must be positive")
-        if self.max_total_dim is not None and self.max_total_dim < 0:
-            raise ValueError("max_total_dim must be nonnegative")
+        # Plain ints only: no float 5.0, no bool True.
+        v, d = self.max_visits, self.max_total_dim
+        if type(v) is not int or v < 1:
+            raise ValueError(f"max_visits must be an int >= 1, got {v!r}")
+        if d is not None and (type(d) is not int or d < 0):
+            raise ValueError(f"max_total_dim must be None or an int >= 0, got {d!r}")
 
 
 @dataclass
@@ -94,6 +99,72 @@ class _SchemeSpace:
         return ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
 
 
+class _CutTable:
+    """Rank cuts on download profiles (the dimension downloaded from
+    each slot).
+
+    need(A), for a set A of slots as a bit mask, is the rank of the
+    target rows modulo the span of the full blocks of the slots outside
+    A.  Whatever a scheme downloads from those slots lies in that span,
+    so the slots of A must supply the rest: a profile whose dimensions
+    sum to less than need(A) over A has no feasible scheme.  This is a
+    rank fact about the ensemble alone.
+
+    Entries are computed on demand and kept by complement mask c (the
+    slots outside A): c extends the echelon basis of c minus its top
+    slot by that slot's alpha block rows, and only that parent's
+    residual target rows are reduced against the rows that joined.
+    Residual rows are zero at every pivot of their mask's basis, so
+    their rank is the rank modulo its span.
+    """
+
+    def __init__(self, space: _SchemeSpace):
+        self.fld = space.ens.field
+        self.alpha = space.params.alpha
+        slots = len(space.nodes)
+        self.full = (1 << slots) - 1
+        self.blocks = [space.mapped[s][self.alpha][0] for s in range(slots)]
+        # By complement mask: the echelon basis of its blocks (kept only
+        # while the residual is nonempty, since a superset's residual is
+        # then empty too) and the targets modulo that span, echelonized.
+        self._basis = {0: []}
+        self._residual = {0: [r for _, r in _insert_rows(
+            self.fld, [], space.targets.data)]}
+
+    def _reduced(self, c: int) -> list:
+        if c in self._residual:
+            return self._residual[c]
+        top = c.bit_length() - 1
+        parent = c ^ (1 << top)
+        res = self._reduced(parent)
+        if res:
+            pbasis = self._basis[parent]
+            basis = _insert_rows(self.fld, list(pbasis), self.blocks[top])
+            joined = basis[len(pbasis):]
+            if joined:
+                res = [r for _, r in _insert_rows(
+                    self.fld, [], [_reduce_row(self.fld, joined, r) for r in res])]
+            self._basis[c] = basis
+        self._residual[c] = res
+        return res
+
+    def need(self, a: int) -> int:
+        return len(self._reduced(self.full ^ a))
+
+    def rejects(self, profile) -> bool:
+        """Whether some set A of slots has sum(profile over A) < need(A).
+
+        Only the sets between the profile's empty slots Z and its
+        non-full slots are tried: adding an empty slot to A keeps the
+        sum and cannot lower need, and dropping a full slot lowers the
+        sum by alpha and need by at most alpha (one block's rank)."""
+        sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
+        for s, d in enumerate(profile):
+            if 0 < d < self.alpha:
+                sets += [(a | 1 << s, t + d) for a, t in sets]
+        return any(t < self.need(a) for a, t in sets)
+
+
 class _VisitCap(Exception):
     """The walk reached SearchBudget.max_visits."""
 
@@ -107,6 +178,10 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     full-data-download level; a budget stop is reported distinctly and
     never as a nonexistence claim.
 
+    A profile that _CutTable rejects holds no feasible scheme and is
+    skipped whole.  The table is made once the first profile's walk has
+    failed, so a search that succeeds at once never pays for it.
+
     Within one profile the slots are walked depth first in product
     order.  Each depth carries the echelon basis, in insertion order, of
     the rows downloaded so far (linalg._insert_rows) and the nonzero
@@ -114,8 +189,8 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     slot's rows and reduces the residual against only the rows that
     joined (every basis row is already zero at every earlier pivot).  A
     subtree is skipped when the residual rank exceeds the rows the
-    remaining slots can add; it is still counted in `visited`, which is
-    the position in the full enumeration order.
+    remaining slots can add.  Skipped profiles and subtrees still count
+    in `visited`, which is the position in the full enumeration order.
     """
     p = ens.params
     fld = ens.field
@@ -128,16 +203,20 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     targets = [r for r in space.targets.data if any(r)]
     visited = 0
 
+    def skip(schemes):
+        nonlocal visited
+        if visited + schemes > budget.max_visits:
+            visited = budget.max_visits
+            raise _VisitCap
+        visited += schemes
+
     def walk(profile, left, below, depth, basis, residual, combo):
         # left[j]: rows slots j.. may still add; below[j]: schemes under
         # one node at depth j.  Returns the feasible combo or None.
         nonlocal visited
         if len(residual) > left[depth] and \
                 len(_insert_rows(fld, [], residual)) > left[depth]:
-            if visited + below[depth] > budget.max_visits:
-                visited = budget.max_visits
-                raise _VisitCap
-            visited += below[depth]
+            skip(below[depth])
             return None
         last = depth == slots - 1
         for i, rows in enumerate(space.mapped[depth][profile[depth]]):
@@ -163,9 +242,13 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
 
     # Any feasible stack must span the target rows, so levels below the
     # target rank cannot be feasible and are skipped wholesale.
+    cuts = None
     try:
         for gamma in range(space.target_rank, cap + 1):
             for profile in _compositions(gamma, slots, p.alpha):
+                if cuts is not None and cuts.rejects(profile):
+                    skip(math.prod(sizes[d] for d in profile))
+                    continue
                 left = [sum(profile[j:]) for j in range(slots)]
                 below = [math.prod(sizes[d] for d in profile[j:])
                          for j in range(slots)]
@@ -176,6 +259,8 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                         on_feasible(scheme)
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
+                if cuts is None:
+                    cuts = _CutTable(space)
     except _VisitCap:
         return SearchOutcome("max-visits", visited=visited)
     return SearchOutcome("max-total-dim", visited=visited)
@@ -317,6 +402,8 @@ def certify_bound(p: SplitParams, trials: int, budget: SearchBudget | None = Non
     parity mixes) and compare each pair's minimum feasible read cost to
     the parameter bound."""
     import random
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if p.q is None:
         raise ValueError("certification needs a field order q")
     if budget is None:

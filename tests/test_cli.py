@@ -189,6 +189,12 @@ GOLDEN = [
     (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
       "--alpha", "1", "--q", "5", "--trials", "3"],
      "2b45ac8ad7b54f961cbde71e60ad77b2bba70149fa94b4ddc6282c7e64531c38", 0),
+    (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
+      "--alpha", "2", "--q", "5", "--trials", "2"],
+     "c386231969d03d9f645546933146cab9abe6e063d989586a4e6e8397c9941dba", 0),
+    (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
+      "--alpha", "2", "--q", "5", "--max-visits", "19846"],
+     "98a95ee6f8afd5b569736488f531cf67e6efaa84992bf4b643143fe521290f4b", 0),
 ]
 
 

@@ -16,7 +16,7 @@ from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair
 from convertbw.mds import verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
-                              _SchemeSpace, certify_bound,
+                              _CutTable, _SchemeSpace, certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 
@@ -100,51 +100,110 @@ def reference_search(ens, budget):
     visited = 0
     for gamma in range(space.target_rank, cap + 1):
         for profile in _compositions(gamma, slots, p.alpha):
-            ranges = [range(len(space.subspaces[d])) for d in profile]
-            for combo in product(*ranges):
+            for combo in _combos(space, profile):
                 visited += 1
                 if visited > budget.max_visits:
                     return SearchOutcome("max-visits", visited=visited - 1)
-                downloads = Matrix(ens.field, np.array(
-                    [r for s, (d, i) in enumerate(zip(profile, combo))
-                     for r in space.mapped[s][d][i]],
-                    dtype=np.int64).reshape(-1, space.targets.cols))
-                rd, rj = rank_pair(downloads, space.targets)
-                if rd == rj:
+                if _feasible(space, profile, combo):
                     return SearchOutcome("found", gamma=gamma,
                                          scheme=space.scheme_for(profile, combo),
                                          visited=visited)
     return SearchOutcome("max-total-dim", visited=visited)
 
 
+def _combos(space, profile):
+    return product(*[range(len(space.subspaces[d])) for d in profile])
+
+
+def _stack(space, row_groups):
+    return Matrix(space.ens.field, np.array(
+        [r for g in row_groups for r in g],
+        dtype=np.int64).reshape(-1, space.targets.cols))
+
+
+def _feasible(space, profile, combo):
+    """Whether the scheme's downloads span the target rows: one full
+    rank_pair of the whole download stack."""
+    rows = [space.mapped[s][d][i] for s, (d, i) in enumerate(zip(profile, combo))]
+    rd, rj = rank_pair(_stack(space, rows), space.targets)
+    return rd == rj
+
+
 def _differential_cases():
     # Every certified point with the canonical pair and seeded random
-    # pairs (two pairs only at alpha = 2, where the reference takes
-    # seconds per pair), one GF(8) point, and both budget caps.
+    # pairs (two pairs only at (2,2,1,1,2,5), where the reference takes
+    # seconds per pair), two more alpha = 2 points, one GF(8) point, and
+    # both budget caps.  At (2,2,1,1,2,5) the levels end at visits 7570,
+    # 19846 and 27416, and the caps 7571, 19846 and 27416 fall inside
+    # profiles the cut table skips whole.
     points = [((2, 1, 1, 1, 1, 5), 3), ((2, 1, 2, 1, 1, 5), 3),
               ((2, 2, 1, 1, 1, 5), 3), ((2, 2, 1, 1, 2, 5), 2),
-              ((2, 3, 2, 2, 1, 8), 3)]
+              ((2, 3, 2, 2, 1, 8), 3), ((2, 1, 1, 1, 2, 5), 3),
+              ((2, 1, 1, 1, 2, 8), 3)]
     cases = [(pt, k, SearchBudget()) for pt, pairs in points for k in range(pairs)]
     cases += [((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_visits=v))
-              for v in (1, 50, 29696, 29697)]
-    cases.append(((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_total_dim=6)))
+              for v in (1, 50, 7570, 7571, 19846, 27416, 29696, 29697)]
+    cases += [((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_total_dim=d))
+              for d in (6, 7)]
     return [pytest.param(pt, k, b, id="-".join(map(str, pt)) + f"/pair{k}/"
                          f"visits{b.max_visits}/dim{b.max_total_dim}")
             for pt, k, b in cases]
 
 
-@pytest.mark.parametrize("point,pair,budget", _differential_cases())
-def test_search_matches_reference_enumerator(point, pair, budget):
+def pair_ensemble(point, pair):
+    """The canonical pair (pair 0) or the pair-th seeded random pair."""
     p = SplitParams(*point)
     rng = random.Random(0)
     codes = canonical_codes(p)
     for _ in range(pair):
         codes = random_mds_pair(p, rng)
-    ens = ensemble_from_codes(p, *codes)
+    return ensemble_from_codes(p, *codes)
+
+
+@pytest.mark.parametrize("point,pair,budget", _differential_cases())
+def test_search_matches_reference_enumerator(point, pair, budget):
+    ens = pair_ensemble(point, pair)
     got = min_bandwidth_exhaustive(ens, budget)
     want = reference_search(ens, budget)
     assert (got.status, got.gamma, got.visited, got.scheme) == \
         (want.status, want.gamma, want.visited, want.scheme)
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+@pytest.mark.parametrize("point", [(2, 2, 1, 1, 1, 5), (2, 3, 2, 2, 1, 8),
+                                   (2, 2, 1, 1, 2, 5)])
+def test_cut_table_rejects_only_infeasible_profiles(point, pair):
+    """need(A) matches a from-scratch rank, no profile the table rejects
+    holds a feasible scheme (by the reference's full rank test), and
+    some profile survives at the level where the search succeeds."""
+    ens = pair_ensemble(point, pair)
+    space = _SchemeSpace(ens)
+    table = _CutTable(space)
+    alpha = ens.params.alpha
+    slots = len(space.nodes)
+    sets = range(1, 1 << slots)
+    need = {}
+    for a in sets:
+        # Rank of the targets modulo the full blocks outside A, from scratch.
+        outside = [space.mapped[s][alpha][0] for s in range(slots) if not a >> s & 1]
+        rb, rbt = rank_pair(_stack(space, outside), space.targets)
+        need[a] = rbt - rb
+        assert table.need(a) == need[a]
+    gamma = min_bandwidth_exhaustive(ens, SearchBudget()).gamma
+    for level in range(space.target_rank, gamma + 1):
+        survivors = 0
+        for profile in _compositions(level, slots, alpha):
+            rejected = table.rejects(profile)
+            # rejects() tries only some sets; it must agree with all of them.
+            assert rejected == any(
+                sum(d for s, d in enumerate(profile) if a >> s & 1) < need[a]
+                for a in sets)
+            if not rejected:
+                survivors += 1
+                continue
+            assert not any(_feasible(space, profile, combo)
+                           for combo in _combos(space, profile))
+        assert survivors or level < gamma
 
 
 def test_search_is_deterministic():
@@ -241,7 +300,15 @@ def test_scheme_inequalities_reject_infeasible():
 
 
 def test_budget_validation():
+    for kwargs in ({"max_visits": 0}, {"max_total_dim": -1},
+                   {"max_visits": 50.0}, {"max_visits": True},
+                   {"max_visits": "50"}, {"max_total_dim": 6.0},
+                   {"max_total_dim": False}, {"max_total_dim": "6"}):
+        with pytest.raises(ValueError):
+            SearchBudget(**kwargs)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 1.0, True, "1", None])
+def test_certify_rejects_trials_that_are_not_positive_ints(trials):
     with pytest.raises(ValueError):
-        SearchBudget(max_visits=0)
-    with pytest.raises(ValueError):
-        SearchBudget(max_total_dim=-1)
+        certify_bound(SplitParams(2, 1, 1, 1, 1, 5), trials=trials)
