@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import SplitParams
+from .params import SplitParams, rational_json
 
 REGIME_RF_GE_KF = "rF>=kF"
 REGIME_INCREASING = "rI<=rF<kF"
@@ -155,9 +155,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         def rat(x):
-            if x is None:
-                return None
-            return {"num": x.numerator, "den": x.denominator}
+            return None if x is None else rational_json(x)
 
         return {
             "params": self.params.as_dict(),

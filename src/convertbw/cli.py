@@ -23,7 +23,7 @@ from . import bounds, search, verify
 from .convertible import (InfeasibleSchemeError, canonical_codes,
                           default_scheme, run_conversion)
 from .mds import CorruptDataError, decode_from
-from .params import SplitParams
+from .params import SplitParams, rational_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,10 +80,8 @@ def cmd_bound(args, parser) -> int:
     p = _split_params(args, parser, need_q=False)
     rep = bounds.theorem_bound(p)
     doc = rep.to_json_dict()
-    uc = bounds.uniform_cost_bound(p)
-    doc["uniform_cost"] = {"num": uc.numerator, "den": uc.denominator}
-    ach = bounds.known_achievable(p)
-    doc["achievable"] = {"num": ach.numerator, "den": ach.denominator}
+    doc["uniform_cost"] = rational_json(bounds.uniform_cost_bound(p))
+    doc["achievable"] = rational_json(bounds.known_achievable(p))
     _dump_json(doc, args.out)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from .ensemble import (LinearEnsemble, _check_code_pair, _scheme_maps,
                        final_parity_rows, mapped_rows)
 from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
 from .mds import VectorCode, _codeword, json_count, make_systematic_mds
-from .params import SplitParams
+from .params import SplitParams, rational_json
 
 
 class InfeasibleSchemeError(ValueError):
@@ -129,8 +129,7 @@ class BandwidthReport:
             "sigma": list(self.sigma),
             "read_total": self.read_total,
             "write_total": self.write_total,
-            "ratio_vs_default": {"num": self.ratio_vs_default.numerator,
-                                 "den": self.ratio_vs_default.denominator},
+            "ratio_vs_default": rational_json(self.ratio_vs_default),
         }
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Field
-from .linalg import Matrix, _insert_rows, mat_rank, rank_pair, rref
+from .linalg import Matrix, _insert_rows, mat_rank, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -221,9 +221,12 @@ def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
 class CheckReport:
     check: str
     instance: dict
-    ok: bool
     failures: list = dc_field(default_factory=list)
     details: dict = dc_field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         d = {"check": self.check, "instance-params": self.instance,
@@ -246,14 +249,13 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
     """Every subset of at most ki initial parities is independent and
     uniform: its joint entropy is exactly |subset| * alpha."""
     p = ens.params
-    rep = CheckReport("parity-iid", p.as_dict(), True)
+    rep = CheckReport("parity-iid", p.as_dict())
     limit = min(p.ri, p.ki)
     for size in range(limit + 1):
         for subset in combinations(ens.initial_parities, size):
             got = entropy(ens, subset)
             want = size * p.alpha
             if got != want:
-                rep.ok = False
                 rep.failures.append({
                     "subset": [v.index for v in subset],
                     "expected": want, "actual": got})
@@ -330,9 +332,7 @@ def check_min_avg(ens: LinearEnsemble,
 
 
 def _scheme_maps(ens: LinearEnsemble, scheme) -> dict[NodeId, Matrix]:
-    """Accept a ConversionScheme or a plain NodeId -> Matrix mapping."""
-    if isinstance(scheme, Mapping):
-        return dict(scheme)
+    """A ConversionScheme's download maps keyed by initial-code node."""
     maps: dict[NodeId, Matrix] = {}
     for j, m in enumerate(scheme.info_maps):
         maps[info_node(j)] = m
@@ -341,25 +341,23 @@ def _scheme_maps(ens: LinearEnsemble, scheme) -> dict[NodeId, Matrix]:
     return maps
 
 
-def _download_mi(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix]) -> int:
-    """I(parity downloads ; info downloads) over the initial codeword."""
-    rows = _node_rows(ens, maps, (*ens.initial_parities, *ens.info_nodes))
+def _download_mi(ens: LinearEnsemble, rows: Mapping[NodeId, list]) -> int:
+    """I(parity downloads ; info downloads) over the initial codeword,
+    from every initial-code node's mapped rows (see _node_rows)."""
     return _rows_mi(ens.field, rows, ens.initial_parities, ens.info_nodes)
 
 
-def corollary1_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
+def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
                      s1: Sequence[NodeId], s2: Sequence[NodeId],
-                     b1: int, b2: int, mi: int | None = None) -> bool:
+                     b1: int, b2: int) -> bool:
     """MI <= (min size-b1 parity H + min size-b2 info H)
           <= (b1/|S1|) sum of parity H + (b2/|S2|) joint info H,
-    for b1 + b2 = ri, b1 <= |S1|, b2 <= |S2|."""
+    for b1 + b2 = ri, b1 <= |S1|, b2 <= |S2|.  rows holds each node's
+    mapped rows (see _node_rows) and mi is _download_mi of them."""
     p = ens.params
     if b1 + b2 != p.ri or b1 > len(s1) or b2 > len(s2):
         raise ValueError("inadmissible (S1, S2, b1, b2) split")
-    if mi is None:
-        mi = _download_mi(ens, maps)
     fld = ens.field
-    rows = _node_rows(ens, maps, [*s1, *s2])
     minsum = _min_h_rows(fld, rows, s1, b1) + _min_h_rows(fld, rows, s2, b2)
     avg1 = Fraction(b1, len(s1)) * sum(_h_rows(fld, rows, [v]) for v in s1) \
         if s1 else Fraction(0)
@@ -367,70 +365,46 @@ def corollary1_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
     return mi <= minsum and Fraction(minsum) <= avg1 + avg2
 
 
-def corollary2_holds(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
-                     s: Sequence[NodeId], mi: int | None = None) -> bool:
+def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
+                     s: Sequence[NodeId]) -> bool:
     """MI <= min size-ri info H over S <= (ri/|S|) H(info downloads of S),
-    for |S| >= ri."""
+    for |S| >= ri.  rows and mi as for corollary1_holds."""
     p = ens.params
     if len(s) < p.ri:
         raise ValueError("S must have at least ri nodes")
-    if mi is None:
-        mi = _download_mi(ens, maps)
-    rows = _node_rows(ens, maps, s)
     mn = _min_h_rows(ens.field, rows, s, p.ri)
     avg = Fraction(p.ri, len(s)) * _h_rows(ens.field, rows, s) if s else Fraction(0)
     return mi <= mn and Fraction(mn) <= avg
 
 
-def check_corollaries(ens: LinearEnsemble, scheme, *, rng=None,
-                      sample_tuples: int = 64,
-                      exhaustive: bool | None = None) -> CheckReport:
+def check_corollaries(ens: LinearEnsemble,
+                      maps: Mapping[NodeId, Matrix]) -> CheckReport:
     """Both chained download-inequality checks over the initial-code
-    nodes, for every admissible tuple at small scale (ri <= 4 and
-    ki <= 6), sampled otherwise."""
+    nodes, for every admissible tuple.  Each node is mapped once; a node
+    missing from maps downloads nothing."""
     p = ens.params
-    maps = _scheme_maps(ens, scheme)
-    for v in (*ens.info_nodes, *ens.initial_parities):
-        maps.setdefault(v, Matrix.zeros(ens.field, 0, p.alpha))
-    rep = CheckReport("download-mi-chains", p.as_dict(), True)
-    mi = _download_mi(ens, maps)
-
-    def run_c1(s1, s2, b1, b2):
-        if not corollary1_holds(ens, maps, s1, s2, b1, b2, mi=mi):
-            rep.ok = False
-            rep.failures.append({
-                "corollary": 1,
-                "S1": [v.index for v in s1], "S2": [v.index for v in s2],
-                "b1": b1, "b2": b2, "mi": mi})
-
-    def run_c2(s):
-        if not corollary2_holds(ens, maps, s, mi=mi):
-            rep.ok = False
-            rep.failures.append({
-                "corollary": 2, "S": [v.index for v in s], "mi": mi})
-
-    if exhaustive is None:
-        exhaustive = p.ri <= 4 and p.ki <= 6
-    if exhaustive:
-        for n1 in range(p.ri + 1):
-            for s1 in combinations(ens.initial_parities, n1):
-                for b1 in range(0, min(p.ri, n1) + 1):
-                    b2 = p.ri - b1
-                    for n2 in range(b2, p.ki + 1):
-                        for s2 in combinations(ens.info_nodes, n2):
-                            run_c1(list(s1), list(s2), b1, b2)
-        for n in range(p.ri, p.ki + 1):
-            for s in combinations(ens.info_nodes, n):
-                run_c2(list(s))
-    else:
-        import random
-        rng = rng or random.Random(0)
-        for _ in range(sample_tuples):
-            s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
-            run_c1(s1, s2, b1, b2)
-            s = random_corollary2_set(ens, rng)
-            if s is not None:
-                run_c2(s)
+    nodes = (*ens.info_nodes, *ens.initial_parities)
+    zero = Matrix.zeros(ens.field, 0, p.alpha)
+    rows = _node_rows(ens, {v: maps.get(v, zero) for v in nodes}, nodes)
+    rep = CheckReport("download-mi-chains", p.as_dict())
+    mi = _download_mi(ens, rows)
+    for n1 in range(p.ri + 1):
+        for s1 in combinations(ens.initial_parities, n1):
+            for b1 in range(0, min(p.ri, n1) + 1):
+                b2 = p.ri - b1
+                for n2 in range(b2, p.ki + 1):
+                    for s2 in combinations(ens.info_nodes, n2):
+                        if not corollary1_holds(ens, rows, mi, s1, s2, b1, b2):
+                            rep.failures.append({
+                                "corollary": 1,
+                                "S1": [v.index for v in s1],
+                                "S2": [v.index for v in s2],
+                                "b1": b1, "b2": b2, "mi": mi})
+    for n in range(p.ri, p.ki + 1):
+        for s in combinations(ens.info_nodes, n):
+            if not corollary2_holds(ens, rows, mi, s):
+                rep.failures.append({
+                    "corollary": 2, "S": [v.index for v in s], "mi": mi})
     rep.details["mi"] = mi
     return rep
 
@@ -469,20 +443,18 @@ def check_stability(ens: LinearEnsemble) -> CheckReport:
     its own codeword (MI alpha); hence no initial parity block can equal
     any final parity block as a row space."""
     p = ens.params
-    rep = CheckReport("stability", p.as_dict(), True)
+    rep = CheckReport("stability", p.as_dict())
     for t in range(p.lf):
         xs = list(ens.info_of_codeword(t))
         for yi in ens.initial_parities:
             got = mutual_info(ens, xs, [yi])
             if got != 0:
-                rep.ok = False
                 rep.failures.append({
                     "kind": "initial-parity-leak", "codeword": t,
                     "parity": yi.index, "mi": got, "expected": 0})
         for yf in ens.final_parities_of_codeword(t):
             got = mutual_info(ens, xs, [yf])
             if got != p.alpha:
-                rep.ok = False
                 rep.failures.append({
                     "kind": "final-parity-mi", "codeword": t,
                     "parity": yf.index, "mi": got, "expected": p.alpha})
@@ -491,29 +463,31 @@ def check_stability(ens: LinearEnsemble) -> CheckReport:
         bi = rref(ens.block(yi))
         for yf, bf in finals:
             if bi == bf:
-                rep.ok = False
                 rep.failures.append({
                     "kind": "parity-row-space-coincidence",
                     "initial": yi.index, "final": yf.index})
     return rep
 
 
-def check_cond_entropy_final(ens: LinearEnsemble, scheme,
+def check_cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                              s_set: Iterable[int]) -> bool:
     """H(final parities of S | info downloads of S) splits into the
-    per-codeword sum, for any codeword subset S."""
+    per-codeword sum, for any codeword subset S.  Each info node of S is
+    mapped once; each term ranks those rows with the final-parity rows."""
     p = ens.params
-    maps = _scheme_maps(ens, scheme)
     s = sorted(set(s_set))
     if any(not 0 <= t < p.lf for t in s):
         raise ValueError("codeword index out of range")
+    fld = ens.field
+    rows = _node_rows(ens, maps, [v for t in s for v in ens.info_of_codeword(t)])
 
     def lhs_for(ts: Sequence[int]) -> int:
-        yf = [v for t in ts for v in ens.final_parities_of_codeword(t)]
-        v_rows = mapped_rows(ens, maps,
-                             [v for t in ts for v in ens.info_of_codeword(t)])
-        h_v, h_vy = rank_pair(v_rows, ens.stack(yf))
-        return h_vy - h_v
+        basis = _insert_rows(fld, [], [
+            r for t in ts for v in ens.info_of_codeword(t) for r in rows[v]])
+        h_v = len(basis)
+        return len(_insert_rows(fld, basis, [
+            r for t in ts for v in ens.final_parities_of_codeword(t)
+            for r in ens.block(v).data])) - h_v
 
     return lhs_for(s) == sum(lhs_for([t]) for t in s)
 
@@ -522,14 +496,13 @@ def check_mds_reconstruction(ens: LinearEnsemble) -> CheckReport:
     """Any ki nodes of the initial codeword determine all data, and any
     kf nodes of a final codeword determine that codeword's data."""
     p = ens.params
-    rep = CheckReport("mds-reconstruction", p.as_dict(), True)
+    rep = CheckReport("mds-reconstruction", p.as_dict())
     all_x = list(ens.info_nodes)
     for na in range(min(p.ri, p.ki) + 1):
         nb = p.ki - na
         for aa in combinations(ens.initial_parities, na):
             for bb in combinations(ens.info_nodes, nb):
                 if cond_entropy(ens, all_x, list(aa) + list(bb)) != 0:
-                    rep.ok = False
                     rep.failures.append({
                         "side": "initial",
                         "parities": [v.index for v in aa],
@@ -541,7 +514,6 @@ def check_mds_reconstruction(ens: LinearEnsemble) -> CheckReport:
             for aa in combinations(ens.final_parities_of_codeword(t), na):
                 for bb in combinations(xs, nb):
                     if cond_entropy(ens, xs, list(aa) + list(bb)) != 0:
-                        rep.ok = False
                         rep.failures.append({
                             "side": "final", "codeword": t,
                             "parities": [v.index for v in aa],
@@ -552,11 +524,10 @@ def check_mds_reconstruction(ens: LinearEnsemble) -> CheckReport:
 def check_storage_axioms(ens: LinearEnsemble) -> CheckReport:
     """Each info node has entropy exactly alpha; no node exceeds alpha."""
     p = ens.params
-    rep = CheckReport("storage-axioms", p.as_dict(), True)
+    rep = CheckReport("storage-axioms", p.as_dict())
     for v in ens.all_nodes():
         h = entropy(ens, [v])
         if h > p.alpha or (v.kind == INFO and h != p.alpha):
-            rep.ok = False
             rep.failures.append({"node": f"{v.kind}:{v.index}", "entropy": h})
     return rep
 
@@ -565,9 +536,8 @@ def check_joint_entropy(ens: LinearEnsemble) -> CheckReport:
     """The initial codeword as a whole stores exactly ki*alpha symbols
     of entropy (parities add none)."""
     p = ens.params
-    rep = CheckReport("initial-joint-entropy", p.as_dict(), True)
+    rep = CheckReport("initial-joint-entropy", p.as_dict())
     joint = entropy(ens, list(ens.info_nodes) + list(ens.initial_parities))
     if joint != p.ki * p.alpha:
-        rep.ok = False
         rep.failures.append({"entropy": joint, "expected": p.ki * p.alpha})
     return rep

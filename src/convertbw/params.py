@@ -9,8 +9,14 @@ needed when concrete codes are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import gf
+
+
+def rational_json(x: Fraction) -> dict:
+    """The JSON form of an exact rational: {"num": ..., "den": ...}."""
+    return {"num": x.numerator, "den": x.denominator}
 
 
 @dataclass(frozen=True)

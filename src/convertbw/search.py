@@ -29,7 +29,7 @@ from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows, _scheme_
 from .linalg import (Matrix, _insert_rows, _reduce_row, enumerate_subspaces,
                      mat_rank, random_invertible)
 from .mds import VectorCode, verify_mds
-from .params import SplitParams
+from .params import SplitParams, rational_json
 
 
 @dataclass(frozen=True)
@@ -329,10 +329,13 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     return audit
 
 
-def _mix_parity_columns(code: VectorCode, rng, max_tries: int = 200) -> VectorCode:
+_MIX_TRIES = 200
+
+
+def _mix_parity_columns(code: VectorCode, rng) -> VectorCode:
     """A fresh MDS code: multiply the parity column section by a random
     invertible matrix, keeping the systematic part, until the result
-    passes the MDS check."""
+    passes the MDS check (at most _MIX_TRIES draws)."""
     r = code.n - code.k
     if r == 0:
         return code
@@ -340,7 +343,7 @@ def _mix_parity_columns(code: VectorCode, rng, max_tries: int = 200) -> VectorCo
     ka = code.k * code.alpha
     ra = r * code.alpha
     gen = code.generator
-    for _ in range(max_tries):
+    for _ in range(_MIX_TRIES):
         w = random_invertible(fld, ra, rng)
         parity = gen.take_cols(range(ka, ka + ra)) @ w
         cand_gen = Matrix._of_rows(
@@ -350,7 +353,7 @@ def _mix_parity_columns(code: VectorCode, rng, max_tries: int = 200) -> VectorCo
             return cand
     raise ValueError(
         f"no MDS parity mix of the [{code.n},{code.k},{code.alpha}] code "
-        f"over {fld!r} in {max_tries} random draws; use a larger --q, "
+        f"over {fld!r} in {_MIX_TRIES} random draws; use a larger --q, "
         f"or --trials 1 for the canonical pair only")
 
 
@@ -385,7 +388,7 @@ class CertificationReport:
         return {
             "params": self.params.as_dict(),
             "pair": self.pair,
-            "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
+            "bound": rational_json(self.bound),
             "verdict": self.verdict,
             "min_gamma": self.min_gamma,
             "achieved": self.achieved,

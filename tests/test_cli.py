@@ -183,6 +183,8 @@ GOLDEN = [
      "496c795d03892afcd68f2eebacd5f5824f801bd5ed6fc832ad292d43b0d7b80c", 0),
     (["verify", "--q", "5", "--trials", "20"],
      "b373d71131d926796546986e0ef125b806c34765cbc349e440d0c1aa56e73034", 0),
+    (["verify", "--trials", "20"],
+     "0b8767404fcb9e4cdde0cd358385023ed3da88db76d6559198e19d5926a18368", 0),
     (["simulate", "--lf", "2", "--kf", "3", "--rf", "2", "--ri", "2",
       "--alpha", "2", "--q", "8"],
      "c1baea000a6ee8496ddf8e86f9aa623cdb9dc2e23e833580a26ab7a621c065e7", 0),

@@ -7,7 +7,7 @@ import pytest
 
 from convertbw.convertible import canonical_codes, default_scheme
 from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
-                                NodeId, check_cond_entropy_final,
+                                NodeId, _scheme_maps, check_cond_entropy_final,
                                 check_corollaries, check_joint_entropy,
                                 check_mds_reconstruction, check_mi_bound,
                                 check_min_avg, check_prop_parity_iid,
@@ -226,7 +226,7 @@ def test_min_avg_rejects_bad_family(medium):
 
 def test_corollaries_exhaustive_default_scheme(medium):
     p, ens = medium
-    rep = check_corollaries(ens, default_scheme(p))
+    rep = check_corollaries(ens, _scheme_maps(ens, default_scheme(p)))
     assert rep.ok, rep.failures
 
 
@@ -240,22 +240,16 @@ def test_corollaries_exhaustive_random_schemes(medium):
         assert rep.ok, rep.failures
 
 
-def test_corollaries_sampled_mode(medium):
-    p, ens = medium
-    rep = check_corollaries(ens, default_scheme(p), exhaustive=False,
-                            rng=random.Random(5), sample_tuples=40)
-    assert rep.ok
-
-
 def test_corollary2_full_download_reading(medium):
     # S = all data nodes with full downloads: the chain caps MI by
     # (ri/ki) * ki * alpha = ri * alpha.
     p, ens = medium
-    from convertbw.ensemble import corollary2_holds, _download_mi, _scheme_maps
-    maps = _scheme_maps(ens, default_scheme(p))
-    mi = _download_mi(ens, maps)
+    from convertbw.ensemble import _node_rows, corollary2_holds, _download_mi
+    rows = _node_rows(ens, _scheme_maps(ens, default_scheme(p)),
+                      (*ens.info_nodes, *ens.initial_parities))
+    mi = _download_mi(ens, rows)
     assert mi <= p.ri * p.alpha
-    assert corollary2_holds(ens, maps, list(ens.info_nodes), mi=mi)
+    assert corollary2_holds(ens, rows, mi, list(ens.info_nodes))
 
 
 def test_stability_values():
@@ -289,7 +283,7 @@ def test_stability_flags_planted_parity_copy():
 def test_cond_entropy_split_exhaustive_subsets(lf, kf, rf, ri, alpha, q):
     p, ens = build(lf, kf, rf, ri, alpha, q)
     rng = random.Random(q)
-    schemes = [default_scheme(p)]
+    schemes = [_scheme_maps(ens, default_scheme(p))]
     for _ in range(2):
         schemes.append({v: random_matrix(ens.field, rng.randint(0, p.alpha),
                                          p.alpha, rng)
@@ -302,16 +296,85 @@ def test_cond_entropy_split_exhaustive_subsets(lf, kf, rf, ri, alpha, q):
 
 def test_cond_entropy_split_singleton_is_identity(small):
     p, ens = small
-    assert check_cond_entropy_final(ens, default_scheme(p), [0])
+    assert check_cond_entropy_final(ens, _scheme_maps(ens, default_scheme(p)), [0])
 
 
 def test_cond_entropy_split_full_download_both_sides_zero(small):
     p, ens = small
-    from convertbw.ensemble import _scheme_maps, mapped_rows
+    from convertbw.ensemble import mapped_rows
     maps = _scheme_maps(ens, default_scheme(p))
     v_rows = mapped_rows(ens, maps, ens.info_nodes)
     h_v, h_vy = rank_pair(v_rows, ens.stack(ens.final_parities))
     assert h_vy - h_v == 0
+
+
+@pytest.mark.parametrize("lf,kf,rf,ri,alpha,q", [
+    (2, 1, 1, 1, 1, 5), (2, 2, 1, 2, 1, 7), (3, 1, 1, 2, 1, 7),
+    (2, 2, 2, 1, 2, 7),
+])
+def test_cond_entropy_split_matches_plain_elimination(lf, kf, rf, ri, alpha, q):
+    # Reference: rank of mapped_rows stacked with the final parities of
+    # the same codewords, by numpy plain elimination.
+    from convertbw.ensemble import mapped_rows
+    from convertbw.linalg import vstack
+    from convertbw.verify import plant_corruption
+    from plain_elimination import ref_rank
+
+    p, clean = build(lf, kf, rf, ri, alpha, q)
+    rng = random.Random(q * lf)
+
+    def ref_lhs(ens, maps, ts):
+        v_rows = mapped_rows(ens, maps,
+                             [v for t in ts for v in ens.info_of_codeword(t)])
+        yf = ens.stack([v for t in ts for v in ens.final_parities_of_codeword(t)])
+        return ref_rank(vstack([v_rows, yf])) - ref_rank(v_rows)
+
+    outcomes = []
+    for ens in (clean, plant_corruption(clean, "parity-copy")):
+        schemes = [_scheme_maps(ens, default_scheme(p))]
+        schemes += [{v: random_matrix(ens.field, rng.randint(0, p.alpha),
+                                      p.alpha, rng) for v in ens.info_nodes}
+                    for _ in range(3)]
+        for i, maps in enumerate(schemes):
+            for mask in range(1, 1 << p.lf):
+                s = [t for t in range(p.lf) if (mask >> t) & 1]
+                want = ref_lhs(ens, maps, s) == sum(ref_lhs(ens, maps, [t])
+                                                    for t in s)
+                got = check_cond_entropy_final(ens, maps, s)
+                assert got == want, (s, maps)
+                outcomes.append((ens is clean, i, s, got))
+    assert all(got for is_clean, _, _, got in outcomes if is_clean)
+    if (lf, kf, rf, ri, alpha) == (2, 2, 1, 2, 1):
+        # The default scheme on the parity-copy ensemble breaks the split.
+        assert (False, 0, [0, 1], False) in outcomes
+
+
+def test_download_checks_map_each_node_once(monkeypatch):
+    from convertbw import ensemble as E
+    from convertbw.verify import corollary_trial
+    p, ens = build(2, 2, 1, 3, 1, 7)
+    initial = [*ens.info_nodes, *ens.initial_parities]
+    maps = _scheme_maps(ens, default_scheme(p))
+    seen = []   # every node ensemble._mapped maps
+    mapped = E._mapped
+
+    def counting(ens, maps, v):
+        seen.append(v)
+        return mapped(ens, maps, v)
+
+    monkeypatch.setattr(E, "_mapped", counting)
+    rep = check_corollaries(ens, maps)
+    assert rep.ok and sorted(seen) == initial
+    rng = random.Random(3)
+    for which in (1, 2, 1, 2):
+        seen.clear()
+        assert corollary_trial(ens, rng, which) == "ok"
+        assert sorted(seen) == initial
+    for s in ([0], [1], [0, 1]):
+        seen.clear()
+        assert check_cond_entropy_final(ens, maps, s)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {v for t in s for v in ens.info_of_codeword(t)}
 
 
 def test_node_id_validation():
@@ -385,8 +448,8 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         for size in range(4):
             for sub in combinations(nodes, size):
                 assert h_rows(fld, rows, sub) == ref(maps, sub)
-        assert _download_mi(ens, maps) == ref_mi(
-            maps, ens.initial_parities, ens.info_nodes)
+        mi = _download_mi(ens, rows)
+        assert mi == ref_mi(maps, ens.initial_parities, ens.info_nodes)
 
         rng.shuffle(nodes)
         a_set, b_set = nodes[:rng.randint(1, 3)], nodes[3:3 + rng.randint(1, 3)]
@@ -407,7 +470,7 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         except IndependencePreconditionError:
             pass
         s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
-        corollary1_holds(ens, maps, s1, s2, b1, b2)
-        corollary2_holds(ens, maps, random_corollary2_set(ens, rng))
+        corollary1_holds(ens, rows, mi, s1, s2, b1, b2)
+        corollary2_holds(ens, rows, mi, random_corollary2_set(ens, rng))
         assert all(h == ref(maps, vs) for vs, h in used if vs != "mi")
     assert zero_rows > 0 and evaluated > 6
