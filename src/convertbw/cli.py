@@ -158,6 +158,9 @@ def cmd_verify(args, parser) -> int:
         return EXIT_OK
     reports, ok = verify.run_suite(points, trials=args.trials, seed=args.seed,
                                    plant=args.plant_corruption)
+    if not reports:
+        print(f"warning: corruption {args.plant_corruption} applies to no "
+              "instance, zero checks run", file=sys.stderr)
     _dump_json(reports, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import (LinearEnsemble, _check_code_pair, _scheme_maps,
-                       final_parity_rows, mapped_rows)
+from .ensemble import (LinearEnsemble, _check_code_pair, final_parity_rows,
+                       mapped_rows)
 from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
 from .mds import VectorCode, _codeword, json_count, make_systematic_mds
 from .params import SplitParams, rational_json
@@ -30,22 +30,21 @@ class InfeasibleSchemeError(ValueError):
 class ConversionScheme:
     """Per-node download maps for one conversion.
 
-    info_maps[j] applies to data node j (shape beta_j x alpha);
-    parity_maps[i] applies to initial parity node i (sigma_i x alpha).
-    All maps are canonical reduced-echelon bases of their row spaces.
+    maps[i] applies to node i of the initial codeword, in node order:
+    data nodes 0..ki-1 (beta_j x alpha), then initial parities
+    ki..ni-1 (sigma_i x alpha).  The JSON form splits them at ki into
+    A (data maps) and B (parity maps).  All maps are canonical
+    reduced-echelon bases of their row spaces.
     """
 
     params: SplitParams
-    info_maps: tuple[Matrix, ...]
-    parity_maps: tuple[Matrix, ...]
+    maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         p = self.params
-        if len(self.info_maps) != p.ki:
-            raise ValueError(f"expected {p.ki} info maps, got {len(self.info_maps)}")
-        if len(self.parity_maps) != p.ri:
-            raise ValueError(f"expected {p.ri} parity maps, got {len(self.parity_maps)}")
-        for m in (*self.info_maps, *self.parity_maps):
+        if len(self.maps) != p.ni:
+            raise ValueError(f"expected {p.ni} download maps, got {len(self.maps)}")
+        for m in self.maps:
             if m.cols != p.alpha:
                 raise ValueError(f"download map has {m.cols} columns, expected {p.alpha}")
             if m.rows > p.alpha:
@@ -54,31 +53,30 @@ class ConversionScheme:
                 raise ValueError("download maps must be canonical full-row-rank bases")
 
     @classmethod
-    def from_maps(cls, params: SplitParams, info_maps: Sequence[Matrix],
-                  parity_maps: Sequence[Matrix]) -> "ConversionScheme":
+    def from_maps(cls, params: SplitParams,
+                  maps: Sequence[Matrix]) -> "ConversionScheme":
         """Canonicalize arbitrary (possibly rank-deficient) maps."""
-        return cls(params,
-                   tuple(rref(m) for m in info_maps),
-                   tuple(rref(m) for m in parity_maps))
+        return cls(params, tuple(rref(m) for m in maps))
 
     @property
     def beta(self) -> tuple[int, ...]:
-        return tuple(m.rows for m in self.info_maps)
+        return tuple(m.rows for m in self.maps[:self.params.ki])
 
     @property
     def sigma(self) -> tuple[int, ...]:
-        return tuple(m.rows for m in self.parity_maps)
+        return tuple(m.rows for m in self.maps[self.params.ki:])
 
     @property
     def read_total(self) -> int:
-        return sum(self.beta) + sum(self.sigma)
+        return sum(m.rows for m in self.maps)
 
     def to_json_dict(self) -> dict:
+        ki = self.params.ki
         return {
             "beta": list(self.beta),
             "sigma": list(self.sigma),
-            "A": [m.flat() for m in self.info_maps],
-            "B": [m.flat() for m in self.parity_maps],
+            "A": [m.flat() for m in self.maps[:ki]],
+            "B": [m.flat() for m in self.maps[ki:]],
         }
 
     @classmethod
@@ -93,11 +91,12 @@ class ConversionScheme:
         if len(d["A"]) != len(d["beta"]) or len(d["B"]) != len(d["sigma"]):
             raise ValueError("scheme needs one A map per beta entry and "
                              "one B map per sigma entry")
-        info = tuple(unflatten(f, b, "beta entry")
-                     for f, b in zip(d["A"], d["beta"]))
-        parity = tuple(unflatten(f, s, "sigma entry")
-                       for f, s in zip(d["B"], d["sigma"]))
-        return cls(params, info, parity)
+        for key, want, what in (("A", params.ki, "info"), ("B", params.ri, "parity")):
+            if len(d[key]) != want:
+                raise ValueError(f"expected {want} {what} maps, got {len(d[key])}")
+        return cls(params, tuple(
+            [unflatten(f, b, "beta entry") for f, b in zip(d["A"], d["beta"])]
+            + [unflatten(f, s, "sigma entry") for f, s in zip(d["B"], d["sigma"])]))
 
 
 @dataclass(frozen=True)
@@ -141,17 +140,13 @@ def default_scheme(params: SplitParams) -> ConversionScheme:
     fld = params.field()
     full = Matrix.identity(fld, params.alpha)
     empty = Matrix.zeros(fld, 0, params.alpha)
-    return ConversionScheme(params,
-                            tuple(full for _ in range(params.ki)),
-                            tuple(empty for _ in range(params.ri)))
+    return ConversionScheme(params, (full,) * params.ki + (empty,) * params.ri)
 
 
 def empty_scheme(params: SplitParams) -> ConversionScheme:
     fld = params.field()
     empty = Matrix.zeros(fld, 0, params.alpha)
-    return ConversionScheme(params,
-                            tuple(empty for _ in range(params.ki)),
-                            tuple(empty for _ in range(params.ri)))
+    return ConversionScheme(params, (empty,) * params.ni)
 
 
 def scheme_bandwidth(scheme: ConversionScheme) -> BandwidthReport:
@@ -170,8 +165,8 @@ def check_feasible(ens: LinearEnsemble, scheme: ConversionScheme) -> bool:
     """True iff the downloaded rows span every final parity row, i.e.
     the coordinator can deterministically produce all new nodes."""
     _check_scheme_params(ens.params, scheme)
-    maps = _scheme_maps(ens, scheme)
-    downloads = mapped_rows(ens, maps, list(ens.info_nodes) + list(ens.initial_parities))
+    maps = dict(zip(ens.initial_nodes, scheme.maps))
+    downloads = mapped_rows(ens, maps, ens.initial_nodes)
     targets = ens.stack(ens.final_parities)
     return in_span(targets, downloads)
 
@@ -189,7 +184,8 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     """Execute one conversion.
 
     Returns (final_codewords, BandwidthReport) where final_codewords is
-    a list of lf arrays of shape (nf, alpha).  Data nodes of the final
+    a list of lf arrays of shape (nf, alpha).  Node i of the initial
+    codeword is read through scheme.maps[i].  Data nodes of the final
     codewords are the unchanged initial data nodes; new parity values
     are produced only from the downloaded rows.
 
@@ -204,10 +200,9 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     fld = initial.field
     stored = _codeword(initial, message)
 
-    # Downloading nodes in node order (data nodes, then parities); the
-    # coefficient rows and the stored values both follow this order.
-    used = [(i, m) for i, m in enumerate(scheme.info_maps + scheme.parity_maps)
-            if m.rows]
+    # Downloading nodes in node order; the coefficient rows and the
+    # stored values both follow this order.
+    used = [(i, m) for i, m in enumerate(scheme.maps) if m.rows]
     downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
                        + [m @ initial.node_block(i) for i, m in used])
     combine = solve_left(final_parity_rows(p, final), downloads)

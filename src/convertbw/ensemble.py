@@ -85,7 +85,13 @@ def final_parity_node(g: int) -> NodeId:
 
 
 class LinearEnsemble:
-    """All node random variables of one conversion instance."""
+    """All node random variables of one conversion instance.
+
+    initial_nodes lists the initial codeword in node order (info nodes,
+    then initial parities): node i there is node i of the initial code
+    and is read through a ConversionScheme's maps[i].  Every block is an
+    alpha x message_dim Matrix over fld.
+    """
 
     def __init__(self, params: SplitParams, fld: Field,
                  blocks: Mapping[NodeId, Matrix]):
@@ -97,16 +103,19 @@ class LinearEnsemble:
         self.info_nodes = tuple(info_node(j) for j in range(p.ki))
         self.initial_parities = tuple(initial_parity_node(i) for i in range(p.ri))
         self.final_parities = tuple(final_parity_node(g) for g in range(p.lf * p.rf))
-        for v in (*self.info_nodes, *self.initial_parities, *self.final_parities):
+        self.initial_nodes = self.info_nodes + self.initial_parities
+        for v in self.all_nodes():
             b = self._blocks[v]
             if b.shape != (p.alpha, p.message_dim):
                 raise ValueError(f"block for {v} has shape {b.shape}")
+            if b.field != fld:
+                raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
 
     def all_nodes(self) -> tuple[NodeId, ...]:
-        return self.info_nodes + self.initial_parities + self.final_parities
+        return self.initial_nodes + self.final_parities
 
     def info_of_codeword(self, t: int) -> tuple[NodeId, ...]:
         p = self.params
@@ -331,16 +340,6 @@ def check_min_avg(ens: LinearEnsemble,
     return Fraction(best) <= Fraction(a, b) * singles
 
 
-def _scheme_maps(ens: LinearEnsemble, scheme) -> dict[NodeId, Matrix]:
-    """A ConversionScheme's download maps keyed by initial-code node."""
-    maps: dict[NodeId, Matrix] = {}
-    for j, m in enumerate(scheme.info_maps):
-        maps[info_node(j)] = m
-    for i, m in enumerate(scheme.parity_maps):
-        maps[initial_parity_node(i)] = m
-    return maps
-
-
 def _download_mi(ens: LinearEnsemble, rows: Mapping[NodeId, list]) -> int:
     """I(parity downloads ; info downloads) over the initial codeword,
     from every initial-code node's mapped rows (see _node_rows)."""
@@ -383,7 +382,7 @@ def check_corollaries(ens: LinearEnsemble,
     nodes, for every admissible tuple.  Each node is mapped once; a node
     missing from maps downloads nothing."""
     p = ens.params
-    nodes = (*ens.info_nodes, *ens.initial_parities)
+    nodes = ens.initial_nodes
     zero = Matrix.zeros(ens.field, 0, p.alpha)
     rows = _node_rows(ens, {v: maps.get(v, zero) for v in nodes}, nodes)
     rep = CheckReport("download-mi-chains", p.as_dict())
@@ -537,7 +536,7 @@ def check_joint_entropy(ens: LinearEnsemble) -> CheckReport:
     of entropy (parities add none)."""
     p = ens.params
     rep = CheckReport("initial-joint-entropy", p.as_dict())
-    joint = entropy(ens, list(ens.info_nodes) + list(ens.initial_parities))
+    joint = entropy(ens, ens.initial_nodes)
     if joint != p.ki * p.alpha:
         rep.failures.append({"entropy": joint, "expected": p.ki * p.alpha})
     return rep

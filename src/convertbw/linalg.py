@@ -104,9 +104,6 @@ class Matrix:
 
     __matmul__ = matmul
 
-    def tolist(self) -> list[list[int]]:
-        return [list(r) for r in self.data]
-
     def flat(self) -> list[int]:
         """Row-major flat entry list."""
         return [x for r in self.data for x in r]

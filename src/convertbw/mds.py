@@ -45,6 +45,9 @@ class VectorCode:
     def __post_init__(self) -> None:
         ka = self.k * self.alpha
         na = self.n * self.alpha
+        if self.generator.field != self.field:
+            raise ValueError(f"generator is over {self.generator.field!r}, "
+                             f"not {self.field!r}")
         if self.generator.shape != (ka, na):
             raise ValueError(
                 f"generator shape {self.generator.shape} != ({ka}, {na})")

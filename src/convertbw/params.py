@@ -84,9 +84,6 @@ class SplitParams:
             raise ValueError("these parameters carry no field order q")
         return gf.field(self.q)
 
-    def with_q(self, q: int) -> "SplitParams":
-        return SplitParams(self.lf, self.kf, self.rf, self.ri, self.alpha, q)
-
     def as_dict(self) -> dict:
         d = {"lf": self.lf, "kf": self.kf, "rf": self.rf, "ri": self.ri,
              "alpha": self.alpha}

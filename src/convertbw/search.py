@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
-from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows, _scheme_maps
+from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows
 from .linalg import (Matrix, _insert_rows, _reduce_row, enumerate_subspaces,
                      mat_rank, random_invertible)
 from .mds import VectorCode, verify_mds
@@ -84,19 +84,18 @@ class _SchemeSpace:
         fld = ens.field
         self.subspaces = [enumerate_subspaces(p.alpha, fld, d)
                           for d in range(p.alpha + 1)]
-        nodes = list(ens.info_nodes) + list(ens.initial_parities)
-        self.nodes = nodes
+        # Slot i is node i of the initial codeword (ens.initial_nodes).
+        self.nodes = ens.initial_nodes
         # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
         # the slot's node block, as row tuples for linalg._insert_rows.
         self.mapped = [[[(s @ ens.block(v)).data for s in subs]
-                        for subs in self.subspaces] for v in nodes]
+                        for subs in self.subspaces] for v in self.nodes]
         self.targets = ens.stack(ens.final_parities)
         self.target_rank = mat_rank(self.targets)
 
     def scheme_for(self, profile, combo) -> ConversionScheme:
-        p = self.params
-        picks = [self.subspaces[d][i] for d, i in zip(profile, combo)]
-        return ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
+        return ConversionScheme(self.params, tuple(
+            self.subspaces[d][i] for d, i in zip(profile, combo)))
 
 
 class _CutTable:
@@ -299,14 +298,13 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     if not check_feasible(ens, scheme):
         raise InfeasibleSchemeError("inequality audit needs a feasible scheme")
     p = ens.params
-    maps = _scheme_maps(ens, scheme)
+    maps = dict(zip(ens.initial_nodes, scheme.maps))
     h_v = mat_rank(mapped_rows(ens, maps, ens.info_nodes))
     h_u = mat_rank(mapped_rows(ens, maps, ens.initial_parities))
     gamma = scheme.read_total
     audit = SchemeAudit(gamma=gamma, h_v=h_v, h_u=h_u)
 
-    all_nodes = list(ens.info_nodes) + list(ens.initial_parities)
-    h_uv = mat_rank(mapped_rows(ens, maps, all_nodes))
+    h_uv = mat_rank(mapped_rows(ens, maps, ens.initial_nodes))
     h_new = mat_rank(ens.stack(ens.final_parities))
     audit.items.append({"name": "downloads-cover-new-parities",
                         "lhs": str(Fraction(h_uv)), "rhs": str(Fraction(h_new)),

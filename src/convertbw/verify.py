@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .convertible import canonical_codes, default_scheme
 from .ensemble import (CheckReport, IndependencePreconditionError,
-                       LinearEnsemble, _download_mi, _node_rows, _scheme_maps,
+                       LinearEnsemble, _download_mi, _node_rows,
                        check_cond_entropy_final, check_joint_entropy,
                        check_mds_reconstruction, check_mi_bound,
                        check_min_avg, check_prop_parity_iid,
@@ -123,8 +123,7 @@ def corollary_trial(ens: LinearEnsemble, rng: random.Random,
                     which: int) -> str:
     """One random admissible tuple of download-MI chain 1 or 2."""
     p = ens.params
-    maps = {v: _random_map(rng, ens.field, p.alpha)
-            for v in (*ens.info_nodes, *ens.initial_parities)}
+    maps = {v: _random_map(rng, ens.field, p.alpha) for v in ens.initial_nodes}
     rows = _node_rows(ens, maps, maps)
     mi = _download_mi(ens, rows)
     if which == 1:
@@ -172,7 +171,7 @@ def _prop3_reports(ens: LinearEnsemble, rng: random.Random) -> dict:
     for the re-encoding scheme plus two seeded random download maps."""
     p = ens.params
     failures = []
-    schemes = [("default", _scheme_maps(ens, default_scheme(p)))]
+    schemes = [("default", dict(zip(ens.initial_nodes, default_scheme(p).maps)))]
     for s in range(2):
         maps = {v: _random_map(rng, ens.field, p.alpha) for v in ens.info_nodes}
         schemes.append((f"random-{s}", maps))

@@ -133,6 +133,16 @@ def test_verify_empty_grid_warns_and_passes(capsys):
     assert "empty" in err
 
 
+def test_verify_inapplicable_corruption_warns_and_passes(capsys):
+    # duplicate-parity needs ri >= 2, so every instance is skipped.
+    code, out, err = run_cli(["verify", "--ri", "1", "--plant-corruption",
+                              "duplicate-parity"], capsys)
+    assert code == 0
+    assert json.loads(out) == []
+    assert err.startswith("warning:") and err.count("\n") == 1
+    assert "duplicate-parity" in err
+
+
 def test_simulate_round_trip(capsys):
     code, out, _ = run_cli(["simulate", "--lf", "2", "--kf", "2", "--rf", "1",
                             "--ri", "1", "--alpha", "1", "--q", "7",
@@ -197,6 +207,10 @@ GOLDEN = [
     (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
       "--alpha", "2", "--q", "5", "--max-visits", "19846"],
      "98a95ee6f8afd5b569736488f531cf67e6efaa84992bf4b643143fe521290f4b", 0),
+    # Prints a scheme: A=[[],[],[1],[1]], B=[[],[1]] for the canonical pair.
+    (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "2",
+      "--alpha", "1", "--q", "7", "--trials", "3"],
+     "8fca40f1b0cef7b4bd78199ba219e484bbab6809f451fc0e09d3c4580e412103", 0),
 ]
 
 

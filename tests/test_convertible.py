@@ -72,10 +72,10 @@ def test_default_scheme_costs():
 def test_bandwidth_report_fields():
     p = SplitParams(2, 2, 1, 1, 2, 5)
     fld = p.field()
-    maps = [Matrix(fld, [[1, 0]]), Matrix(fld, [[0, 1]]),
-            Matrix.zeros(fld, 0, 2), Matrix.zeros(fld, 0, 2)]
-    parity = [Matrix.identity(fld, 2)]
-    scheme = ConversionScheme(p, tuple(maps), tuple(parity))
+    maps = (Matrix(fld, [[1, 0]]), Matrix(fld, [[0, 1]]),
+            Matrix.zeros(fld, 0, 2), Matrix.zeros(fld, 0, 2),
+            Matrix.identity(fld, 2))
+    scheme = ConversionScheme(p, maps)
     rep = scheme_bandwidth(scheme)
     assert rep.beta == (1, 1, 0, 0)
     assert rep.sigma == (2,)
@@ -94,32 +94,41 @@ def test_scheme_requires_canonical_maps():
     fld = p.field()
     ragged = Matrix(fld, [[2, 4], [1, 2]])  # rank 1, not canonical
     with pytest.raises(ValueError):
-        ConversionScheme(p, (ragged, Matrix.identity(fld, 2)),
-                         (Matrix.zeros(fld, 0, 2),))
+        ConversionScheme(p, (ragged, Matrix.identity(fld, 2),
+                             Matrix.zeros(fld, 0, 2)))
     fixed = ConversionScheme.from_maps(
-        p, [ragged, Matrix.identity(fld, 2)], [Matrix.zeros(fld, 0, 2)])
+        p, [ragged, Matrix.identity(fld, 2), Matrix.zeros(fld, 0, 2)])
     assert fixed.beta == (1, 2)
+
+
+def test_scheme_needs_one_map_per_initial_node():
+    p = SplitParams(2, 1, 1, 2, 1, 5)
+    fld = p.field()
+    full = Matrix.identity(fld, 1)
+    assert ConversionScheme(p, (full,) * p.ni).sigma == (1, 1)
+    for count in (p.ni - 1, p.ni + 1):
+        with pytest.raises(ValueError, match=f"expected {p.ni} download maps"):
+            ConversionScheme(p, (full,) * count)
 
 
 def test_scheme_json_round_trip():
     p = SplitParams(2, 1, 1, 1, 2, 5)
     fld = p.field()
     scheme = ConversionScheme(
-        p, (Matrix(fld, [[1, 3]]), Matrix.identity(fld, 2)),
-        (Matrix(fld, [[1, 0]]),))
+        p, (Matrix(fld, [[1, 3]]), Matrix.identity(fld, 2), Matrix(fld, [[1, 0]])))
     back = ConversionScheme.from_json_dict(p, scheme.to_json_dict())
     assert back == scheme
+    p7 = SplitParams(2, 1, 1, 1, 2, 7)
     # Entry 7 on GF(7) is refused, not read as the canonical map [1, 0].
     doc = {"beta": [1, 2], "sigma": [1], "A": [[1, 7], [1, 0, 0, 1]],
            "B": [[1, 0]]}
     with pytest.raises(ValueError, match="outside"):
-        ConversionScheme.from_json_dict(p.with_q(7), doc)
+        ConversionScheme.from_json_dict(p7, doc)
     # A non-integer entry is refused, not truncated to the map [1, 0].
     doc["A"][0] = [1.5, 0]
     with pytest.raises(ValueError, match="non-integer"):
-        ConversionScheme.from_json_dict(p.with_q(7), doc)
+        ConversionScheme.from_json_dict(p7, doc)
     # Surplus maps are refused, not dropped by pairing maps with dims.
-    p7 = SplitParams(2, 1, 1, 1, 2, 7)
     doc = default_scheme(p7).to_json_dict()
     doc["A"].append([9, 9, 9])
     doc["B"].append([5])
@@ -131,6 +140,26 @@ def test_scheme_json_round_trip():
         doc[key][0] = bad
         with pytest.raises(ValueError, match=f"{key} entry must be"):
             ConversionScheme.from_json_dict(p7, doc)
+    # A and B are the node-order maps split at ki: a third A map is not
+    # read as the first parity map.
+    p1 = SplitParams(2, 1, 1, 1, 1, 5)
+    doc = {"beta": [1, 1, 1], "sigma": [], "A": [[1], [1], [1]], "B": []}
+    with pytest.raises(ValueError, match="expected 2 info maps, got 3"):
+        ConversionScheme.from_json_dict(p1, doc)
+    doc = {"beta": [1], "sigma": [1, 1], "A": [[1]], "B": [[1], [1]]}
+    with pytest.raises(ValueError, match="expected 2 info maps, got 1"):
+        ConversionScheme.from_json_dict(p1, doc)
+    doc = {"beta": [1, 1], "sigma": [1, 1], "A": [[1], [1]], "B": [[1], [1]]}
+    with pytest.raises(ValueError, match="expected 1 parity maps, got 2"):
+        ConversionScheme.from_json_dict(p1, doc)
+    # The search prints the canonical (2,2,1,2,1,7) minimizer in this
+    # form (beta [0,0,1,1], sigma [0,1]); it loads in node order.
+    p2 = SplitParams(2, 2, 1, 2, 1, 7)
+    doc = {"beta": [0, 0, 1, 1], "sigma": [0, 1],
+           "A": [[], [], [1], [1]], "B": [[], [1]]}
+    loaded = ConversionScheme.from_json_dict(p2, doc)
+    assert [m.rows for m in loaded.maps] == [0, 0, 1, 1, 0, 1]
+    assert loaded.to_json_dict() == doc
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,9 +174,7 @@ def test_scheme_json_round_trip_property(q, alpha, data):
                                   min_size=rows * alpha, max_size=rows * alpha))
         return Matrix(fld, np.array(flat, dtype=np.int64).reshape(rows, alpha))
 
-    scheme = ConversionScheme.from_maps(
-        p, [random_map() for _ in range(p.ki)],
-        [random_map() for _ in range(p.ri)])
+    scheme = ConversionScheme.from_maps(p, [random_map() for _ in range(p.ni)])
     assert ConversionScheme.from_json_dict(p, scheme.to_json_dict()) == scheme
 
 
@@ -168,7 +195,7 @@ def test_single_codeword_downloads_infeasible():
     fld = p.field()
     full = Matrix.identity(fld, 1)
     none = Matrix.zeros(fld, 0, 1)
-    scheme = ConversionScheme(p, (full, full, none, none), (none, none))
+    scheme = ConversionScheme(p, (full, full, none, none, none, none))
     assert not check_feasible(ens, scheme)
 
 
@@ -262,7 +289,7 @@ def test_run_conversion_uses_parity_downloads():
     none = Matrix.zeros(fld, 0, 1)
     # Final parity of codeword t is a multiple of data node t, so the
     # data nodes alone suffice; add a parity read on top.
-    scheme = ConversionScheme(p, (full, full), (full, none))
+    scheme = ConversionScheme(p, (full, full, full, none))
     assert check_feasible(ens, scheme)
     msg = [2, 3]
     finals, rep = run_conversion(p, initial, final, scheme, msg)
@@ -288,7 +315,7 @@ def test_conversion_matches_direct_final_encoding():
             else:
                 picks = [rng.choice(menus[rng.randint(0, p.alpha)])
                          for _ in range(p.ni)]
-                scheme = ConversionScheme(p, tuple(picks[:p.ki]), tuple(picks[p.ki:]))
+                scheme = ConversionScheme(p, tuple(picks))
             msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
             feasible = check_feasible(ens, scheme)
             seen.add((feasible, any(scheme.sigma)))

@@ -7,7 +7,7 @@ import pytest
 
 from convertbw.convertible import canonical_codes, default_scheme
 from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
-                                NodeId, _scheme_maps, check_cond_entropy_final,
+                                NodeId, check_cond_entropy_final,
                                 check_corollaries, check_joint_entropy,
                                 check_mds_reconstruction, check_mi_bound,
                                 check_min_avg, check_prop_parity_iid,
@@ -17,13 +17,18 @@ from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
                                 initial_parity_node, mutual_info)
 from convertbw.gf import field
 from convertbw.linalg import Matrix, random_matrix, rank_pair
-from convertbw.mds import make_systematic_mds
+from convertbw.mds import VectorCode, make_systematic_mds
 from convertbw.params import SplitParams
 
 
 def build(lf, kf, rf, ri, alpha, q):
     p = SplitParams(lf, kf, rf, ri, alpha, q)
     return p, ensemble_from_codes(p, *canonical_codes(p))
+
+
+def default_maps(ens):
+    """The re-encoding scheme's maps keyed by initial-code node."""
+    return dict(zip(ens.initial_nodes, default_scheme(ens.params).maps))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,7 @@ def test_single_info_node_entropy_is_alpha(medium):
 
 def test_joint_entropy_of_initial_codeword(medium):
     p, ens = medium
-    joint = entropy(ens, list(ens.info_nodes) + list(ens.initial_parities))
+    joint = entropy(ens, ens.initial_nodes)
     assert joint == p.ki * p.alpha
     assert check_joint_entropy(ens).ok
 
@@ -112,6 +117,22 @@ def test_parameter_mismatch_rejected():
         ensemble_from_codes(p, wrong, good_f)
     with pytest.raises(ValueError):
         ensemble_from_codes(p, good_i, wrong)
+
+
+def test_field_mismatch_rejected():
+    # A GF(7) pair relabelled as GF(5) would be ranked over the wrong
+    # field: entries 5 and 6 are not GF(5) elements at all.
+    p7, ens7 = build(2, 1, 1, 2, 1, 7)
+    p5 = SplitParams(2, 1, 1, 2, 1, 5)
+    initial, _ = canonical_codes(p7)
+    assert ens7.block(initial_parity_node(1)).data == ((5, 3),)
+    assert entropy(ens7, [info_node(0), initial_parity_node(1)]) == 2
+    with pytest.raises(ValueError, match="generator is over"):
+        VectorCode(initial.n, initial.k, initial.alpha, field(5),
+                   initial.generator)
+    blocks = {v: ens7.block(v) for v in ens7.all_nodes()}
+    with pytest.raises(ValueError, match="is over"):
+        LinearEnsemble(p5, field(5), blocks)
 
 
 def test_parity_iid_check_passes(medium):
@@ -226,7 +247,7 @@ def test_min_avg_rejects_bad_family(medium):
 
 def test_corollaries_exhaustive_default_scheme(medium):
     p, ens = medium
-    rep = check_corollaries(ens, _scheme_maps(ens, default_scheme(p)))
+    rep = check_corollaries(ens, default_maps(ens))
     assert rep.ok, rep.failures
 
 
@@ -235,7 +256,7 @@ def test_corollaries_exhaustive_random_schemes(medium):
     rng = random.Random(17)
     for _ in range(8):
         maps = {v: random_matrix(ens.field, rng.randint(0, p.alpha), p.alpha, rng)
-                for v in (*ens.info_nodes, *ens.initial_parities)}
+                for v in ens.initial_nodes}
         rep = check_corollaries(ens, maps)
         assert rep.ok, rep.failures
 
@@ -245,8 +266,7 @@ def test_corollary2_full_download_reading(medium):
     # (ri/ki) * ki * alpha = ri * alpha.
     p, ens = medium
     from convertbw.ensemble import _node_rows, corollary2_holds, _download_mi
-    rows = _node_rows(ens, _scheme_maps(ens, default_scheme(p)),
-                      (*ens.info_nodes, *ens.initial_parities))
+    rows = _node_rows(ens, default_maps(ens), ens.initial_nodes)
     mi = _download_mi(ens, rows)
     assert mi <= p.ri * p.alpha
     assert corollary2_holds(ens, rows, mi, list(ens.info_nodes))
@@ -283,7 +303,7 @@ def test_stability_flags_planted_parity_copy():
 def test_cond_entropy_split_exhaustive_subsets(lf, kf, rf, ri, alpha, q):
     p, ens = build(lf, kf, rf, ri, alpha, q)
     rng = random.Random(q)
-    schemes = [_scheme_maps(ens, default_scheme(p))]
+    schemes = [default_maps(ens)]
     for _ in range(2):
         schemes.append({v: random_matrix(ens.field, rng.randint(0, p.alpha),
                                          p.alpha, rng)
@@ -296,13 +316,13 @@ def test_cond_entropy_split_exhaustive_subsets(lf, kf, rf, ri, alpha, q):
 
 def test_cond_entropy_split_singleton_is_identity(small):
     p, ens = small
-    assert check_cond_entropy_final(ens, _scheme_maps(ens, default_scheme(p)), [0])
+    assert check_cond_entropy_final(ens, default_maps(ens), [0])
 
 
 def test_cond_entropy_split_full_download_both_sides_zero(small):
     p, ens = small
     from convertbw.ensemble import mapped_rows
-    maps = _scheme_maps(ens, default_scheme(p))
+    maps = default_maps(ens)
     v_rows = mapped_rows(ens, maps, ens.info_nodes)
     h_v, h_vy = rank_pair(v_rows, ens.stack(ens.final_parities))
     assert h_vy - h_v == 0
@@ -331,7 +351,7 @@ def test_cond_entropy_split_matches_plain_elimination(lf, kf, rf, ri, alpha, q):
 
     outcomes = []
     for ens in (clean, plant_corruption(clean, "parity-copy")):
-        schemes = [_scheme_maps(ens, default_scheme(p))]
+        schemes = [default_maps(ens)]
         schemes += [{v: random_matrix(ens.field, rng.randint(0, p.alpha),
                                       p.alpha, rng) for v in ens.info_nodes}
                     for _ in range(3)]
@@ -353,8 +373,8 @@ def test_download_checks_map_each_node_once(monkeypatch):
     from convertbw import ensemble as E
     from convertbw.verify import corollary_trial
     p, ens = build(2, 2, 1, 3, 1, 7)
-    initial = [*ens.info_nodes, *ens.initial_parities]
-    maps = _scheme_maps(ens, default_scheme(p))
+    initial = list(ens.initial_nodes)
+    maps = default_maps(ens)
     seen = []   # every node ensemble._mapped maps
     mapped = E._mapped
 

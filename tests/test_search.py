@@ -38,7 +38,7 @@ def brute_force_min_gamma(p, ens):
         menus.append(options)
     best = None
     for picks in product(*menus):
-        scheme = ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
+        scheme = ConversionScheme(p, picks)
         if check_feasible(ens, scheme):
             g = scheme.read_total
             if best is None or g < best:
@@ -286,7 +286,7 @@ def test_scheme_inequalities_hold_for_all_feasible_schemes_small():
         menus.append(options)
     n_feasible = 0
     for picks in product(*menus):
-        scheme = ConversionScheme(p, tuple(picks[: p.ki]), tuple(picks[p.ki:]))
+        scheme = ConversionScheme(p, picks)
         if check_feasible(ens, scheme):
             n_feasible += 1
             assert check_scheme_inequalities(ens, scheme).ok
