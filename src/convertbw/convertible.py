@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,8 @@ class ConversionScheme:
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        # A tuple, so that equal schemes hash equal however they were built.
+        object.__setattr__(self, "maps", tuple(self.maps))
         p = self.params
         if len(self.maps) != p.ni:
             raise ValueError(f"expected {p.ni} download maps, got {len(self.maps)}")
@@ -179,6 +182,23 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
     return initial, final
 
 
+@lru_cache(maxsize=64)
+def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
+                     scheme: ConversionScheme):
+    """The message-independent part of a conversion: the downloading
+    nodes with their maps, in node order, and the matrix `combine` that
+    takes their downloaded values, in that order, to the new parities.
+    Raises InfeasibleSchemeError (never cached) when there is none."""
+    used = tuple((i, m) for i, m in enumerate(scheme.maps) if m.rows)
+    downloads = vstack([Matrix.zeros(initial.field, 0, p.message_dim)]
+                       + [m @ initial.node_block(i) for i, m in used])
+    combine = solve_left(final_parity_rows(p, final), downloads)
+    if combine is None:
+        raise InfeasibleSchemeError(
+            "downloaded rows do not span the final parity rows")
+    return used, combine
+
+
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
                    scheme: ConversionScheme, message: Sequence[int]):
     """Execute one conversion.
@@ -187,7 +207,8 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     a list of lf arrays of shape (nf, alpha).  Node i of the initial
     codeword is read through scheme.maps[i].  Data nodes of the final
     codewords are the unchanged initial data nodes; new parity values
-    are produced only from the downloaded rows.
+    are produced only from the downloaded rows, through a plan
+    (_conversion_plan) solved once per code pair and scheme.
 
     Raises InfeasibleSchemeError when the scheme cannot produce the
     final parities.  The codes are assumed to satisfy the MDS property
@@ -197,19 +218,9 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     p = params
     _check_code_pair(p, initial, final)
     _check_scheme_params(p, scheme)
-    fld = initial.field
     stored = _codeword(initial, message)
-
-    # Downloading nodes in node order; the coefficient rows and the
-    # stored values both follow this order.
-    used = [(i, m) for i, m in enumerate(scheme.maps) if m.rows]
-    downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
-                       + [m @ initial.node_block(i) for i, m in used])
-    combine = solve_left(final_parity_rows(p, final), downloads)
-    if combine is None:
-        raise InfeasibleSchemeError(
-            "downloaded rows do not span the final parity rows")
-    values = vstack([Matrix.zeros(fld, 0, 1)] + [
+    used, combine = _conversion_plan(p, initial, final, scheme)
+    values = vstack([Matrix.zeros(initial.field, 0, 1)] + [
         m @ stored.take_cols(initial.node_cols(i)).transpose() for i, m in used])
     new = [x for (x,) in (combine @ values).data]
 

@@ -10,6 +10,7 @@ layer, which is MDS whenever q >= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -21,6 +22,13 @@ from .linalg import Matrix, _frozen, mat_inverse, mat_rank
 
 class CorruptDataError(ValueError):
     """Supplied node symbols are inconsistent with any single message."""
+
+
+def _check_dims(n: int, k: int, alpha: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
 
 
 def json_count(x, what: str) -> int:
@@ -43,6 +51,7 @@ class VectorCode:
     generator: Matrix
 
     def __post_init__(self) -> None:
+        _check_dims(self.n, self.k, self.alpha)
         ka = self.k * self.alpha
         na = self.n * self.alpha
         if self.generator.field != self.field:
@@ -99,10 +108,7 @@ def _scalar_systematic_grs(n: int, k: int, fld: Field) -> Matrix:
 
 def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
     """Systematic [n, k, alpha] MDS code; requires q >= n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_dims(n, k, alpha)
     if fld.q < n:
         raise ValueError(
             f"field order {fld.q} < n = {n}: this construction cannot "
@@ -131,12 +137,20 @@ def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
     return _frozen(_codeword(code, message).data[0], code.n, code.alpha)
 
 
+@lru_cache(maxsize=256)
+def _decoder(code: VectorCode, cols: tuple[int, ...]) -> Matrix:
+    """The inverse of the generator's columns cols, shared by every
+    decode from the same node set of an equal code."""
+    return mat_inverse(code.generator.take_cols(cols))
+
+
 def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.ndarray:
     """Recover the message from node symbols.
 
     Needs at least k distinct nodes; the first k (in index order) fix the
-    message, any extras are cross-checked and a mismatch raises
-    CorruptDataError.
+    message through their cached inverse (_decoder), any extras are
+    cross-checked and a mismatch raises CorruptDataError.  Every call
+    validates its own symbols.
     """
     idx = sorted(available)
     if len(idx) < code.k:
@@ -149,9 +163,9 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
         symbols[i] = tuple(s.tolist())
     use = idx[: code.k]
-    cols = [c for i in use for c in code.node_cols(i)]
+    cols = tuple(c for i in use for c in code.node_cols(i))
     y = Matrix._of_rows(fld, [[x for i in use for x in symbols[i]]], len(cols))
-    msg = y @ mat_inverse(code.generator.take_cols(cols))
+    msg = y @ _decoder(code, cols)
     for i in idx[code.k:]:
         if (msg @ code.generator.take_cols(code.node_cols(i))).data[0] \
                 != symbols[i]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convertbw import convertible
 from convertbw.convertible import (ConversionScheme,
                                    InfeasibleSchemeError, canonical_codes,
                                    check_feasible, default_scheme,
@@ -18,6 +19,7 @@ from convertbw.ensemble import ensemble_from_codes
 from convertbw.linalg import Matrix, enumerate_subspaces
 from convertbw.mds import VectorCode, decode_from, encode
 from convertbw.params import SplitParams
+from convertbw.search import random_mds_pair
 
 
 def build(lf, kf, rf, ri, alpha, q):
@@ -109,6 +111,17 @@ def test_scheme_needs_one_map_per_initial_node():
     for count in (p.ni - 1, p.ni + 1):
         with pytest.raises(ValueError, match=f"expected {p.ni} download maps"):
             ConversionScheme(p, (full,) * count)
+
+
+def test_scheme_built_from_a_list_is_hashable():
+    p, initial, final, _ = build(2, 2, 1, 1, 1, 7)
+    scheme = default_scheme(p)
+    listed = ConversionScheme(p, list(scheme.maps))
+    assert listed == scheme and hash(listed) == hash(scheme)
+    assert isinstance(listed.maps, tuple)
+    a, _ = run_conversion(p, initial, final, listed, [1, 2, 3, 4])
+    b, _ = run_conversion(p, initial, final, scheme, [1, 2, 3, 4])
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_scheme_json_round_trip():
@@ -275,9 +288,38 @@ def test_run_conversion_no_new_parities():
 
 
 def test_run_conversion_infeasible_raises():
+    # A failed plan is not cached, and the message is checked before the
+    # plan is looked up.
     p, initial, final, _ = build(2, 2, 1, 2, 1, 7)
-    with pytest.raises(InfeasibleSchemeError):
-        run_conversion(p, initial, final, empty_scheme(p), [1, 2, 3, 4])
+    for _ in range(2):
+        with pytest.raises(InfeasibleSchemeError):
+            run_conversion(p, initial, final, empty_scheme(p), [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="message length") as err:
+        run_conversion(p, initial, final, empty_scheme(p), [1, 2, 3])
+    assert not isinstance(err.value, InfeasibleSchemeError)
+
+
+def test_cached_plans_and_inverses_follow_the_code_pair():
+    # Two pairs of equal shape, one scheme: interleaved conversions and
+    # decodes each use their own pair's plan and inverses.
+    p = SplitParams(2, 3, 2, 2, 2, 8)
+    pairs = [canonical_codes(p), random_mds_pair(p, random.Random(4))]
+    assert pairs[0][1] != pairs[1][1]
+    scheme = default_scheme(p)
+    convertible._conversion_plan.cache_clear()
+    rng = random.Random(6)
+    span = p.kf * p.alpha
+    for _ in range(3):
+        for initial, final in pairs:
+            msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
+            finals, _ = run_conversion(p, initial, final, scheme, msg)
+            for t, cw in enumerate(finals):
+                want = msg[t * span:(t + 1) * span]
+                assert np.array_equal(cw, encode(final, want))
+                for sub in combinations(range(p.nf), p.kf):
+                    assert decode_from(final, {i: cw[i] for i in sub}).tolist() == want
+    info = convertible._conversion_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_run_conversion_uses_parity_downloads():

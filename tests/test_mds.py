@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convertbw import mds
 from convertbw.gf import field
 from convertbw.linalg import Matrix
 from convertbw.mds import (CorruptDataError, VectorCode, decode_from, encode,
                            make_systematic_mds, verify_mds)
+from plain_elimination import ref_inverse
 
 F5 = field(5)
 F7 = field(7)
@@ -54,6 +56,22 @@ def test_construction_rejects_bad_dimensions():
         make_systematic_mds(3, 4, 1, F5)
     with pytest.raises(ValueError):
         make_systematic_mds(3, 2, 0, F5)
+
+
+@pytest.mark.parametrize("n,k,alpha,flat,match", [
+    (1, 2, 1, [1, 0], "need 1 <= k <= n"),
+    (0, 0, 1, [], "need 1 <= k <= n"),
+    (2, 0, 1, [], "need 1 <= k <= n"),
+    (2, 1, 0, [], "alpha must be >= 1"),
+])
+def test_impossible_dimensions_rejected(n, k, alpha, flat, match):
+    # Refused before any shape or systematic check indexes the
+    # generator, so k > n is a ValueError rather than an IndexError.
+    doc = {"n": n, "k": k, "alpha": alpha, "q": 5, "generator": flat}
+    with pytest.raises(ValueError, match=match):
+        VectorCode.from_json_dict(doc)
+    with pytest.raises(ValueError, match=match):
+        VectorCode(n, k, alpha, F5, Matrix.zeros(F5, k * alpha, n * alpha))
 
 
 def test_encode_zero_message():
@@ -113,8 +131,12 @@ def test_decode_reports_corruption_with_extra_node():
     code = make_systematic_mds(4, 2, 1, F5)
     cw = encode(code, [1, 2])
     tampered = {0: cw[0], 1: cw[1], 2: [(int(cw[2][0]) + 1) % 5]}
-    with pytest.raises(CorruptDataError):
-        decode_from(code, tampered)
+    # A clean decode caches the inverse of nodes 0 and 1; the extra node
+    # is still cross-checked on every later call.
+    assert decode_from(code, {i: cw[i] for i in range(4)}).tolist() == [1, 2]
+    for _ in range(2):
+        with pytest.raises(CorruptDataError):
+            decode_from(code, tampered)
     # Raising a symbol by p is tampering too, not the same symbol mod p.
     code7 = make_systematic_mds(7, 4, 1, F7)
     cw7 = encode(code7, [1, 2, 3, 4])
@@ -122,6 +144,39 @@ def test_decode_reports_corruption_with_extra_node():
     raised[4] = cw7[4] + 7
     with pytest.raises(ValueError, match="outside"):
         decode_from(code7, raised)
+
+
+@pytest.mark.parametrize("n,k,alpha,q", [(5, 3, 2, 7), (4, 2, 2, 16)])
+def test_cached_decode_matches_plain_inverse(n, k, alpha, q):
+    # Each k-subset's inverse is computed on the cold pass and reused on
+    # the warm one; both decode to y @ (plain-elimination inverse).
+    code = make_systematic_mds(n, k, alpha, field(q))
+    subsets = list(combinations(range(n), k))
+    rng = random.Random(q)
+    mds._decoder.cache_clear()
+    for _ in ("cold", "warm"):
+        msg = [rng.randrange(q) for _ in range(k * alpha)]
+        cw = encode(code, msg)
+        for sub in subsets:
+            cols = [c for i in sub for c in code.node_cols(i)]
+            y = Matrix(code.field, [[int(x) for i in sub for x in cw[i]]])
+            want = (y @ ref_inverse(code.generator.take_cols(cols))).data[0]
+            got = decode_from(code, {i: cw[i] for i in sub})
+            assert tuple(got.tolist()) == want == tuple(msg)
+    info = mds._decoder.cache_info()
+    assert (info.misses, info.hits) == (len(subsets), len(subsets))
+
+
+def test_singular_subset_raises_on_every_decode():
+    # Nodes 2 and 3 of this non-MDS code store the same column; a failed
+    # inverse is not cached, so every decode from them raises.
+    g = make_systematic_mds(4, 2, 1, F5).generator.array.copy()
+    g[:, 3] = g[:, 2]
+    dup = VectorCode(4, 2, 1, F5, Matrix(F5, g))
+    cw = encode(dup, [1, 2])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            decode_from(dup, {2: cw[2], 3: cw[3]})
 
 
 def test_non_integer_symbols_rejected():
