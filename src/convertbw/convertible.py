@@ -14,12 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .ensemble import (LinearEnsemble, _check_code_pair, final_parity_rows,
                        mapped_rows)
 from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
-from .mds import VectorCode, _codeword, json_count, make_systematic_mds
+from .gf import as_count
+from .mds import VectorCode, _codeword, make_systematic_mds
 from .params import SplitParams, rational_json
 
 
@@ -84,13 +83,6 @@ class ConversionScheme:
 
     @classmethod
     def from_json_dict(cls, params: SplitParams, d) -> "ConversionScheme":
-        fld = params.field()
-        alpha = params.alpha
-
-        def unflatten(flat, rows, what):
-            rows = json_count(rows, what)
-            return Matrix(fld, np.asarray(list(flat)).reshape(rows, alpha))
-
         if len(d["A"]) != len(d["beta"]) or len(d["B"]) != len(d["sigma"]):
             raise ValueError("scheme needs one A map per beta entry and "
                              "one B map per sigma entry")
@@ -98,8 +90,10 @@ class ConversionScheme:
             if len(d[key]) != want:
                 raise ValueError(f"expected {want} {what} maps, got {len(d[key])}")
         return cls(params, tuple(
-            [unflatten(f, b, "beta entry") for f, b in zip(d["A"], d["beta"])]
-            + [unflatten(f, s, "sigma entry") for f, s in zip(d["B"], d["sigma"])]))
+            Matrix.from_flat(params.field(), flat, as_count(rows, f"{dim} entry"),
+                             params.alpha, f"{key} map")
+            for key, dim in (("A", "beta"), ("B", "sigma"))
+            for flat, rows in zip(d[key], d[dim])))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ supported:
   tables over the powers of x.
 
 Each field has one kernel on Python lists, row_submul, behind all its
-arithmetic in the package; the numpy arr_* kernels are a reference.
+arithmetic in the package.  Outside entries and counts are checked in
+plain Python (Field.as_elements, as_count); numpy appears only in the
+arr_* reference kernels and the int64 tables they read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 PRIME_LIMIT = 251
 BINARY_DEGREE_LIMIT = 8
-_INT64 = np.dtype(np.int64)
 
 # Primitive polynomials over GF(2), one per degree: each is irreducible
 # and x has order 2^m - 1 modulo it.  Bit i is the coefficient of x^i;
@@ -33,6 +34,16 @@ _IRREDUCIBLE = {
     7: 0b10000011,   # x^7 + x + 1
     8: 0b100011101,  # x^8 + x^4 + x^3 + x^2 + 1
 }
+
+
+def as_count(x, what: str, lo: int = 0) -> int:
+    """x if it is a plain int >= lo: a bool, a float 2.0 or a string
+    "2" is refused, never cast."""
+    if type(x) is not int or x < lo:
+        need = f">= {lo}" if lo else "a nonnegative integer"
+        kind = "" if type(x) is int else f" (a {type(x).__name__}; it must be an int)"
+        raise ValueError(f"{what} must be {need}, got {x!r}{kind}")
+    return x
 
 
 def is_prime(n: int) -> bool:
@@ -75,29 +86,42 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def as_elements(self, data) -> np.ndarray:
-        """data as an int64 array of field elements.
+    def as_elements(self, data) -> tuple[list | int, tuple[int, ...]]:
+        """(values, shape): data's entries as Python ints in [0, q),
+        nested in lists as data nests them (lists, tuples, ranges; a
+        numpy array or scalar through .tolist()), and its numpy shape.
 
-        Every entry must be an integer in [0, q): a float 5.5 is refused,
-        not truncated to 5, and nothing is reduced modulo q.  An int64
-        array passes with one dtype test and is returned as is; callers
-        copy what they keep (Matrix keeps tuples of ints).
+        A bool counts as 0 or 1 and an integral float as its integer; a
+        float 5.5 is refused, not truncated to 5, nothing is reduced
+        modulo q, and ragged nesting is refused.  A list of plain ints
+        is returned as is after one pass; callers copy what they keep.
         """
-        a = np.asarray(data)
-        if a.dtype is not _INT64:
-            kind = a.dtype.kind
-            if kind not in "biuf":
+        q = self.q
+
+        def walk(x):
+            if hasattr(x, "tolist"):
+                x = x.tolist()
+            if type(x) is list and all(type(y) is int and 0 <= y < q for y in x):
+                return x, (len(x),)
+            if isinstance(x, (list, tuple, range)):
+                items = [walk(y) for y in x]
+                inner = {s for _, s in items} or {()}
+                if len(inner) > 1:
+                    raise ValueError(f"ragged entries for {self!r}")
+                return [v for v, _ in items], (len(items), *inner.pop())
+            if isinstance(x, float) and x.is_integer():
+                x = int(x)
+            if not isinstance(x, int):
                 raise ValueError(f"non-integer entries for {self!r}")
-            with np.errstate(invalid="ignore"):
-                cast = a.astype(np.int64)
-            if kind == "f" and not np.array_equal(cast, a):
-                raise ValueError(f"non-integer entries for {self!r}")
-            a = cast
-        # Negative entries wrap to huge values as uint64, so one max()
-        # catches both ends.
-        if a.size and a.view(np.uint64).max() >= self.q:
-            raise ValueError(f"entries outside [0, {self.q}) for {self!r}")
-        return a
+            if not 0 <= x < q:
+                raise ValueError(f"entries outside [0, {q}) for {self!r}")
+            return int(x), ()
+
+        values, shape = walk(data)
+        full = getattr(data, "shape", shape)   # keeps a numpy array's empty axes
+        if full[:len(shape)] != shape:         # an object array of sequences
+            raise ValueError(f"non-integer entries for {self!r}")
+        return values, full
 
     # Array kernels.
 
@@ -257,12 +281,8 @@ def field(q: int) -> Field:
     Other prime powers, and any q that is not a plain int (a float 8.0,
     a bool), raise ValueError.
     """
-    if type(q) is not int:
-        raise ValueError(f"field order must be an int, got {q!r}")
-    if q in _FIELD_CACHE:
+    if as_count(q, "field order", 2) in _FIELD_CACHE:
         return _FIELD_CACHE[q]
-    if q < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
     if is_prime(q):
         f: Field = PrimeField(q)
     elif q & (q - 1) == 0:

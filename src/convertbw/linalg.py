@@ -1,10 +1,11 @@
 """Dense exact linear algebra over the fields in :mod:`convertbw.gf`.
 
 A Matrix couples a Field with a tuple of row tuples of Python ints and
-a column count.  Matrix(field, rows) is the one place entries are
-checked (integers in [0, q)); results computed in the package are built
-unchecked by Matrix._of_rows.  numpy is used only at the edge: the
-input check and the read-only Matrix.array export.
+a column count.  Outside data enters through Matrix(field, rows), 2-D,
+or Matrix.from_flat, a row-major entry list (messages, JSON), whose
+entries Field.as_elements checks; results computed in the package are
+built unchecked by Matrix._of_rows.  numpy is used only for output:
+_frozen and the read-only Matrix.array.
 
 All arithmetic runs on Python lists, since most matrices here have a
 few rows, and its one field kernel is Field.row_submul: a product adds
@@ -39,12 +40,12 @@ class Matrix:
     __slots__ = ("field", "data", "cols")
 
     def __init__(self, field: Field, rows):
-        a = field.as_elements(rows)
-        if a.ndim != 2:
-            raise ValueError(f"matrix data must be 2-D, got shape {a.shape}")
+        values, shape = field.as_elements(rows)
+        if len(shape) != 2:
+            raise ValueError(f"matrix data must be 2-D, got shape {shape}")
         self.field = field
-        self.data = tuple(map(tuple, a.tolist()))
-        self.cols = a.shape[1]
+        self.data = tuple(map(tuple, values))
+        self.cols = shape[1]
 
     @classmethod
     def _of_rows(cls, field: Field, rows, cols: int) -> "Matrix":
@@ -54,6 +55,16 @@ class Matrix:
         m.data = tuple(map(tuple, rows))
         m.cols = cols
         return m
+
+    @classmethod
+    def from_flat(cls, field: Field, flat, rows: int, cols: int, what: str) -> "Matrix":
+        """The rows x cols matrix whose row-major entries (Matrix.flat)
+        are flat, a sequence checked by Field.as_elements."""
+        values, shape = field.as_elements(flat)
+        if shape != (rows * cols,):
+            raise ValueError(f"{what}: expected {rows * cols} entries, got shape {shape}")
+        return cls._of_rows(field, [values[i * cols:(i + 1) * cols]
+                                    for i in range(rows)], cols)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":

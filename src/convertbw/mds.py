@@ -14,9 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .gf import Field, field as make_field
+from .gf import Field, as_count, field as make_field
 from .linalg import Matrix, _frozen, mat_inverse, mat_rank
 
 
@@ -25,18 +23,10 @@ class CorruptDataError(ValueError):
 
 
 def _check_dims(n: int, k: int, alpha: int) -> None:
+    n, k = as_count(n, "n"), as_count(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-
-
-def json_count(x, what: str) -> int:
-    """x if it is a plain nonnegative int: a float 7.9, a bool or a
-    string "3" read from JSON is refused, not cast."""
-    if type(x) is not int or x < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {x!r}")
-    return x
+    as_count(alpha, "alpha", 1)
 
 
 @dataclass(frozen=True)
@@ -86,13 +76,10 @@ class VectorCode:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "VectorCode":
-        fld = make_field(json_count(d["q"], "q"))
-        n, k, alpha = (json_count(d[key], key) for key in ("n", "k", "alpha"))
-        flat = list(d["generator"])
-        if len(flat) != k * alpha * n * alpha:
-            raise ValueError("generator entry count does not match n, k, alpha")
-        gen = Matrix(fld, np.asarray(flat).reshape(k * alpha, n * alpha))
-        return cls(n, k, alpha, fld, gen)
+        fld = make_field(as_count(d["q"], "q"))
+        n, k, alpha = (as_count(d[key], key) for key in ("n", "k", "alpha"))
+        return cls(n, k, alpha, fld, Matrix.from_flat(
+            fld, d["generator"], k * alpha, n * alpha, "generator"))
 
 
 def _scalar_systematic_grs(n: int, k: int, fld: Field) -> Matrix:
@@ -122,16 +109,11 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
 
 def _codeword(code: VectorCode, message: Sequence[int]) -> Matrix:
     """The codeword of a validated message: one row of n*alpha symbols."""
-    msg = code.field.as_elements(list(message))
-    if msg.shape != (code.k * code.alpha,):
-        raise ValueError(
-            f"message length {msg.shape[0] if msg.ndim == 1 else msg.shape} "
-            f"!= k*alpha = {code.k * code.alpha}")
-    row = Matrix._of_rows(code.field, [msg.tolist()], msg.shape[0])
-    return row @ code.generator
+    return Matrix.from_flat(code.field, message, 1, code.k * code.alpha,
+                            "message length") @ code.generator
 
 
-def encode(code: VectorCode, message: Sequence[int]) -> np.ndarray:
+def encode(code: VectorCode, message: Sequence[int]):
     """Encode a message of k*alpha subsymbols; returns an (n, alpha)
     read-only array of node symbols."""
     return _frozen(_codeword(code, message).data[0], code.n, code.alpha)
@@ -144,7 +126,7 @@ def _decoder(code: VectorCode, cols: tuple[int, ...]) -> Matrix:
     return mat_inverse(code.generator.take_cols(cols))
 
 
-def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.ndarray:
+def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
     """Recover the message from node symbols.
 
     Needs at least k distinct nodes; the first k (in index order) fix the
@@ -158,10 +140,10 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
     fld = code.field
     symbols = {}
     for i in idx:
-        s = fld.as_elements(list(available[i]))
-        if s.shape != (code.alpha,):
+        s, shape = fld.as_elements(available[i])
+        if shape != (code.alpha,):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
-        symbols[i] = tuple(s.tolist())
+        symbols[i] = tuple(s)
     use = idx[: code.k]
     cols = tuple(c for i in use for c in code.node_cols(i))
     y = Matrix._of_rows(fld, [[x for i in use for x in symbols[i]]], len(cols))
@@ -174,8 +156,10 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]) -> np.
     return _frozen(msg.data[0], len(cols))
 
 
+@lru_cache(maxsize=256)
 def verify_mds(code: VectorCode) -> bool:
-    """True iff every k-subset of node column blocks has full rank."""
+    """True iff every k-subset of node column blocks has full rank;
+    cached by value, as a drawn code is checked again by its ensemble."""
     ka = code.k * code.alpha
     for subset in combinations(range(code.n), code.k):
         cols = [c for i in subset for c in code.node_cols(i)]

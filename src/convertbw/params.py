@@ -41,18 +41,10 @@ class SplitParams:
     q: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("lf", "kf", "rf", "ri", "alpha"):
-            v = getattr(self, name)
-            if type(v) is not int:   # no float 2.0, no bool True
-                raise ValueError(f"{name} must be an int, got {v!r}")
+        for name, lo in (("lf", 0), ("kf", 1), ("rf", 0), ("ri", 0), ("alpha", 1)):
+            gf.as_count(getattr(self, name), name, lo)
         if self.lf < 2:
             raise ValueError(f"split conversion requires lf >= 2, got {self.lf}")
-        if self.kf < 1:
-            raise ValueError(f"kf must be >= 1, got {self.kf}")
-        if self.rf < 0 or self.ri < 0:
-            raise ValueError("parity counts must be nonnegative")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.q is not None:
             fld = gf.field(self.q)  # validates the order
             need = max(self.ni, self.nf)

@@ -26,6 +26,7 @@ from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
 from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows
+from .gf import as_count
 from .linalg import (Matrix, _insert_rows, _reduce_row, enumerate_subspaces,
                      mat_rank, random_invertible)
 from .mds import VectorCode, verify_mds
@@ -40,12 +41,9 @@ class SearchBudget:
     max_visits: int = 10_000_000       # cap on schemes in enumeration order
 
     def __post_init__(self) -> None:
-        # Plain ints only: no float 5.0, no bool True.
-        v, d = self.max_visits, self.max_total_dim
-        if type(v) is not int or v < 1:
-            raise ValueError(f"max_visits must be an int >= 1, got {v!r}")
-        if d is not None and (type(d) is not int or d < 0):
-            raise ValueError(f"max_total_dim must be None or an int >= 0, got {d!r}")
+        as_count(self.max_visits, "max_visits", 1)
+        if self.max_total_dim is not None:
+            as_count(self.max_total_dim, "max_total_dim")
 
 
 @dataclass
@@ -403,8 +401,7 @@ def certify_bound(p: SplitParams, trials: int, budget: SearchBudget | None = Non
     parity mixes) and compare each pair's minimum feasible read cost to
     the parameter bound."""
     import random
-    if type(trials) is not int or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    as_count(trials, "trials", 1)
     if p.q is None:
         raise ValueError("certification needs a field order q")
     if budget is None:

@@ -236,6 +236,24 @@ def test_certify_requires_field():
         certify_bound(SplitParams(2, 1, 1, 1), trials=1)
 
 
+def test_each_drawn_code_is_checked_for_mds_once(monkeypatch):
+    # The parity mix checks each candidate code and ensemble_from_codes
+    # checks the accepted pair again; the second check is a cache hit.
+    from convertbw import ensemble, search
+    asked = []
+
+    def spy(code):
+        asked.append(code)
+        return verify_mds(code)
+
+    monkeypatch.setattr(search, "verify_mds", spy)
+    monkeypatch.setattr(ensemble, "verify_mds", spy)
+    verify_mds.cache_clear()
+    certify_bound(SplitParams(2, 3, 2, 2, 1, 8), trials=3)
+    assert len(asked) > len(set(asked))
+    assert verify_mds.cache_info().misses == len(set(asked))
+
+
 def test_random_pairs_are_mds_and_systematic():
     p = SplitParams(2, 2, 1, 2, 1, 7)
     rng = random.Random(123)
