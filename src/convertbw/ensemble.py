@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .gf import Field
+from .gf import Field, as_count
 from .linalg import Matrix, _insert_rows, mat_rank, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
@@ -53,8 +53,7 @@ class NodeId(tuple):
     def __new__(cls, kind: str, index: int) -> NodeId:
         if kind not in _KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
-        if index < 0:
-            raise ValueError("node index must be nonnegative")
+        index = as_count(index, "node index")
         return tuple.__new__(cls, (_KINDS.index(kind), index))
 
     def __getnewargs__(self) -> tuple[str, int]:

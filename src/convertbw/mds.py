@@ -132,9 +132,9 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
     Needs at least k distinct nodes; the first k (in index order) fix the
     message through their cached inverse (_decoder), any extras are
     cross-checked and a mismatch raises CorruptDataError.  Every call
-    validates its own symbols.
+    validates its own symbols, and node indices by the count rule.
     """
-    idx = sorted(available)
+    idx = sorted(as_count(i, "node index") for i in available)
     if len(idx) < code.k:
         raise ValueError(f"need at least k={code.k} nodes, got {len(idx)}")
     fld = code.field

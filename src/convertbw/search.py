@@ -9,10 +9,10 @@ lexicographically smallest such minimizer.
 
 A download profile (the dimension read from each node) is skipped whole
 when a cut table shows by rank alone that it cannot cover the new
-parities (see _CutTable); within a profile the walk is incremental and
-cuts branches by a rank bound (see min_bandwidth_exhaustive).
-`visited` is a position in the enumeration order, cut profiles and
-branches included, not a count of evaluations.
+parities (see _CutTable); within a profile the fixed nodes join once
+and only the free ones are walked, cutting branches by a rank bound (see
+min_bandwidth_exhaustive).  `visited` is a position in the enumeration
+order, cut profiles and branches included, not a count of evaluations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable
 
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
@@ -60,16 +61,14 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _compositions(total: int, slots: int, maxv: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=1024)
+def _compositions(total: int, slots: int, maxv: int) -> tuple[tuple[int, ...], ...]:
     """All slot-tuples of values in [0, maxv] summing to total, lex order."""
     if slots == 0:
-        if total == 0:
-            yield ()
-        return
+        return ((),) if total == 0 else ()
     lo = max(0, total - (slots - 1) * maxv)
-    for first in range(lo, min(total, maxv) + 1):
-        for rest in _compositions(total - first, slots - 1, maxv):
-            yield (first,) + rest
+    return tuple((first,) + rest for first in range(lo, min(total, maxv) + 1)
+                 for rest in _compositions(total - first, slots - 1, maxv))
 
 
 class _SchemeSpace:
@@ -127,6 +126,7 @@ class _CutTable:
         self._basis = {0: []}
         self._residual = {0: [r for _, r in _insert_rows(
             self.fld, [], space.targets.data)]}
+        self._need: dict[int, int] = {}   # need(A) by mask A
 
     def _reduced(self, c: int) -> list:
         if c in self._residual:
@@ -146,7 +146,9 @@ class _CutTable:
         return res
 
     def need(self, a: int) -> int:
-        return len(self._reduced(self.full ^ a))
+        if a not in self._need:
+            self._need[a] = len(self._reduced(self.full ^ a))
+        return self._need[a]
 
     def rejects(self, profile) -> bool:
         """Whether some set A of slots has sum(profile over A) < need(A).
@@ -155,11 +157,12 @@ class _CutTable:
         non-full slots are tried: adding an empty slot to A keeps the
         sum and cannot lower need, and dropping a full slot lowers the
         sum by alpha and need by at most alpha (one block's rank)."""
+        alpha, need = self.alpha, self.need
         sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
         for s, d in enumerate(profile):
-            if 0 < d < self.alpha:
+            if 0 < d < alpha:
                 sets += [(a | 1 << s, t + d) for a, t in sets]
-        return any(t < self.need(a) for a, t in sets)
+        return any(t < need(a) for a, t in sets)
 
 
 class _VisitCap(Exception):
@@ -179,15 +182,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     skipped whole.  The table is made once the first profile's walk has
     failed, so a search that succeeds at once never pays for it.
 
-    Within one profile the slots are walked depth first in product
-    order.  Each depth carries the echelon basis, in insertion order, of
-    the rows downloaded so far (linalg._insert_rows) and the nonzero
-    target rows reduced against it, so a visit eliminates only the new
-    slot's rows and reduces the residual against only the rows that
-    joined (every basis row is already zero at every earlier pivot).  A
-    subtree is skipped when the residual rank exceeds the rows the
-    remaining slots can add.  Skipped profiles and subtrees still count
-    in `visited`, which is the position in the full enumeration order.
+    In a profile, the fixed slots (dimension 0 or alpha: index 0 only)
+    join once, the targets and free slots' menu rows are reduced modulo
+    their rows once, and only the free slots are walked, depth first in
+    product order.  Each depth carries the echelon basis of the rows
+    downloaded so far (linalg._insert_rows) and the residual targets,
+    zero at its pivots, so a visit reduces them against only the rows
+    that joined; a subtree is skipped when their rank exceeds the rows
+    the remaining free slots can add.  Skipped profiles and subtrees
+    still count in `visited`, the position in the full enumeration order.
     """
     p = ens.params
     fld = ens.field
@@ -197,7 +200,6 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
     sizes = [len(subs) for subs in space.subspaces]
-    targets = [r for r in space.targets.data if any(r)]
     visited = 0
 
     def skip(schemes):
@@ -207,34 +209,28 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
             raise _VisitCap
         visited += schemes
 
-    def walk(profile, left, below, depth, basis, residual, combo):
-        # left[j]: rows slots j.. may still add; below[j]: schemes under
-        # one node at depth j.  Returns the feasible combo or None.
-        nonlocal visited
+    def modulo(basis, rows):
+        # The nonzero rows left of rows reduced against basis.
+        return [r for r in (_reduce_row(fld, basis, r) for r in rows) if any(r)]
+
+    def walk(depth, basis, residual, combo):
+        # menus[j]: free slot j's rows modulo the fixed rows; left[j]:
+        # rows free slots j.. may still add; below[j]: schemes under one
+        # node at depth j.  combo holds index 0 at every fixed slot.
+        if depth == len(menus):
+            skip(1)
+            return None if residual else combo
         if len(residual) > left[depth] and \
                 len(_insert_rows(fld, [], residual)) > left[depth]:
             skip(below[depth])
             return None
-        last = depth == slots - 1
-        for i, rows in enumerate(space.mapped[depth][profile[depth]]):
+        for i, rows in enumerate(menus[depth]):
             new_basis = _insert_rows(fld, list(basis), rows)
             joined = new_basis[len(basis):]
-            new_res = residual
-            if joined:
-                new_res = [r for r in (_reduce_row(fld, joined, r)
-                                       for r in residual) if any(r)]
-            if last:
-                visited += 1
-                if visited > budget.max_visits:
-                    visited -= 1
-                    raise _VisitCap
-                if not new_res:
-                    return combo + (i,)
-            else:
-                found = walk(profile, left, below, depth + 1, new_basis,
-                             new_res, combo + (i,))
-                if found is not None:
-                    return found
+            combo[free[depth]] = i
+            found = walk(depth + 1, new_basis, modulo(joined, residual), combo)
+            if found is not None:
+                return found
         return None
 
     # Any feasible stack must span the target rows, so levels below the
@@ -246,10 +242,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                 if cuts is not None and cuts.rejects(profile):
                     skip(math.prod(sizes[d] for d in profile))
                     continue
-                left = [sum(profile[j:]) for j in range(slots)]
-                below = [math.prod(sizes[d] for d in profile[j:])
-                         for j in range(slots)]
-                combo = walk(profile, left, below, 0, [], targets, ())
+                fixed = _insert_rows(fld, [], [
+                    r for s, d in enumerate(profile) if sizes[d] == 1
+                    for r in space.mapped[s][d][0]])
+                free = [s for s, d in enumerate(profile) if sizes[d] > 1]
+                menus = [[modulo(fixed, rows) for rows in space.mapped[s][profile[s]]]
+                         for s in free]
+                left = [sum(profile[s] for s in free[j:]) for j in range(len(free))]
+                below = [math.prod(map(len, menus[j:])) for j in range(len(free))]
+                combo = walk(0, [], modulo(fixed, space.targets.data), [0] * slots)
                 if combo is not None:
                     scheme = space.scheme_for(profile, combo)
                     if on_feasible is not None:

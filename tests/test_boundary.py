@@ -220,15 +220,18 @@ def test_shape_rule_at_every_entry_point(call, arg, want):
     lambda: make_systematic_mds(4, 2, True, F5),
     lambda: encode(CODE, 7),
     lambda: decode_from(CODE, {0: 3, 1: [2]}),
+    lambda: decode_from(CODE, {0.0: [1], 1: [2]}),
+    lambda: decode_from(CODE, {True: [1], 0: [2]}),
     lambda: _code_json(7),
     lambda: _scheme_json({"beta": [1, 2], "sigma": [0],
                           "A": [1, [1, 0, 0, 1]], "B": [[]]}),
 ], ids=["VectorCode k=2.0", "VectorCode alpha=True", "make k=2.0",
         "make alpha=True", "encode scalar", "decode scalar symbols",
+        "decode float node index", "decode bool node index",
         "code json scalar generator", "scheme json scalar map"])
 def test_counts_and_scalars_are_value_errors(call):
     # Each of these once escaped as a TypeError from range() or list(),
-    # or (alpha=True) built a code.
+    # or (alpha=True, a bool node index) built a code or decoded.
     with pytest.raises(ValueError):
         call()
 

@@ -400,8 +400,10 @@ def test_download_checks_map_each_node_once(monkeypatch):
 def test_node_id_validation():
     with pytest.raises(ValueError):
         NodeId("bogus", 0)
-    with pytest.raises(ValueError):
-        NodeId("info", -1)
+    # The index is a count: a float or a bool is refused, never cast.
+    for index in (-1, 2.5, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            NodeId("info", index)
 
 
 def test_node_id_order_equality_and_copies():

@@ -13,7 +13,7 @@ from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    default_scheme, empty_scheme)
 from convertbw.ensemble import ensemble_from_codes
 from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair
-from convertbw.mds import verify_mds
+from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
                               _CutTable, _SchemeSpace, certify_bound,
@@ -135,14 +135,19 @@ def _differential_cases():
     # seconds per pair), two more alpha = 2 points, one GF(8) point, and
     # both budget caps.  At (2,2,1,1,2,5) the levels end at visits 7570,
     # 19846 and 27416, and the caps 7571, 19846 and 27416 fall inside
-    # profiles the cut table skips whole.
+    # profiles the cut table skips whole.  Level 7 walks two profiles,
+    # (1,1,2,2,1) at visits 27879-28094 and (2,2,1,1,1) at 29463-29678,
+    # each with free slots around fixed ones: the caps 27900 and 29500
+    # fall inside subtrees the rank bound skips, 27921 and 29550 on
+    # visited leaves.
     points = [((2, 1, 1, 1, 1, 5), 3), ((2, 1, 2, 1, 1, 5), 3),
               ((2, 2, 1, 1, 1, 5), 3), ((2, 2, 1, 1, 2, 5), 2),
               ((2, 3, 2, 2, 1, 8), 3), ((2, 1, 1, 1, 2, 5), 3),
               ((2, 1, 1, 1, 2, 8), 3)]
     cases = [(pt, k, SearchBudget()) for pt, pairs in points for k in range(pairs)]
     cases += [((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_visits=v))
-              for v in (1, 50, 7570, 7571, 19846, 27416, 29696, 29697)]
+              for v in (1, 50, 7570, 7571, 19846, 27416, 27900, 27921,
+                        29500, 29550, 29696, 29697)]
     cases += [((2, 2, 1, 1, 2, 5), 0, SearchBudget(max_total_dim=d))
               for d in (6, 7)]
     return [pytest.param(pt, k, b, id="-".join(map(str, pt)) + f"/pair{k}/"
@@ -167,6 +172,52 @@ def test_search_matches_reference_enumerator(point, pair, budget):
     want = reference_search(ens, budget)
     assert (got.status, got.gamma, got.visited, got.scheme) == \
         (want.status, want.gamma, want.visited, want.scheme)
+
+
+def random_systematic_pair(p, rng):
+    """A seeded pair of systematic codes with uniformly drawn parity
+    blocks, each redrawn until it is MDS.  With ri = rf = 1 a parity mix
+    keeps the parity node's row space, so every mixed pair searches like
+    the canonical one; these pairs do not."""
+    fld = p.field()
+    codes = []
+    for n, k in ((p.ni, p.ki), (p.nf, p.kf)):
+        ka, ra = k * p.alpha, (n - k) * p.alpha
+        while True:
+            code = VectorCode(n, k, p.alpha, fld, Matrix(fld, [
+                [int(i == j) for j in range(ka)] + [rng.randrange(fld.q)
+                                                    for _ in range(ra)]
+                for i in range(ka)]))
+            if verify_mds(code):
+                codes.append(code)
+                break
+    return codes
+
+
+def test_search_rebuilds_fixed_slots_between_free_ones():
+    # Found at gamma 7 in profile (1,1,2,2,1): the full slots 2 and 3
+    # join once and take index 0 between the walked free slots 0, 1, 4.
+    p = SplitParams(2, 2, 1, 1, 2, 5)
+    ens = ensemble_from_codes(p, *random_systematic_pair(p, random.Random(0)))
+    got = min_bandwidth_exhaustive(ens, SearchBudget())
+    want = reference_search(ens, SearchBudget())
+    assert (got.status, got.gamma, got.visited, got.scheme) == \
+        (want.status, want.gamma, want.visited, want.scheme)
+    subspaces = _SchemeSpace(ens).subspaces
+    assert [(m.rows, subspaces[m.rows].index(m)) for m in got.scheme.maps] == \
+        [(1, 1), (1, 4), (2, 0), (2, 0), (1, 3)]
+    assert (got.gamma, got.visited) == (7, 27942)
+
+
+@pytest.mark.parametrize("total,slots,maxv", [
+    (0, 0, 2), (1, 0, 2), (0, 3, 2), (4, 3, 2), (7, 3, 2), (7, 5, 2),
+    (3, 4, 1), (5, 3, 3)])
+def test_compositions_are_the_lex_filtered_product(total, slots, maxv):
+    got = _compositions(total, slots, maxv)
+    assert type(got) is tuple and all(type(c) is tuple for c in got)
+    assert list(got) == [c for c in product(range(maxv + 1), repeat=slots)
+                         if sum(c) == total]
+    assert _compositions(total, slots, maxv) is got   # one shared table
 
 
 @pytest.mark.parametrize("pair", [0, 1])

@@ -41,3 +41,16 @@ def test_traced_smoke_run_repeats_its_counts(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert proc.returncode == 0 and doc["correct"] is True, proc.stdout[-2000:]
+
+
+def test_traced_certify_deep_walks_free_slots(tmp_path):
+    # At alpha = 2 the search walks free slots (at alpha = 1, as in
+    # --smoke, no slot is free).  The two traced items, the canonical
+    # pair and the first parity mix, take 29,697 visits each.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "certify-deep",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.returncode == 0 and doc["correct"] is True, proc.stdout[-2000:]
+    assert doc["metrics"]["search.visits"]["value"] == 59_394
