@@ -8,8 +8,8 @@ from .bounds import (BoundReport, achievable_decreasing, bound_I, bound_II,
                      reference_merge_bound, theorem_bound, uniform_cost_bound)
 from .convertible import (BandwidthReport, ConversionScheme,
                           InfeasibleSchemeError, canonical_codes,
-                          check_feasible, default_scheme, empty_scheme,
-                          run_conversion, scheme_bandwidth)
+                          check_feasible, default_scheme, run_conversion,
+                          scheme_bandwidth)
 from .ensemble import (IndependencePreconditionError, LinearEnsemble, NodeId,
                        check_cond_entropy_final, check_corollaries,
                        check_joint_entropy, check_mds_reconstruction,

@@ -5,6 +5,11 @@ coordinator applies to that node's stored subsymbols before download.
 Maps are kept in canonical form: full row rank, reduced row-echelon.
 The read cost of a scheme is simply the total number of downloaded
 rows; writes always materialize the lf*rf new parity nodes in full.
+
+run_conversion multiplies only through Field.lincomb, by matrices
+packed once per (params, code pair, scheme) in the value-keyed
+_conversion_plan cache: each downloading node's map and the matrix
+combining the downloaded values into the new parities.
 """
 
 from __future__ import annotations
@@ -53,12 +58,6 @@ class ConversionScheme:
                 raise ValueError("download map cannot exceed alpha rows")
             if rref(m) != m:
                 raise ValueError("download maps must be canonical full-row-rank bases")
-
-    @classmethod
-    def from_maps(cls, params: SplitParams,
-                  maps: Sequence[Matrix]) -> "ConversionScheme":
-        """Canonicalize arbitrary (possibly rank-deficient) maps."""
-        return cls(params, tuple(rref(m) for m in maps))
 
     @property
     def beta(self) -> tuple[int, ...]:
@@ -140,12 +139,6 @@ def default_scheme(params: SplitParams) -> ConversionScheme:
     return ConversionScheme(params, (full,) * params.ki + (empty,) * params.ri)
 
 
-def empty_scheme(params: SplitParams) -> ConversionScheme:
-    fld = params.field()
-    empty = Matrix.zeros(fld, 0, params.alpha)
-    return ConversionScheme(params, (empty,) * params.ni)
-
-
 def scheme_bandwidth(scheme: ConversionScheme) -> BandwidthReport:
     return BandwidthReport(scheme.params, scheme.beta, scheme.sigma)
 
@@ -179,18 +172,22 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
 @lru_cache(maxsize=64)
 def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
                      scheme: ConversionScheme):
-    """The message-independent part of a conversion: the downloading
-    nodes with their maps, in node order, and the matrix `combine` that
-    takes their downloaded values, in that order, to the new parities.
-    Raises InfeasibleSchemeError (never cached) when there is none."""
+    """The message-independent part of a conversion, packed for
+    Field.lincomb: the downloading nodes in node order, each with its
+    map transposed (so it applies to the node's row of stored symbols),
+    and the matrix `combine`, transposed, that takes the row of their
+    downloaded values, in that order, to the new parities.  Raises
+    InfeasibleSchemeError (never cached) when there is none."""
+    fld = initial.field
     used = tuple((i, m) for i, m in enumerate(scheme.maps) if m.rows)
-    downloads = vstack([Matrix.zeros(initial.field, 0, p.message_dim)]
+    downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
                        + [m @ initial.node_block(i) for i, m in used])
     combine = solve_left(final_parity_rows(p, final), downloads)
     if combine is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    return used, combine
+    return (tuple((i, fld.pack(m.transpose().data, m.rows)) for i, m in used),
+            fld.pack(combine.transpose().data, combine.rows))
 
 
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
@@ -201,7 +198,7 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     a list of lf arrays of shape (nf, alpha).  Node i of the initial
     codeword is read through scheme.maps[i].  Data nodes of the final
     codewords are the unchanged initial data nodes; new parity values
-    are produced only from the downloaded rows, through a plan
+    are produced only from the downloaded values, through a plan
     (_conversion_plan) solved once per code pair and scheme.
 
     Raises InfeasibleSchemeError when the scheme cannot produce the
@@ -213,11 +210,11 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     _check_code_pair(p, initial, final)
     _check_scheme_params(p, scheme)
     stored = _codeword(initial, message)
-    used, combine = _conversion_plan(p, initial, final, scheme)
-    values = vstack([Matrix.zeros(initial.field, 0, 1)] + [
-        m @ stored.take_cols(initial.node_cols(i)).transpose() for i, m in used])
-    new = [x for (x,) in (combine @ values).data]
+    maps, combine = _conversion_plan(p, initial, final, scheme)
+    fld, a = initial.field, p.alpha
+    values = [v for i, m in maps for v in fld.lincomb(m, stored[i * a:(i + 1) * a])]
+    new = fld.lincomb(combine, values)
 
-    old, kfa, rfa = stored.data[0], p.kf * p.alpha, p.rf * p.alpha
-    return [_frozen(old[t * kfa:(t + 1) * kfa] + tuple(new[t * rfa:(t + 1) * rfa]),
+    kfa, rfa = p.kf * p.alpha, p.rf * p.alpha
+    return [_frozen(stored[t * kfa:(t + 1) * kfa] + new[t * rfa:(t + 1) * rfa],
                     p.nf, p.alpha) for t in range(p.lf)], scheme_bandwidth(scheme)

@@ -8,13 +8,21 @@ supported:
   modulo one fixed primitive polynomial per degree, with exp/log lookup
   tables over the powers of x.
 
-Each field has one kernel on Python lists, row_submul, behind all its
-arithmetic in the package.  Outside entries and counts are checked in
-plain Python (Field.as_elements, as_count); numpy appears only in the
-arr_* reference kernels and the int64 tables they read.
+Each field has two kernels.  row_submul, on Python lists, is behind
+every elimination and every product of transient matrices in the
+package.  lincomb multiplies a vector by a fixed matrix whose rows were
+packed once (Field.pack) into Lanes, one bytes string per row; the write
+path (encode, run_conversion, decode_from) keeps its packed matrices in
+value-keyed caches.  Only this module knows the lane format.  Outside
+entries and counts are checked in plain Python (Field.as_elements,
+as_count); numpy appears only in the arr_* reference kernels and the
+int64 tables they read.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +54,21 @@ def as_count(x, what: str, lo: int = 0) -> int:
     return x
 
 
+class Lanes(NamedTuple):
+    """A matrix's rows packed for Field.lincomb: each row one bytes
+    string of cols lanes, each lane `width` bytes in native byte order
+    holding one element (< 256, so only its low byte can be nonzero).
+    Build it with Field.pack, which picks width."""
+
+    rows: tuple[bytes, ...]
+    cols: int
+    width: int
+
+
+# memoryview formats of unsigned native ints, by lane width in bytes.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -64,8 +87,12 @@ class Field:
     elementwise, so they also take two arrays of elements.
     row_submul(row, b, c), row - c * b as a new list, is the kernel of
     every elimination and product in convertbw.linalg and the search.
-    The arr_* kernels (on reduced int64 arrays) serve only the tests'
-    reference and perfbench/spans.py, which wraps them by name.
+    lincomb(lanes, coeffs) is the write path's kernel: each term is one
+    bytes.translate of a packed row through the 256-byte table of
+    products by its coefficient (built on first use) and one big-int
+    add (then one mod pass) or XOR over all lanes at once.  The arr_*
+    kernels (on reduced int64 arrays) serve only the tests' reference
+    and perfbench/spans.py, which wraps them by name.
     """
 
     q: int
@@ -139,6 +166,30 @@ class Field:
     def row_submul(self, row: list[int], b: list[int], c: int) -> list[int]:
         raise NotImplementedError
 
+    def pack(self, rows, cols: int) -> Lanes:
+        """rows, each cols field elements, packed for lincomb in lanes
+        wide enough that no sum over all of them carries into the next
+        lane (_lane_width)."""
+        width = self._lane_width(len(rows))
+        return Lanes(tuple(b"".join(x.to_bytes(width, sys.byteorder) for x in r)
+                           for r in rows), cols, width)
+
+    def lincomb(self, lanes: Lanes, coeffs) -> list[int]:
+        """sum_j coeffs[j] * row j of the packed matrix, as a list of
+        lanes.cols elements; coeffs has one element per packed row."""
+        raise NotImplementedError
+
+    def _lane_width(self, terms: int) -> int:
+        raise NotImplementedError
+
+    def _product_table(self, c: int) -> bytes:
+        """The table of c * x for every byte x (bytes >= q, which no
+        lane holds, map to 0), built and kept on the first lincomb term
+        with coefficient c."""
+        table = self._products[c] = bytes(
+            self.mul(c, x) if x < self.q else 0 for x in range(256))
+        return table
+
     def __repr__(self) -> str:
         if self.degree == 1:
             return f"GF({self.q})"
@@ -162,6 +213,7 @@ class PrimeField(Field):
             raise ValueError(f"prime fields supported up to {PRIME_LIMIT}, got {p}")
         self.q = p
         self.degree = 1
+        self._products: list[bytes | None] = [None] * p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -191,6 +243,25 @@ class PrimeField(Field):
     def row_submul(self, row, b, c):
         q = self.q
         return [(x - c * y) % q for x, y in zip(row, b)]
+
+    def _lane_width(self, terms):
+        # A lane sums up to `terms` products, each at most q - 1.
+        most = terms * (self.q - 1)
+        for width in _LANE_FORMATS:
+            if most < 1 << (8 * width):
+                return width
+        raise ValueError(f"{terms} rows are too many to pack over {self!r}")
+
+    def lincomb(self, lanes, coeffs):
+        tables = self._products
+        total = 0
+        for row, c in zip(lanes.rows, coeffs, strict=True):
+            if c:
+                total += int.from_bytes(
+                    row.translate(tables[c] or self._product_table(c)), sys.byteorder)
+        sums = total.to_bytes(lanes.cols * lanes.width, sys.byteorder)
+        q = self.q
+        return [x % q for x in memoryview(sums).cast(_LANE_FORMATS[lanes.width])]
 
 
 class BinaryField(Field):
@@ -225,6 +296,7 @@ class BinaryField(Field):
         self._log_list = log
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.array(log, dtype=np.int64)
+        self._products: list[bytes | None] = [None] * q
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -269,6 +341,18 @@ class BinaryField(Field):
         exp, log = self._exp_list, self._log_list
         lc = log[c]
         return [x ^ exp[lc + log[y]] if y else x for x, y in zip(row, b)]
+
+    def _lane_width(self, terms):
+        return 1   # sums are XORs, which never carry
+
+    def lincomb(self, lanes, coeffs):
+        tables = self._products
+        total = 0
+        for row, c in zip(lanes.rows, coeffs, strict=True):
+            if c:
+                total ^= int.from_bytes(
+                    row.translate(tables[c] or self._product_table(c)), "little")
+        return list(total.to_bytes(lanes.cols, "little"))
 
 
 _FIELD_CACHE: dict[int, Field] = {}

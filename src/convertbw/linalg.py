@@ -8,8 +8,15 @@ built unchecked by Matrix._of_rows.  numpy is used only for output:
 _frozen and the read-only Matrix.array.
 
 All arithmetic runs on Python lists, since most matrices here have a
-few rows, and its one field kernel is Field.row_submul: a product adds
+few rows, and its field kernel is Field.row_submul: a product adds
 c * row for each nonzero coefficient c as row_submul(acc, row, -c).
+Field.lincomb, the other kernel, serves only the write path in mds and
+convertible, whose matrices are fixed and packed once in caches.
+Matrix.matmul and the elimination here stay on row_submul because their
+right-hand operands are transient: each would be packed for one use.
+Measured on a prototype that sent every product through packed lanes,
+that cost verify-grid 3-4 % and certify-deep about 1.5 % of throughput,
+and convert-gf2m gained 22-30 % instead of 40-48 %.
 _insert_rows keeps an echelon basis in insertion order: (pivot column,
 row) pairs, each row scaled to 1 at its pivot (its first nonzero entry)
 and zero at the pivots of the rows before it.  Ranks count the rows that

@@ -5,6 +5,11 @@ A code is held as its generator in systematic form: a (k*alpha) x
 alpha columns [i*alpha, (i+1)*alpha).  Codes are built as alpha
 independent copies of a scalar systematic generalized Reed-Solomon
 layer, which is MDS whenever q >= n.
+
+The write path multiplies only by fixed matrices, each packed once for
+Field.lincomb in a value-keyed cache: the generator (_generator_lanes),
+which encodes and cross-checks decodes, and one inverse per node set
+(_decoder).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .gf import Field, as_count, field as make_field
+from .gf import Field, Lanes, as_count, field as make_field
 from .linalg import Matrix, _frozen, mat_inverse, mat_rank
 
 
@@ -107,23 +112,35 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
     return VectorCode(n, k, alpha, fld, Matrix._of_rows(fld, gen, n * alpha))
 
 
-def _codeword(code: VectorCode, message: Sequence[int]) -> Matrix:
-    """The codeword of a validated message: one row of n*alpha symbols."""
-    return Matrix.from_flat(code.field, message, 1, code.k * code.alpha,
-                            "message length") @ code.generator
+@lru_cache(maxsize=256)
+def _generator_lanes(code: VectorCode) -> Lanes:
+    """The generator's rows packed for Field.lincomb, once per code
+    (by value, like verify_mds)."""
+    return code.field.pack(code.generator.data, code.generator.cols)
+
+
+def _codeword(code: VectorCode, message: Sequence[int]) -> list[int]:
+    """The n*alpha symbols of the codeword of a message, which is
+    validated here."""
+    m = Matrix.from_flat(code.field, message, 1, code.k * code.alpha,
+                         "message length")
+    return code.field.lincomb(_generator_lanes(code), m.data[0])
 
 
 def encode(code: VectorCode, message: Sequence[int]):
     """Encode a message of k*alpha subsymbols; returns an (n, alpha)
     read-only array of node symbols."""
-    return _frozen(_codeword(code, message).data[0], code.n, code.alpha)
+    return _frozen(_codeword(code, message), code.n, code.alpha)
 
 
 @lru_cache(maxsize=256)
-def _decoder(code: VectorCode, cols: tuple[int, ...]) -> Matrix:
-    """The inverse of the generator's columns cols, shared by every
-    decode from the same node set of an equal code."""
-    return mat_inverse(code.generator.take_cols(cols))
+def _decoder(code: VectorCode, nodes: tuple[int, ...]) -> Lanes:
+    """The inverse of the generator's columns of k nodes, packed for
+    Field.lincomb and shared by every decode from the same node set of
+    an equal code."""
+    cols = [c for i in nodes for c in code.node_cols(i)]
+    return code.field.pack(mat_inverse(code.generator.take_cols(cols)).data,
+                           len(cols))
 
 
 def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
@@ -131,8 +148,9 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
 
     Needs at least k distinct nodes; the first k (in index order) fix the
     message through their cached inverse (_decoder), any extras are
-    cross-checked and a mismatch raises CorruptDataError.  Every call
-    validates its own symbols, and node indices by the count rule.
+    cross-checked against the message's codeword and a mismatch raises
+    CorruptDataError.  Every call validates its own symbols, and node
+    indices by the count rule.
     """
     idx = sorted(as_count(i, "node index") for i in available)
     if len(idx) < code.k:
@@ -144,16 +162,15 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
         if shape != (code.alpha,):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
         symbols[i] = tuple(s)
-    use = idx[: code.k]
-    cols = tuple(c for i in use for c in code.node_cols(i))
-    y = Matrix._of_rows(fld, [[x for i in use for x in symbols[i]]], len(cols))
-    msg = y @ _decoder(code, cols)
-    for i in idx[code.k:]:
-        if (msg @ code.generator.take_cols(code.node_cols(i))).data[0] \
-                != symbols[i]:
-            raise CorruptDataError(
-                f"node {i} symbols are inconsistent with the other nodes")
-    return _frozen(msg.data[0], len(cols))
+    use = tuple(idx[: code.k])
+    msg = fld.lincomb(_decoder(code, use), [x for i in use for x in symbols[i]])
+    if len(idx) > code.k:
+        cw = fld.lincomb(_generator_lanes(code), msg)
+        for i in idx[code.k:]:
+            if tuple(cw[c] for c in code.node_cols(i)) != symbols[i]:
+                raise CorruptDataError(
+                    f"node {i} symbols are inconsistent with the other nodes")
+    return _frozen(msg, len(msg))
 
 
 @lru_cache(maxsize=256)

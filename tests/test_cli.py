@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import convertbw
-from convertbw import cli, convertible
+from convertbw import cli
 from convertbw.cli import main
 from convertbw.mds import CorruptDataError
+from support import empty_scheme
 
 
 def run_cli(args, capsys):
@@ -261,7 +262,7 @@ def _corrupt(code, available):
 
 
 @pytest.mark.parametrize("name, patch, message", [
-    ("default_scheme", convertible.empty_scheme,
+    ("default_scheme", empty_scheme,
      "downloaded rows do not span the final parity rows"),
     ("decode_from", _corrupt, "node 2 symbols are inconsistent"),
 ])

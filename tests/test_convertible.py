@@ -13,13 +13,13 @@ from convertbw import convertible
 from convertbw.convertible import (ConversionScheme,
                                    InfeasibleSchemeError, canonical_codes,
                                    check_feasible, default_scheme,
-                                   empty_scheme, run_conversion,
-                                   scheme_bandwidth)
+                                   run_conversion, scheme_bandwidth)
 from convertbw.ensemble import ensemble_from_codes
 from convertbw.linalg import Matrix, enumerate_subspaces
 from convertbw.mds import VectorCode, decode_from, encode
 from convertbw.params import SplitParams
 from convertbw.search import random_mds_pair
+from support import empty_scheme, from_maps
 
 
 def build(lf, kf, rf, ri, alpha, q):
@@ -98,7 +98,7 @@ def test_scheme_requires_canonical_maps():
     with pytest.raises(ValueError):
         ConversionScheme(p, (ragged, Matrix.identity(fld, 2),
                              Matrix.zeros(fld, 0, 2)))
-    fixed = ConversionScheme.from_maps(
+    fixed = from_maps(
         p, [ragged, Matrix.identity(fld, 2), Matrix.zeros(fld, 0, 2)])
     assert fixed.beta == (1, 2)
 
@@ -187,7 +187,7 @@ def test_scheme_json_round_trip_property(q, alpha, data):
                                   min_size=rows * alpha, max_size=rows * alpha))
         return Matrix(fld, np.array(flat, dtype=np.int64).reshape(rows, alpha))
 
-    scheme = ConversionScheme.from_maps(p, [random_map() for _ in range(p.ni)])
+    scheme = from_maps(p, [random_map() for _ in range(p.ni)])
     assert ConversionScheme.from_json_dict(p, scheme.to_json_dict()) == scheme
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from convertbw.gf import (_IRREDUCIBLE, BinaryField, PrimeField, field,
                           is_prime)
+from convertbw.linalg import Matrix
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 LARGE_ORDERS = [32, 64, 128, 251, 256]
@@ -160,3 +161,38 @@ def test_arr_matmul_matches_naive_product(q):
             for k in range(4):
                 acc = f.add(acc, f.mul(int(a[i, k]), int(b[k, j])))
             assert got[i, j] == acc
+
+
+@pytest.mark.parametrize("q", [2, 5, 251, 8, 256])
+def test_lincomb_matches_list_kernel_product(q):
+    # lincomb(pack(m), c) is the row vector c times m; Matrix.matmul
+    # (the row_submul kernel) is the reference.
+    f = field(q)
+    rng = random.Random(q)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1)] + [
+        (rng.randrange(1, 13), rng.randrange(1, 13)) for _ in range(40)]
+    cases = []
+    for rows, cols in shapes:
+        m = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        for r in range(rows):
+            if rng.random() < 0.2:
+                m[r] = [0] * cols
+        cases.append((m, cols, [rng.choice([0, rng.randrange(q)])
+                                for _ in range(rows)]))
+    # Over GF(p), 300 products of entry q - 1 and coefficient 1 sum to
+    # 300 * (q - 1), which carries out of an 8-bit lane and, at q = 251,
+    # out of a 16-bit one; with coefficient q - 1 each product is 1.
+    top = q - 1
+    for c in (top, 1):
+        cases.append(([[top] * 5] * 300, 5, [c] * 300))
+    for m, cols, coeffs in cases:
+        want = Matrix._of_rows(f, [coeffs], len(m)) @ Matrix._of_rows(f, m, cols)
+        assert f.lincomb(f.pack(m, cols), coeffs) == list(want.data[0])
+
+
+def test_product_tables_are_built_on_first_use():
+    for f in (PrimeField(251), BinaryField(8)):
+        assert not any(f._products)
+        assert f.lincomb(f.pack([[1, 2], [3, 4]], 2), [0, 7]) == \
+            [f.mul(7, 3), f.mul(7, 4)]
+        assert [c for c, t in enumerate(f._products) if t] == [7]

@@ -144,6 +144,22 @@ def test_decode_reports_corruption_with_extra_node():
     raised[4] = cw7[4] + 7
     with pytest.raises(ValueError, match="outside"):
         decode_from(code7, raised)
+    # Over GF(8) with alpha = 2 and over GF(251), one tampered subsymbol
+    # of the last node is caught on the cold call, which packs the
+    # inverse and the generator, and on the warm call, which reuses them.
+    for code in (make_systematic_mds(5, 3, 2, field(8)),
+                 make_systematic_mds(6, 3, 2, field(251))):
+        f, n = code.field, code.n
+        msg = [f.q - 1 - j for j in range(code.k * code.alpha)]
+        cw = encode(code, msg)
+        tampered = {i: cw[i].tolist() for i in range(n)}
+        tampered[n - 1][-1] = f.add(tampered[n - 1][-1], 1)
+        mds._decoder.cache_clear()
+        mds._generator_lanes.cache_clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(CorruptDataError, match=f"node {n - 1} "):
+                decode_from(code, tampered)
+        assert decode_from(code, {i: cw[i] for i in range(n)}).tolist() == msg
 
 
 @pytest.mark.parametrize("n,k,alpha,q", [(5, 3, 2, 7), (4, 2, 2, 16)])

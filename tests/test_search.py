@@ -10,7 +10,7 @@ import pytest
 from convertbw.bounds import entropy_V_lb
 from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
-                                   default_scheme, empty_scheme)
+                                   default_scheme)
 from convertbw.ensemble import ensemble_from_codes
 from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair
 from convertbw.mds import VectorCode, verify_mds
@@ -19,6 +19,7 @@ from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
                               _CutTable, _SchemeSpace, certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
+from support import empty_scheme
 
 
 def build(lf, kf, rf, ri, alpha, q):
