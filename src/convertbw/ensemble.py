@@ -15,12 +15,11 @@ evaluated on linear node contents and linear download maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .gf import Field, as_count
-from .linalg import Matrix, _insert_rows, mat_rank, rref
+from .gf import Field, RowPacking, as_count
+from .linalg import Matrix, mat_rank, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -89,7 +88,9 @@ class LinearEnsemble:
     initial_nodes lists the initial codeword in node order (info nodes,
     then initial parities): node i there is node i of the initial code
     and is read through a ConversionScheme's maps[i].  Every block is an
-    alpha x message_dim Matrix over fld.
+    alpha x message_dim Matrix over fld, and is also kept packed
+    (`packing`, Field.packing of message_dim) for the download checks
+    and the search, which rank packed rows.
     """
 
     def __init__(self, params: SplitParams, fld: Field,
@@ -109,9 +110,21 @@ class LinearEnsemble:
                 raise ValueError(f"block for {v} has shape {b.shape}")
             if b.field != fld:
                 raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
+        pk = self.packing = fld.packing(p.message_dim)
+        self._row_bytes = {v: [pk.pack_bytes(r) for r in b.data]
+                        for v, b in self._blocks.items()}
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
+
+    def packed(self, v: NodeId) -> list[int]:
+        """Block v's rows, packed."""
+        return [int.from_bytes(b, "little") for b in self._row_bytes[v]]
+
+    def times(self, m: Matrix, v: NodeId) -> list[int]:
+        """The rows of m @ block(v), packed; m has alpha columns."""
+        pk, rows = self.packing, self._row_bytes[v]
+        return [pk.combine(c, rows) for c in m.data]
 
     def all_nodes(self) -> tuple[NodeId, ...]:
         return self.initial_nodes + self.final_parities
@@ -125,13 +138,11 @@ class LinearEnsemble:
         return self.final_parities[t * p.rf:(t + 1) * p.rf]
 
     def stack(self, nodes: Iterable[NodeId]) -> Matrix:
-        """Stacked coefficient blocks of a node set, in canonical order."""
-        return self._rows(self._blocks[v] for v in sorted(set(nodes)))
-
-    def _rows(self, blocks: Iterable[Matrix]) -> Matrix:
-        """The rows of blocks over the message stacked (none: 0 rows)."""
-        return Matrix._of_rows(self.field, [r for b in blocks for r in b.data],
-                               self.params.message_dim)
+        """Stacked coefficient blocks of a node set, in canonical order
+        (none: 0 rows)."""
+        return Matrix._of_rows(self.field, [
+            r for v in sorted(set(nodes)) for r in self._blocks[v].data],
+            self.params.message_dim)
 
 
 def _check_code_pair(p: SplitParams, initial: VectorCode,
@@ -210,19 +221,22 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
     return entropy(ens, a) + entropy(ens, b) - entropy(ens, a + b)
 
 
-def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> Matrix:
-    """maps[v] @ block(v): rows over the message."""
+def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> list[int]:
+    """maps[v] @ block(v): rows over the message, packed (ens.packing)."""
     m = maps[v]
     if m.cols != ens.params.alpha:
         raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
-    return m @ ens.block(v)
+    return ens.times(m, v)
 
 
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
     contributes maps[v] @ block(v)."""
-    return ens._rows(_mapped(ens, maps, v) for v in sorted(set(nodes)))
+    unpack = ens.packing.unpack
+    return Matrix._of_rows(ens.field, [
+        unpack(r) for v in sorted(set(nodes)) for r in _mapped(ens, maps, v)],
+        ens.params.message_dim)
 
 
 @dataclass
@@ -271,29 +285,30 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
 
 
 def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
-               nodes: Iterable[NodeId]) -> dict[NodeId, tuple]:
-    """maps[v] @ block(v) for each node v as row tuples: a download check
-    maps each node once and ranks subsets with linalg._insert_rows."""
-    return {v: _mapped(ens, maps, v).data for v in nodes}
+               nodes: Iterable[NodeId]) -> dict[NodeId, list[int]]:
+    """maps[v] @ block(v) for each node v as packed rows: a download
+    check maps each node once and ranks subsets with
+    RowPacking.insert."""
+    return {v: _mapped(ens, maps, v) for v in nodes}
 
 
-def _h_rows(fld: Field, rows: Mapping[NodeId, list], nodes) -> int:
+def _h_rows(pk: RowPacking, rows: Mapping[NodeId, list], nodes) -> int:
     """Rank of the union of the nodes' mapped rows."""
-    return len(_insert_rows(fld, [], [r for v in nodes for r in rows[v]]))
+    return len(pk.insert([], [r for v in nodes for r in rows[v]]))
 
 
-def _min_h_rows(fld: Field, rows, pool, size) -> int:
+def _min_h_rows(pk: RowPacking, rows, pool, size) -> int:
     if size == 0:
         return 0
-    return min(_h_rows(fld, rows, c) for c in combinations(pool, size))
+    return min(_h_rows(pk, rows, c) for c in combinations(pool, size))
 
 
-def _rows_mi(fld: Field, rows: Mapping[NodeId, list], a, b) -> int:
+def _rows_mi(pk: RowPacking, rows: Mapping[NodeId, list], a, b) -> int:
     """I(a ; b) of two node sets' mapped rows: H(a) + H(b) - H(a, b)."""
-    basis = _insert_rows(fld, [], [r for v in a for r in rows[v]])
+    basis = pk.insert([], [r for v in a for r in rows[v]])
     h_a = len(basis)
-    joint = len(_insert_rows(fld, basis, [r for v in b for r in rows[v]]))
-    return h_a + _h_rows(fld, rows, b) - joint
+    joint = len(pk.insert(basis, [r for v in b for r in rows[v]]))
+    return h_a + _h_rows(pk, rows, b) - joint
 
 
 def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
@@ -316,8 +331,9 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
         raise IndependencePreconditionError(
             "nodes outside D1 u D2 are not independent")
     rows = _node_rows(ens, {**f_a, **f_b}, a_nodes | b_nodes)
-    mi = _rows_mi(ens.field, rows, a_nodes, b_nodes)
-    return mi <= _h_rows(ens.field, rows, d1) + _h_rows(ens.field, rows, d2)
+    pk = ens.packing
+    mi = _rows_mi(pk, rows, a_nodes, b_nodes)
+    return mi <= _h_rows(pk, rows, d1) + _h_rows(pk, rows, d2)
 
 
 def check_min_avg(ens: LinearEnsemble,
@@ -334,15 +350,15 @@ def check_min_avg(ens: LinearEnsemble,
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
     rows = _node_rows(ens, dict(family), [v for v, _ in family])
-    singles = sum(_h_rows(ens.field, rows, [v]) for v in rows)
-    best = _min_h_rows(ens.field, rows, list(rows), a)
-    return Fraction(best) <= Fraction(a, b) * singles
+    singles = sum(_h_rows(ens.packing, rows, [v]) for v in rows)
+    best = _min_h_rows(ens.packing, rows, list(rows), a)
+    return best * b <= a * singles
 
 
 def _download_mi(ens: LinearEnsemble, rows: Mapping[NodeId, list]) -> int:
     """I(parity downloads ; info downloads) over the initial codeword,
     from every initial-code node's mapped rows (see _node_rows)."""
-    return _rows_mi(ens.field, rows, ens.initial_parities, ens.info_nodes)
+    return _rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
 
 
 def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
@@ -355,12 +371,14 @@ def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     p = ens.params
     if b1 + b2 != p.ri or b1 > len(s1) or b2 > len(s2):
         raise ValueError("inadmissible (S1, S2, b1, b2) split")
-    fld = ens.field
-    minsum = _min_h_rows(fld, rows, s1, b1) + _min_h_rows(fld, rows, s2, b2)
-    avg1 = Fraction(b1, len(s1)) * sum(_h_rows(fld, rows, [v]) for v in s1) \
-        if s1 else Fraction(0)
-    avg2 = Fraction(b2, len(s2)) * _h_rows(fld, rows, s2) if s2 else Fraction(0)
-    return mi <= minsum and Fraction(minsum) <= avg1 + avg2
+    pk = ens.packing
+    minsum = _min_h_rows(pk, rows, s1, b1) + _min_h_rows(pk, rows, s2, b2)
+    # minsum <= b1/n1 * sum1 + b2/n2 * h2, times n1 * n2; an empty S
+    # forces its b to 0, so its term is 0 and its size counts as 1.
+    n1, n2 = len(s1) or 1, len(s2) or 1
+    sum1 = sum(_h_rows(pk, rows, [v]) for v in s1)
+    h2 = _h_rows(pk, rows, s2)
+    return mi <= minsum and minsum * n1 * n2 <= b1 * sum1 * n2 + b2 * h2 * n1
 
 
 def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
@@ -370,9 +388,8 @@ def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     p = ens.params
     if len(s) < p.ri:
         raise ValueError("S must have at least ri nodes")
-    mn = _min_h_rows(ens.field, rows, s, p.ri)
-    avg = Fraction(p.ri, len(s)) * _h_rows(ens.field, rows, s) if s else Fraction(0)
-    return mi <= mn and Fraction(mn) <= avg
+    mn = _min_h_rows(ens.packing, rows, s, p.ri)
+    return mi <= mn and mn * len(s) <= p.ri * _h_rows(ens.packing, rows, s)
 
 
 def check_corollaries(ens: LinearEnsemble,
@@ -476,16 +493,16 @@ def check_cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
     s = sorted(set(s_set))
     if any(not 0 <= t < p.lf for t in s):
         raise ValueError("codeword index out of range")
-    fld = ens.field
+    pk = ens.packing
     rows = _node_rows(ens, maps, [v for t in s for v in ens.info_of_codeword(t)])
 
     def lhs_for(ts: Sequence[int]) -> int:
-        basis = _insert_rows(fld, [], [
+        basis = pk.insert([], [
             r for t in ts for v in ens.info_of_codeword(t) for r in rows[v]])
         h_v = len(basis)
-        return len(_insert_rows(fld, basis, [
+        return len(pk.insert(basis, [
             r for t in ts for v in ens.final_parities_of_codeword(t)
-            for r in ens.block(v).data])) - h_v
+            for r in ens.packed(v)])) - h_v
 
     return lhs_for(s) == sum(lhs_for([t]) for t in s)
 

@@ -8,15 +8,27 @@ supported:
   modulo one fixed primitive polynomial per degree, with exp/log lookup
   tables over the powers of x.
 
-Each field has two kernels.  row_submul, on Python lists, is behind
-every elimination and every product of transient matrices in the
-package.  lincomb multiplies a vector by a fixed matrix whose rows were
-packed once (Field.pack) into Lanes, one bytes string per row; the write
-path (encode, run_conversion, decode_from) keeps its packed matrices in
-value-keyed caches.  Only this module knows the lane format.  Outside
-entries and counts are checked in plain Python (Field.as_elements,
-as_count); numpy appears only in the arr_* reference kernels and the
-int64 tables they read.
+Both kernels multiply every entry of a row at once: one bytes.translate
+of the row through the field's 256-byte table of products by a
+coefficient (built on first use), then one big-int operation.
+
+- Field.packing(cols) holds rows of cols elements for elimination and
+  for products of transient matrices (convertbw.linalg, the oracle and
+  the search).  A row is one Python int, column j in bits [w*j, w*j + w),
+  with w = 8 over GF(2^m) and for primes below 128 and w = 16 for the
+  primes 131..251; rows the kernel multiplies are also kept as bytes.
+  Over GF(2^m) a row update is one XOR.  Over GF(p) it is one add, each
+  lane then below 2q, folded back below q with no carry across lanes
+  (RowPacking.reduce).
+- Field.lincomb multiplies a vector by a fixed matrix whose rows were
+  packed once (Field.pack) into Lanes, wide enough to sum every term
+  before one mod pass; the write path (encode, run_conversion,
+  decode_from) keeps its packed matrices in value-keyed caches.
+
+Only this module knows the lane formats.  Outside entries and counts
+are checked in plain Python (Field.as_elements, as_count); numpy
+appears only in the arr_* reference kernels and the int64 tables they
+read.
 """
 
 from __future__ import annotations
@@ -69,6 +81,146 @@ class Lanes(NamedTuple):
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+class RowPacking:
+    """Rows of `cols` elements of one field, each packed into one int:
+    column j in bits [bits*j, bits*j + bits).  Get one from
+    Field.packing, which keeps one per column count.
+
+    An echelon basis is a list of (shift, row, row bytes) entries in
+    the order the rows joined (insert): shift is bits * the row's pivot
+    column, its lowest nonzero lane, where the row is 1, and the row is
+    zero at the pivots of the rows before it.  reduce clears a row at
+    each basis pivot in turn; combine is a row vector times a matrix
+    whose rows are given as bytes (pack_bytes).  Each term of either is
+    one translate of a row's bytes through a product table, then one XOR
+    over GF(2^m) or, over GF(p), one add and one fold of every lane back
+    below q.
+    """
+
+    __slots__ = ("field", "cols", "bits", "mask", "nbytes", "_tables", "_inverse")
+
+    def __init__(self, field: "Field", cols: int, bits: int):
+        self.field = field
+        self.cols = cols
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.nbytes = cols * bits // 8
+        self._tables = field._products
+        self._inverse = [0, *map(field.inv, range(1, field.q))]
+
+    def pack_bytes(self, row) -> bytes:
+        """The little-endian bytes of row's packed int (row: elements)."""
+        if self.bits == 8:
+            return bytes(row)
+        out = bytearray(2 * len(row))
+        out[::2] = bytes(row)
+        return bytes(out)
+
+    def pack(self, row) -> int:
+        return int.from_bytes(self.pack_bytes(row), "little")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The cols elements of the packed row x."""
+        b = x.to_bytes(self.nbytes, "little")
+        return tuple(b if self.bits == 8 else b[::2])
+
+    def insert(self, basis: list, rows) -> list:
+        """Extend the echelon basis by rows and return it: the nonzero
+        remainder of each row under reduce joins, scaled to 1 at its
+        pivot.  Ranks count the rows that join."""
+        reduce, mask, lane, nbytes = self.reduce, self.mask, -self.bits, self.nbytes
+        tables, inverse = self._tables, self._inverse
+        for x in rows:
+            x = reduce(basis, x)
+            if x:
+                shift = ((x & -x).bit_length() - 1) & lane   # the pivot lane's first bit
+                c = x >> shift & mask
+                if c == 1:
+                    basis.append((shift, x, x.to_bytes(nbytes, "little")))
+                else:
+                    c = inverse[c]
+                    b = x.to_bytes(nbytes, "little").translate(
+                        tables[c] or self._table(c))
+                    basis.append((shift, int.from_bytes(b, "little"), b))
+        return basis
+
+    def reduce(self, basis: list, x: int) -> int:
+        """x minus the multiple of each basis row, in order, that clears
+        x at that row's pivot: zero at every pivot, and zero exactly when
+        x lies in the span of the basis."""
+        raise NotImplementedError
+
+    def combine(self, coeffs, rows) -> int:
+        """sum_j coeffs[j] * row j, the rows given as bytes."""
+        raise NotImplementedError
+
+    def _table(self, c: int) -> bytes:
+        return self._tables[c] or self.field._product_table(c)
+
+
+class _PrimePacking(RowPacking):
+    """Over GF(p) a lane holds at most 2q - 2 between an add and its
+    fold, below 2^bits: adding 2^(bits-1) - q to a lane sets its top bit
+    exactly when the lane is at least q, and q is taken off those lanes."""
+
+    __slots__ = ("_fold_add", "_fold_bit")
+
+    def __init__(self, field: "Field", cols: int):
+        super().__init__(field, cols, 8 if field.q < 128 else 16)
+        ones = ((1 << self.bits * cols) - 1) // self.mask   # 1 in every lane
+        half = 1 << (self.bits - 1)
+        self._fold_add = (half - field.q) * ones
+        self._fold_bit = half * ones
+
+    def reduce(self, basis, x):
+        q, mask, top = self.field.q, self.mask, self.bits - 1
+        add, bit, tables, from_bytes = self._fold_add, self._fold_bit, \
+            self._tables, int.from_bytes
+        for shift, _, b in basis:
+            c = x >> shift & mask
+            if c:   # x - c b = x + (q - c) b
+                c = q - c
+                y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
+                x = y - (((y + add) & bit) >> top) * q
+        return x
+
+    def combine(self, coeffs, rows):
+        q, top = self.field.q, self.bits - 1
+        add, bit, tables, from_bytes = self._fold_add, self._fold_bit, \
+            self._tables, int.from_bytes
+        x = 0
+        for c, b in zip(coeffs, rows):
+            if c:
+                y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
+                x = y - (((y + add) & bit) >> top) * q
+        return x
+
+
+class _BinaryPacking(RowPacking):
+    """Over GF(2^m) subtraction is XOR, which never carries."""
+
+    __slots__ = ()
+
+    def __init__(self, field: "Field", cols: int):
+        super().__init__(field, cols, 8)
+
+    def reduce(self, basis, x):
+        tables, from_bytes = self._tables, int.from_bytes
+        for shift, _, b in basis:
+            c = x >> shift & 255
+            if c:
+                x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
+        return x
+
+    def combine(self, coeffs, rows):
+        tables, from_bytes = self._tables, int.from_bytes
+        x = 0
+        for c, b in zip(coeffs, rows):
+            if c:
+                x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
+        return x
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -85,14 +237,14 @@ class Field:
 
     Scalar operations take and return ints in [0, q); add and sub are
     elementwise, so they also take two arrays of elements.
-    row_submul(row, b, c), row - c * b as a new list, is the kernel of
-    every elimination and product in convertbw.linalg and the search.
-    lincomb(lanes, coeffs) is the write path's kernel: each term is one
-    bytes.translate of a packed row through the 256-byte table of
-    products by its coefficient (built on first use) and one big-int
-    add (then one mod pass) or XOR over all lanes at once.  The arr_*
-    kernels (on reduced int64 arrays) serve only the tests' reference
-    and perfbench/spans.py, which wraps them by name.
+    packing(cols) is the kernel of every elimination and product in
+    convertbw.linalg, the oracle and the search; lincomb(lanes, coeffs)
+    is the write path's.  Each term of either is one bytes.translate of
+    a packed row through the 256-byte table of products by its
+    coefficient (built on first use) and one big-int operation over all
+    lanes at once.  The arr_* kernels (on reduced int64 arrays) serve
+    only the tests' reference and perfbench/spans.py, which wraps them
+    by name.
     """
 
     q: int
@@ -163,8 +315,13 @@ class Field:
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def row_submul(self, row: list[int], b: list[int], c: int) -> list[int]:
-        raise NotImplementedError
+    def packing(self, cols: int) -> RowPacking:
+        """The packed-row kernel for rows of cols elements, made once per
+        cols."""
+        pk = self._packings.get(cols)
+        if pk is None:
+            pk = self._packings[cols] = self._packing_type(self, cols)
+        return pk
 
     def pack(self, rows, cols: int) -> Lanes:
         """rows, each cols field elements, packed for lincomb in lanes
@@ -184,7 +341,7 @@ class Field:
 
     def _product_table(self, c: int) -> bytes:
         """The table of c * x for every byte x (bytes >= q, which no
-        lane holds, map to 0), built and kept on the first lincomb term
+        lane holds, map to 0), built and kept on the first kernel term
         with coefficient c."""
         table = self._products[c] = bytes(
             self.mul(c, x) if x < self.q else 0 for x in range(256))
@@ -206,6 +363,8 @@ class Field:
 class PrimeField(Field):
     """GF(p) for a prime p <= 251."""
 
+    _packing_type = _PrimePacking
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"field order {p} is not prime")
@@ -214,6 +373,7 @@ class PrimeField(Field):
         self.q = p
         self.degree = 1
         self._products: list[bytes | None] = [None] * p
+        self._packings: dict[int, RowPacking] = {}
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -239,10 +399,6 @@ class PrimeField(Field):
         # Entries < 251 and inner dimensions stay desk-scale, so the
         # int64 accumulator cannot overflow.
         return (a @ b) % self.q
-
-    def row_submul(self, row, b, c):
-        q = self.q
-        return [(x - c * y) % q for x, y in zip(row, b)]
 
     def _lane_width(self, terms):
         # A lane sums up to `terms` products, each at most q - 1.
@@ -270,9 +426,11 @@ class BinaryField(Field):
 
     Since the modulus is primitive, x (the element 2) generates the
     multiplicative group, so the exp/log tables are one walk over the
-    powers of x.  The scalar ops and row_submul read the tables as
-    Python lists, the arr_* kernels as int64 arrays.
+    powers of x.  The scalar ops read the tables as Python lists, the
+    arr_* kernels as int64 arrays.
     """
+
+    _packing_type = _BinaryPacking
 
     def __init__(self, degree: int):
         if not (1 <= degree <= BINARY_DEGREE_LIMIT):
@@ -297,6 +455,7 @@ class BinaryField(Field):
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.array(log, dtype=np.int64)
         self._products: list[bytes | None] = [None] * q
+        self._packings: dict[int, RowPacking] = {}
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -334,13 +493,6 @@ class BinaryField(Field):
         for k in range(a.shape[1]):
             out = self.arr_submul(out, b[k, :], a[:, k])
         return out
-
-    def row_submul(self, row, b, c):
-        if c == 0:
-            return list(row)
-        exp, log = self._exp_list, self._log_list
-        lc = log[c]
-        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(row, b)]
 
     def _lane_width(self, terms):
         return 1   # sums are XORs, which never carry

@@ -7,31 +7,30 @@ entries Field.as_elements checks; results computed in the package are
 built unchecked by Matrix._of_rows.  numpy is used only for output:
 _frozen and the read-only Matrix.array.
 
-All arithmetic runs on Python lists, since most matrices here have a
-few rows, and its field kernel is Field.row_submul: a product adds
-c * row for each nonzero coefficient c as row_submul(acc, row, -c).
-Field.lincomb, the other kernel, serves only the write path in mds and
-convertible, whose matrices are fixed and packed once in caches.
-Matrix.matmul and the elimination here stay on row_submul because their
-right-hand operands are transient: each would be packed for one use.
-Measured on a prototype that sent every product through packed lanes,
-that cost verify-grid 3-4 % and certify-deep about 1.5 % of throughput,
-and convert-gf2m gained 22-30 % instead of 40-48 %.
-_insert_rows keeps an echelon basis in insertion order: (pivot column,
-row) pairs, each row scaled to 1 at its pivot (its first nonzero entry)
-and zero at the pivots of the rows before it.  Ranks count the rows that
-join; _reduce_row leaves nothing of exactly the rows in the span; rref,
-mat_inverse and solve_left back-substitute the basis sorted by pivot
-(_rref_rows), so results are canonical.
+All arithmetic runs on packed rows (Field.packing): each row of
+elements is one int, column j in lane j, and a row operation is one
+bytes.translate and one big-int operation over every lane at once (see
+convertbw.gf).  The functions here pack their rows on entry and unpack
+their results; Matrix.matmul packs its right operand once per product
+and sums the rows its left rows pick (RowPacking.combine).  The oracle
+and the search keep their rows packed and extend echelon bases with
+RowPacking.insert directly.  Such a basis is kept in insertion order:
+(shift, row, bytes) entries, each row scaled to 1 at its pivot (its
+first nonzero entry) and zero at the pivots of the rows before it.
+Ranks count the rows that join; RowPacking.reduce leaves nothing of
+exactly the rows in the span; rref, mat_inverse and solve_left
+back-substitute the basis sorted by pivot (_rref_rows), so results are
+canonical.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, RowPacking
 
 
 def _frozen(values, *shape: int) -> np.ndarray:
@@ -44,7 +43,7 @@ def _frozen(values, *shape: int) -> np.ndarray:
 class Matrix:
     """Immutable matrix over a finite field: row tuples `data`, `cols`."""
 
-    __slots__ = ("field", "data", "cols")
+    __slots__ = ("field", "data", "cols", "_hash")
 
     def __init__(self, field: Field, rows):
         values, shape = field.as_elements(rows)
@@ -53,6 +52,7 @@ class Matrix:
         self.field = field
         self.data = tuple(map(tuple, values))
         self.cols = shape[1]
+        self._hash = None
 
     @classmethod
     def _of_rows(cls, field: Field, rows, cols: int) -> "Matrix":
@@ -61,6 +61,7 @@ class Matrix:
         m.field = field
         m.data = tuple(map(tuple, rows))
         m.cols = cols
+        m._hash = None
         return m
 
     @classmethod
@@ -109,16 +110,10 @@ class Matrix:
             raise ValueError("matrix product across different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        fld = self.field
-        zero = (0,) * other.cols
-        out = []
-        for row in self.data:
-            acc = zero
-            for c, b in zip(row, other.data):
-                if c:   # acc - (-c) b = acc + c b
-                    acc = fld.row_submul(acc, b, fld.sub(0, c))
-            out.append(acc)
-        return Matrix._of_rows(fld, out, other.cols)
+        pk = self.field.packing(other.cols)
+        rows = [pk.pack_bytes(r) for r in other.data]
+        return Matrix._of_rows(self.field, [pk.unpack(pk.combine(c, rows))
+                                            for c in self.data], other.cols)
 
     __matmul__ = matmul
 
@@ -131,7 +126,11 @@ class Matrix:
                 and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.cols, self.data))
+        # Matrices key value caches (verify_mds, the write path's plans),
+        # so the hash of the entries is taken once.
+        if self._hash is None:
+            self._hash = hash((self.field.q, self.cols, self.data))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -151,42 +150,30 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._of_rows(field, [r for m in mats for r in m.data], cols)
 
 
-def _reduce_row(field: Field, basis: list, r: list) -> list:
-    """r minus the multiple of each basis row, in insertion order, that
-    clears r at that row's pivot: zero at every pivot, and zero exactly
-    when r lies in the span of the basis."""
-    for p, b in basis:
-        c = r[p]
-        if c:
-            r = field.row_submul(r, b, c)
-    return r
+def _packed(m: Matrix):
+    """(the packing of m's rows, m's rows packed)."""
+    pk = m.field.packing(m.cols)
+    return pk, [pk.pack(r) for r in m.data]
 
 
-def _insert_rows(field: Field, basis: list, rows: list) -> list:
-    """Extend basis, (pivot column, row) pairs, by rows; return it.  The
-    nonzero remainder of a row under _reduce_row joins, scaled to 1 at
-    its first nonzero column (its pivot)."""
-    for r in rows:
-        r = _reduce_row(field, basis, r)
-        for p, x in enumerate(r):
-            if x:
-                if x != 1:   # r - (1 - 1/x) r = r / x
-                    r = field.row_submul(r, r, field.sub(1, field.inv(x)))
-                basis.append((p, r))
-                break
-    return basis
-
-
-def _rref_rows(field: Field, rows: list) -> list:
-    """The reduced row-echelon basis of the span of rows, as (pivot,
-    row) pairs sorted by pivot: the inserted rows, each cleared at the
-    larger pivots from the last pivot up."""
+def _rref_rows(pk: RowPacking, rows) -> list:
+    """The reduced row-echelon basis of the span of rows, as (shift,
+    row, bytes) entries sorted by pivot: the inserted rows, each cleared
+    at the larger pivots from the last pivot up."""
     out: list = []
-    for p, r in sorted(_insert_rows(field, [], rows),
-                       key=lambda pr: pr[0], reverse=True):
-        out.append((p, _reduce_row(field, out, r)))
+    for _, r, _ in sorted(pk.insert([], rows), key=itemgetter(0), reverse=True):
+        pk.insert(out, [r])   # r is 1 at its pivot, which no row in out has
     out.reverse()
     return out
+
+
+def _rref_with_identity(m: Matrix) -> tuple[RowPacking, int, list]:
+    """(pk, shift, rows): the _rref_rows of [m | I] packed by pk, where
+    shift is the first bit of I's lanes."""
+    pk = m.field.packing(m.cols + m.rows)
+    shift = pk.bits * m.cols
+    return pk, shift, _rref_rows(pk, [pk.pack(r) | 1 << shift + pk.bits * i
+                                      for i, r in enumerate(m.data)])
 
 
 def _check_span_args(target: Matrix, basis: Matrix) -> None:
@@ -198,18 +185,21 @@ def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
     """(rank(basis), rank(basis stacked with extra)) in one pass: the
     extra rows are inserted into the basis rows' echelon form."""
     _check_span_args(extra, basis)
-    rows = _insert_rows(basis.field, [], basis.data)
-    return len(rows), len(_insert_rows(basis.field, rows, extra.data))
+    pk, rows = _packed(basis)
+    rows = pk.insert([], rows)
+    return len(rows), len(pk.insert(rows, map(pk.pack, extra.data)))
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank of m over its field."""
-    return len(_insert_rows(m.field, [], m.data))
+    pk, rows = _packed(m)
+    return len(pk.insert([], rows))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    return Matrix._of_rows(m.field, [r for _, r in _rref_rows(m.field, m.data)],
+    pk, rows = _packed(m)
+    return Matrix._of_rows(m.field, [pk.unpack(r) for _, r, _ in _rref_rows(pk, rows)],
                            m.cols)
 
 
@@ -223,13 +213,13 @@ def mat_inverse(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     if m.rows != m.cols:
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
-    n = m.rows
-    eye = Matrix.identity(m.field, n).data
-    rows = _rref_rows(m.field, [r + e for r, e in zip(m.data, eye)])
+    pk, shift, rows = _rref_with_identity(m)
     # [m | I] always has rank n; m is invertible iff every pivot is in m.
-    if [p for p, _ in rows] != list(range(n)):
+    if [s for s, _, _ in rows] != list(range(0, shift, pk.bits)):
         raise ValueError("matrix is singular")
-    return Matrix._of_rows(m.field, [r[n:] for _, r in rows], n)
+    inverse = m.field.packing(m.rows)
+    return Matrix._of_rows(m.field, [inverse.unpack(r >> shift) for _, r, _ in rows],
+                           m.rows)
 
 
 def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
@@ -237,21 +227,21 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     the row space of basis."""
     _check_span_args(target, basis)
     field = basis.field
-    n, k = basis.cols, basis.rows
     # Each reduced row R | T0 of [basis | I] has R = T0 @ basis, and the
-    # rows with a pivot below n are the reduced basis of the row space
-    # of basis.  Clearing t | 0 at their pivots subtracts t[p] * (R | T0)
-    # for each, leaving t - T @ basis | -T, with T = sum of t[p] * T0.
-    eye = Matrix.identity(field, k).data
-    span = [(p, r) for p, r in _rref_rows(
-        field, [b + e for b, e in zip(basis.data, eye)]) if p < n]
+    # rows with a pivot in basis's columns (below shift) are the reduced
+    # basis of the row space of basis.  Clearing t | 0 at their pivots
+    # subtracts t[p] * (R | T0) for each, leaving t - T @ basis | -T,
+    # with T = sum of t[p] * T0.
+    pk, shift, rows = _rref_with_identity(basis)
+    span = [e for e in rows if e[0] < shift]
+    coords = field.packing(basis.rows)
     out = []
     for t in target.data:
-        r = _reduce_row(field, span, t + (0,) * k)
-        if any(r[:n]):
+        r = pk.reduce(span, pk.pack(t))
+        if r & ((1 << shift) - 1):
             return None
-        out.append([field.sub(0, x) for x in r[n:]])
-    return Matrix._of_rows(field, out, k)
+        out.append([field.sub(0, x) for x in coords.unpack(r >> shift)])
+    return Matrix._of_rows(field, out, basis.rows)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -296,11 +286,26 @@ def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Ma
     return out
 
 
+def randbelow(rng, n: int, count: int) -> list[int]:
+    """count uniform draws from range(n), n >= 1: the values, and the
+    use of rng's stream, of count calls of rng.randrange(n) on a
+    random.Random, whose getrandbits rejection loop this is."""
+    bits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
     """Uniformly random matrix, driven by a random.Random instance."""
-    q = field.q
-    return Matrix._of_rows(field, [[rng.randrange(q) for _ in range(cols)]
-                                   for _ in range(rows)], cols)
+    flat = randbelow(rng, field.q, rows * cols)
+    return Matrix._of_rows(field, [flat[i * cols:(i + 1) * cols]
+                                   for i in range(rows)], cols)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

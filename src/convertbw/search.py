@@ -28,8 +28,7 @@ from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           canonical_codes, check_feasible, default_scheme)
 from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows
 from .gf import as_count
-from .linalg import (Matrix, _insert_rows, _reduce_row, enumerate_subspaces,
-                     mat_rank, random_invertible)
+from .linalg import Matrix, enumerate_subspaces, mat_rank, random_invertible
 from .mds import VectorCode, verify_mds
 from .params import SplitParams, rational_json
 
@@ -72,7 +71,8 @@ def _compositions(total: int, slots: int, maxv: int) -> tuple[tuple[int, ...], .
 
 
 class _SchemeSpace:
-    """Precomputed per-node subspace menus and their mapped rows."""
+    """Precomputed per-node subspace menus and their mapped rows, and
+    the target rows, all packed (ens.packing)."""
 
     def __init__(self, ens: LinearEnsemble):
         p = ens.params
@@ -84,11 +84,11 @@ class _SchemeSpace:
         # Slot i is node i of the initial codeword (ens.initial_nodes).
         self.nodes = ens.initial_nodes
         # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
-        # the slot's node block, as row tuples for linalg._insert_rows.
-        self.mapped = [[[(s @ ens.block(v)).data for s in subs]
+        # the slot's node block, packed for RowPacking.insert.
+        self.mapped = [[[ens.times(s, v) for s in subs]
                         for subs in self.subspaces] for v in self.nodes]
-        self.targets = ens.stack(ens.final_parities)
-        self.target_rank = mat_rank(self.targets)
+        self.targets = [r for v in ens.final_parities for r in ens.packed(v)]
+        self.target_rank = mat_rank(ens.stack(ens.final_parities))
 
     def scheme_for(self, profile, combo) -> ConversionScheme:
         return ConversionScheme(self.params, tuple(
@@ -115,7 +115,7 @@ class _CutTable:
     """
 
     def __init__(self, space: _SchemeSpace):
-        self.fld = space.ens.field
+        self.pk = space.ens.packing
         self.alpha = space.params.alpha
         slots = len(space.nodes)
         self.full = (1 << slots) - 1
@@ -124,8 +124,7 @@ class _CutTable:
         # while the residual is nonempty, since a superset's residual is
         # then empty too) and the targets modulo that span, echelonized.
         self._basis = {0: []}
-        self._residual = {0: [r for _, r in _insert_rows(
-            self.fld, [], space.targets.data)]}
+        self._residual = {0: [r for _, r, _ in self.pk.insert([], space.targets)]}
         self._need: dict[int, int] = {}   # need(A) by mask A
 
     def _reduced(self, c: int) -> list:
@@ -135,12 +134,12 @@ class _CutTable:
         parent = c ^ (1 << top)
         res = self._reduced(parent)
         if res:
-            pbasis = self._basis[parent]
-            basis = _insert_rows(self.fld, list(pbasis), self.blocks[top])
+            pk, pbasis = self.pk, self._basis[parent]
+            basis = pk.insert(list(pbasis), self.blocks[top])
             joined = basis[len(pbasis):]
             if joined:
-                res = [r for _, r in _insert_rows(
-                    self.fld, [], [_reduce_row(self.fld, joined, r) for r in res])]
+                res = [r for _, r, _ in pk.insert(
+                    [], [pk.reduce(joined, r) for r in res])]
             self._basis[c] = basis
         self._residual[c] = res
         return res
@@ -186,14 +185,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     join once, the targets and free slots' menu rows are reduced modulo
     their rows once, and only the free slots are walked, depth first in
     product order.  Each depth carries the echelon basis of the rows
-    downloaded so far (linalg._insert_rows) and the residual targets,
+    downloaded so far (RowPacking.insert) and the residual targets,
     zero at its pivots, so a visit reduces them against only the rows
     that joined; a subtree is skipped when their rank exceeds the rows
     the remaining free slots can add.  Skipped profiles and subtrees
     still count in `visited`, the position in the full enumeration order.
     """
     p = ens.params
-    fld = ens.field
+    pk = ens.packing
+    reduce = pk.reduce
     space = _SchemeSpace(ens)
     slots = len(space.nodes)
     cap = p.ki * p.alpha
@@ -211,7 +211,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
 
     def modulo(basis, rows):
         # The nonzero rows left of rows reduced against basis.
-        return [r for r in (_reduce_row(fld, basis, r) for r in rows) if any(r)]
+        return [r for r in (reduce(basis, r) for r in rows) if r]
 
     def walk(depth, basis, residual, combo):
         # menus[j]: free slot j's rows modulo the fixed rows; left[j]:
@@ -221,11 +221,11 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
             skip(1)
             return None if residual else combo
         if len(residual) > left[depth] and \
-                len(_insert_rows(fld, [], residual)) > left[depth]:
+                len(pk.insert([], residual)) > left[depth]:
             skip(below[depth])
             return None
         for i, rows in enumerate(menus[depth]):
-            new_basis = _insert_rows(fld, list(basis), rows)
+            new_basis = pk.insert(list(basis), rows)
             joined = new_basis[len(basis):]
             combo[free[depth]] = i
             found = walk(depth + 1, new_basis, modulo(joined, residual), combo)
@@ -242,7 +242,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                 if cuts is not None and cuts.rejects(profile):
                     skip(math.prod(sizes[d] for d in profile))
                     continue
-                fixed = _insert_rows(fld, [], [
+                fixed = pk.insert([], [
                     r for s, d in enumerate(profile) if sizes[d] == 1
                     for r in space.mapped[s][d][0]])
                 free = [s for s, d in enumerate(profile) if sizes[d] > 1]
@@ -250,7 +250,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                          for s in free]
                 left = [sum(profile[s] for s in free[j:]) for j in range(len(free))]
                 below = [math.prod(map(len, menus[j:])) for j in range(len(free))]
-                combo = walk(0, [], modulo(fixed, space.targets.data), [0] * slots)
+                combo = walk(0, [], modulo(fixed, space.targets), [0] * slots)
                 if combo is not None:
                     scheme = space.scheme_for(profile, combo)
                     if on_feasible is not None:

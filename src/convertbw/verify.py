@@ -27,7 +27,7 @@ from .ensemble import (CheckReport, IndependencePreconditionError,
                        ensemble_from_codes, final_parity_node,
                        initial_parity_node, random_corollary1_tuple,
                        random_corollary2_set)
-from .linalg import random_matrix
+from .linalg import randbelow, random_matrix
 from .params import SplitParams
 
 DEFAULT_QS = (5, 7, 11)
@@ -79,7 +79,8 @@ def plant_corruption(ens: LinearEnsemble, kind: str) -> LinearEnsemble | None:
 
 
 def _random_map(rng: random.Random, fld, alpha: int):
-    return random_matrix(fld, rng.randint(0, alpha), alpha, rng)
+    # randbelow(rng, alpha + 1, 1) draws what rng.randint(0, alpha) would.
+    return random_matrix(fld, randbelow(rng, alpha + 1, 1)[0], alpha, rng)
 
 
 def lemma_mi_trial(ens: LinearEnsemble, rng: random.Random) -> str:

@@ -1,6 +1,7 @@
-"""Plain numpy Gauss-Jordan elimination on the field's arr_* kernels:
-the reference path the list kernel behind convertbw.linalg is tested
-against."""
+"""The reference paths the packed-row kernel behind convertbw.linalg is
+tested against: plain numpy Gauss-Jordan elimination on the field's
+arr_* kernels, and the insertion-order echelon basis by scalar field
+operations."""
 
 import numpy as np
 
@@ -56,3 +57,21 @@ def ref_solve_left(target, basis):
     if fld.sub(target.array, fld.arr_matmul(coords, a[keep, :n])).any():
         return None
     return Matrix(fld, fld.arr_matmul(coords, a[keep, n:]))
+
+
+def ref_basis(field, rows):
+    """The echelon basis RowPacking.insert keeps, as (pivot column, row
+    list) pairs: each row in turn, minus the multiple of each earlier
+    basis row that clears it at that row's pivot, joins if nonzero,
+    scaled to 1 at its first nonzero entry."""
+    basis = []
+    for r in rows:
+        r = list(r)
+        for p, b in basis:
+            c = r[p]
+            r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, b)]
+        nonzero = [j for j, x in enumerate(r) if x]
+        if nonzero:
+            inv = field.inv(r[nonzero[0]])
+            basis.append((nonzero[0], [field.mul(inv, x) for x in r]))
+    return basis

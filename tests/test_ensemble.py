@@ -1,7 +1,7 @@
 """Entropy-oracle tests: exact rank entropies and the structural checks."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -12,7 +12,8 @@ from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
                                 check_mds_reconstruction, check_mi_bound,
                                 check_min_avg, check_prop_parity_iid,
                                 check_stability, check_storage_axioms,
-                                cond_entropy, ensemble_from_codes, entropy,
+                                cond_entropy, corollary1_holds,
+                                corollary2_holds, ensemble_from_codes, entropy,
                                 final_parity_node, info_node,
                                 initial_parity_node, mutual_info)
 from convertbw.gf import field
@@ -238,6 +239,53 @@ def test_min_avg_exhaustive_random_maps(medium):
                 pass
 
 
+def test_ratio_bounds_match_fraction_arithmetic(medium, monkeypatch):
+    # check_min_avg and the two corollaries compare ratio bounds by
+    # integer cross-multiplication.  With the ranks replaced by small
+    # made-up values whose averages are not integers (a node's rank is
+    # h, plus 1 for an odd index), each verdict must equal the exact
+    # Fraction comparison, at equality and one off either side.
+    from fractions import Fraction
+    from convertbw import ensemble as E
+    p, ens = medium
+    full = Matrix.identity(ens.field, p.alpha)
+    nodes = list(ens.initial_nodes)
+    infos, parities = ens.info_nodes, ens.initial_parities
+    monkeypatch.setattr(E, "_nodes_independent", lambda ens, vs: True)
+
+    def subsets(pool):
+        return [c for n in range(len(pool) + 1) for c in combinations(pool, n)]
+
+    for h, best in product(range(3), range(6)):
+        def fake_h(pk, rows, vs):
+            return sum(h + v.index % 2 for v in vs)
+
+        monkeypatch.setattr(E, "_h_rows", fake_h)
+        monkeypatch.setattr(E, "_min_h_rows",
+                            lambda pk, rows, pool, size: best if size else 0)
+        for b in range(2, 5):
+            singles = fake_h(None, None, nodes[:b])
+            for a in range(b + 1):
+                assert check_min_avg(ens, [(v, full) for v in nodes[:b]], a) \
+                    == (Fraction(best if a else 0) <= Fraction(a, b) * singles)
+        for s2 in subsets(infos):
+            if len(s2) >= p.ri:
+                assert corollary2_holds(ens, {}, 0, s2) == (
+                    Fraction(best) <= Fraction(p.ri, len(s2)) * fake_h(None, None, s2))
+            for s1 in subsets(parities):
+                for b1 in range(min(p.ri, len(s1)) + 1):
+                    b2 = p.ri - b1
+                    if b2 > len(s2):
+                        continue
+                    minsum = (best if b1 else 0) + (best if b2 else 0)
+                    avg1 = Fraction(b1, len(s1)) * sum(
+                        fake_h(None, None, [v]) for v in s1) if s1 else 0
+                    avg2 = Fraction(b2, len(s2)) * fake_h(None, None, s2) \
+                        if s2 else 0
+                    assert corollary1_holds(ens, {}, 0, s1, s2, b1, b2) == \
+                        (minsum <= avg1 + avg2)
+
+
 def test_min_avg_rejects_bad_family(medium):
     p, ens = medium
     full = Matrix.identity(ens.field, p.alpha)
@@ -426,8 +474,8 @@ def test_node_id_order_equality_and_copies():
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
-    # The download checks rank each node's mapped rows with the list
-    # kernel; every rank they use must equal numpy plain elimination of
+    # The download checks rank each node's mapped rows packed; every
+    # rank they use must equal numpy plain elimination of
     # mapped_rows for the same nodes.  Maps are seeded, 0-row ones included.
     from convertbw import ensemble as E
     from convertbw.ensemble import (_download_mi, corollary1_holds,
@@ -469,7 +517,7 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         rows = E._node_rows(ens, maps, nodes)
         for size in range(4):
             for sub in combinations(nodes, size):
-                assert h_rows(fld, rows, sub) == ref(maps, sub)
+                assert h_rows(ens.packing, rows, sub) == ref(maps, sub)
         mi = _download_mi(ens, rows)
         assert mi == ref_mi(maps, ens.initial_parities, ens.info_nodes)
 

@@ -138,11 +138,12 @@ def test_array_kernels_match_scalar_ops(q):
     assert f.add(block, other).tolist() == [
         [f.add(int(a), int(b)) for a, b in zip(r, s)]
         for r, s in zip(block, other)]
-    # The list kernel row_submul against scalar sub and mul, c = 0 too.
+    # The packed kernel's combine against scalar add and mul, c = 0 too.
     x, y = block[0].tolist(), row.tolist()
+    pk = f.packing(len(x))
     for c in (0, 1, rng.randrange(2, q)):
-        assert f.row_submul(x, y, c) == [f.sub(a, f.mul(c, b))
-                                         for a, b in zip(x, y)]
+        assert pk.unpack(pk.combine([1, c], [pk.pack_bytes(x), pk.pack_bytes(y)])) \
+            == tuple(f.add(a, f.mul(c, b)) for a, b in zip(x, y))
 
 
 @pytest.mark.parametrize("q", [7, 8])
@@ -166,7 +167,7 @@ def test_arr_matmul_matches_naive_product(q):
 @pytest.mark.parametrize("q", [2, 5, 251, 8, 256])
 def test_lincomb_matches_list_kernel_product(q):
     # lincomb(pack(m), c) is the row vector c times m; Matrix.matmul
-    # (the row_submul kernel) is the reference.
+    # (the packed-row kernel) is the reference.
     f = field(q)
     rng = random.Random(q)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1)] + [

@@ -7,10 +7,11 @@ import pytest
 
 from convertbw.gf import field
 from convertbw.linalg import (Matrix, enumerate_subspaces, gaussian_binomial,
-                              in_span, mat_inverse, mat_rank, rank_pair,
-                              random_invertible, random_matrix, rref,
-                              solve_left, vstack)
-from plain_elimination import ref_inverse, ref_rank, ref_rref, ref_solve_left
+                              in_span, mat_inverse, mat_rank, randbelow,
+                              rank_pair, random_invertible, random_matrix,
+                              rref, solve_left, vstack)
+from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
+                               ref_solve_left)
 
 F5 = field(5)
 F2 = field(2)
@@ -131,9 +132,71 @@ def _random_of_rank(fld, rows, cols, rank, rng):
     return random_matrix(fld, rows, rank, rng) @ random_matrix(fld, rank, cols, rng)
 
 
+@pytest.mark.parametrize("q", [2, 5, 127, 131, 251, 8, 256])
+def test_packed_kernel_matches_plain_elimination(q):
+    # Every lane width and fold: 8-bit lanes up to GF(127), 16-bit ones
+    # from GF(131), XOR lanes over GF(8) and GF(256).  Entries of q - 1
+    # give the largest lane sums before a fold.  Basis rows must equal
+    # the scalar reference's, and rank, rref, solve_left, mat_inverse and
+    # products numpy elimination's, entry for entry.
+    fld = field(q)
+    rng = random.Random(q)
+    top = q - 1
+    mats = [Matrix.zeros(fld, 0, 5), Matrix.zeros(fld, 4, 0),
+            Matrix.zeros(fld, 0, 0), Matrix(fld, [[top] * 16]),
+            Matrix(fld, [[top] * 16] * 16), Matrix(fld, [[top] * 9] * 3),
+            Matrix(fld, [[top * (i == j) for j in range(16)] for i in range(16)]),
+            random_matrix(fld, 1, 16, rng), random_matrix(fld, 16, 16, rng),
+            _random_of_rank(fld, 16, 16, 11, rng)]
+    for _ in range(20):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+        mats.append(_random_of_rank(fld, rows, cols,
+                                    rng.randint(0, min(rows, cols)), rng))
+    for m in mats:
+        pk = fld.packing(m.cols)
+        basis = pk.insert([], [pk.pack(r) for r in m.data])
+        assert [(s // pk.bits, list(pk.unpack(r))) for s, r, _ in basis] == \
+            ref_basis(fld, m.data)
+        assert all(b == pk.pack_bytes(pk.unpack(r)) for _, r, b in basis)
+        assert mat_rank(m) == len(basis) == ref_rank(m)
+        assert rref(m) == ref_rref(m)
+        for target in (random_matrix(fld, 3, m.rows, rng) @ m,
+                       random_matrix(fld, 2, m.cols, rng),
+                       Matrix(fld, [[top] * m.cols] * 2)):
+            assert solve_left(target, m) == ref_solve_left(target, m)
+        a = vstack([Matrix(fld, [[top] * m.rows] * 2),
+                    random_matrix(fld, 1, m.rows, rng)])
+        assert np.array_equal((a @ m).array, fld.arr_matmul(a.array, m.array))
+        if m.rows == m.cols:
+            want = ref_inverse(m)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    mat_inverse(m)
+            else:
+                assert mat_inverse(m) == want
+
+
+def test_randbelow_draws_what_randrange_and_randint_draw():
+    # Same values and the same use of the stream, so seeded outputs
+    # (the verify JSON, the search's parity mixes) do not move.
+    for n in range(1, 257):
+        a, b, c = random.Random(n), random.Random(n), random.Random(n)
+        assert randbelow(a, n, 40) == [b.randrange(n) for _ in range(40)] \
+            == [c.randint(0, n - 1) for _ in range(40)]
+        assert a.getstate() == b.getstate() == c.getstate()
+    assert randbelow(random.Random(0), 5, 0) == []
+
+
+def test_matrix_hash_is_kept_and_matches_equal_matrices():
+    m = Matrix._of_rows(F5, [[1, 2], [3, 4]], 2)
+    assert hash(m) == hash(m) == hash(Matrix(F5, [[1, 2], [3, 4]]))
+    assert {m: 1}[Matrix(F5, [[1, 2], [3, 4]])] == 1
+    assert hash(Matrix.zeros(F5, 0, 2)) != hash(Matrix.zeros(F5, 0, 3))
+
+
 @pytest.mark.parametrize("q", [7, 8])
 def test_rank_kernel_matches_plain_elimination(q):
-    # Differential test of the list kernel behind mat_rank and rank_pair
+    # Differential test of the packed kernel behind mat_rank and rank_pair
     # against numpy elimination, up to the 16 x 14 stacks of the verify
     # grid: 0 rows, 0 columns, 1 row, rank-deficient and full-rank.
     fld = field(q)

@@ -12,7 +12,7 @@ from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
                                    default_scheme)
 from convertbw.ensemble import ensemble_from_codes
-from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair
+from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair, vstack
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
@@ -116,17 +116,25 @@ def _combos(space, profile):
     return product(*[range(len(space.subspaces[d])) for d in profile])
 
 
-def _stack(space, row_groups):
-    return Matrix(space.ens.field, np.array(
-        [r for g in row_groups for r in g],
-        dtype=np.int64).reshape(-1, space.targets.cols))
+def _mapped(space, s, d, i):
+    """Subspace i of dimension d applied to slot s's node block."""
+    return space.subspaces[d][i] @ space.ens.block(space.nodes[s])
+
+
+def _targets(space):
+    return space.ens.stack(space.ens.final_parities)
+
+
+def _stack(space, mats):
+    return vstack([Matrix.zeros(space.ens.field, 0, space.params.message_dim),
+                   *mats])
 
 
 def _feasible(space, profile, combo):
     """Whether the scheme's downloads span the target rows: one full
     rank_pair of the whole download stack."""
-    rows = [space.mapped[s][d][i] for s, (d, i) in enumerate(zip(profile, combo))]
-    rd, rj = rank_pair(_stack(space, rows), space.targets)
+    mats = [_mapped(space, s, d, i) for s, (d, i) in enumerate(zip(profile, combo))]
+    rd, rj = rank_pair(_stack(space, mats), _targets(space))
     return rd == rj
 
 
@@ -237,8 +245,8 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
     need = {}
     for a in sets:
         # Rank of the targets modulo the full blocks outside A, from scratch.
-        outside = [space.mapped[s][alpha][0] for s in range(slots) if not a >> s & 1]
-        rb, rbt = rank_pair(_stack(space, outside), space.targets)
+        outside = [_mapped(space, s, alpha, 0) for s in range(slots) if not a >> s & 1]
+        rb, rbt = rank_pair(_stack(space, outside), _targets(space))
         need[a] = rbt - rb
         assert table.need(a) == need[a]
     gamma = min_bandwidth_exhaustive(ens, SearchBudget()).gamma
