@@ -6,10 +6,11 @@ Maps are kept in canonical form: full row rank, reduced row-echelon.
 The read cost of a scheme is simply the total number of downloaded
 rows; writes always materialize the lf*rf new parity nodes in full.
 
-run_conversion multiplies only through Field.lincomb, by matrices
-packed once per (params, code pair, scheme) in the value-keyed
-_conversion_plan cache: each downloading node's map and the matrix
-combining the downloaded values into the new parities.
+run_conversion multiplies only through the row kernel
+RowPacking.combine, by matrices packed once (mds._packed) per (params,
+code pair, scheme) in the value-keyed _conversion_plan cache: each
+downloading node's map and the matrix combining the downloaded values
+into the new parities.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ensemble import (LinearEnsemble, _check_code_pair, final_parity_rows,
                        mapped_rows)
 from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
 from .gf import as_count
-from .mds import VectorCode, _codeword, make_systematic_mds
+from .mds import VectorCode, _codeword, _packed, make_systematic_mds
 from .params import SplitParams, rational_json
 
 
@@ -172,11 +173,11 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
 @lru_cache(maxsize=64)
 def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
                      scheme: ConversionScheme):
-    """The message-independent part of a conversion, packed for
-    Field.lincomb: the downloading nodes in node order, each with its
-    map transposed (so it applies to the node's row of stored symbols),
-    and the matrix `combine`, transposed, that takes the row of their
-    downloaded values, in that order, to the new parities.  Raises
+    """The message-independent part of a conversion, packed (_packed):
+    the downloading nodes in node order, each with its map transposed
+    (so it applies to the node's row of stored symbols), and the matrix
+    `combine`, transposed, that takes the row of their downloaded
+    values, in that order, to the new parities.  Raises
     InfeasibleSchemeError (never cached) when there is none."""
     fld = initial.field
     used = tuple((i, m) for i, m in enumerate(scheme.maps) if m.rows)
@@ -186,8 +187,8 @@ def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
     if combine is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    return (tuple((i, fld.pack(m.transpose().data, m.rows)) for i, m in used),
-            fld.pack(combine.transpose().data, combine.rows))
+    return (tuple((i, _packed(m.transpose())) for i, m in used),
+            _packed(combine.transpose()))
 
 
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
@@ -211,9 +212,11 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     _check_scheme_params(p, scheme)
     stored = _codeword(initial, message)
     maps, combine = _conversion_plan(p, initial, final, scheme)
-    fld, a = initial.field, p.alpha
-    values = [v for i, m in maps for v in fld.lincomb(m, stored[i * a:(i + 1) * a])]
-    new = fld.lincomb(combine, values)
+    a = p.alpha
+    values = [v for i, (pk, rows) in maps
+              for v in pk.unpack(pk.combine(stored[i * a:(i + 1) * a], rows))]
+    pk, rows = combine
+    new = pk.unpack(pk.combine(values, rows))
 
     kfa, rfa = p.kf * p.alpha, p.rf * p.alpha
     return [_frozen(stored[t * kfa:(t + 1) * kfa] + new[t * rfa:(t + 1) * rfa],

@@ -8,33 +8,28 @@ supported:
   modulo one fixed primitive polynomial per degree, with exp/log lookup
   tables over the powers of x.
 
-Both kernels multiply every entry of a row at once: one bytes.translate
-of the row through the field's 256-byte table of products by a
-coefficient (built on first use), then one big-int operation.
+Every product and elimination runs on one row kernel, Field.packing(cols),
+a RowPacking: a row of cols elements is one Python int, column j in bits
+[w*j, w*j + w), with w = 8 over GF(2^m) and for primes below 128 and
+w = 16 for the primes 131..251; rows the kernel multiplies are also kept
+as bytes.  Each term multiplies every entry of a row at once: one
+bytes.translate of the row through the field's 256-byte table of
+products by a coefficient (built on first use), then one big-int
+operation.  Over GF(2^m) that is one XOR.  Over GF(p) it is one add,
+each lane then below 2q, folded back below q with no carry across lanes.
+RowPacking.reduce and insert serve elimination (convertbw.linalg, the
+oracle and the search); RowPacking.combine, a row vector times a matrix
+whose rows were packed once, serves Matrix.matmul and the write path
+(encode, run_conversion, decode_from), which keeps its packed matrices
+in value-keyed caches.
 
-- Field.packing(cols) holds rows of cols elements for elimination and
-  for products of transient matrices (convertbw.linalg, the oracle and
-  the search).  A row is one Python int, column j in bits [w*j, w*j + w),
-  with w = 8 over GF(2^m) and for primes below 128 and w = 16 for the
-  primes 131..251; rows the kernel multiplies are also kept as bytes.
-  Over GF(2^m) a row update is one XOR.  Over GF(p) it is one add, each
-  lane then below 2q, folded back below q with no carry across lanes
-  (RowPacking.reduce).
-- Field.lincomb multiplies a vector by a fixed matrix whose rows were
-  packed once (Field.pack) into Lanes, wide enough to sum every term
-  before one mod pass; the write path (encode, run_conversion,
-  decode_from) keeps its packed matrices in value-keyed caches.
-
-Only this module knows the lane formats.  Outside entries and counts
+Only this module knows the lane format.  Outside entries and counts
 are checked in plain Python (Field.as_elements, as_count); numpy
 appears only in the arr_* reference kernels and the int64 tables they
 read.
 """
 
 from __future__ import annotations
-
-import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,21 +59,6 @@ def as_count(x, what: str, lo: int = 0) -> int:
         kind = "" if type(x) is int else f" (a {type(x).__name__}; it must be an int)"
         raise ValueError(f"{what} must be {need}, got {x!r}{kind}")
     return x
-
-
-class Lanes(NamedTuple):
-    """A matrix's rows packed for Field.lincomb: each row one bytes
-    string of cols lanes, each lane `width` bytes in native byte order
-    holding one element (< 256, so only its low byte can be nonzero).
-    Build it with Field.pack, which picks width."""
-
-    rows: tuple[bytes, ...]
-    cols: int
-    width: int
-
-
-# memoryview formats of unsigned native ints, by lane width in bytes.
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class RowPacking:
@@ -151,7 +131,8 @@ class RowPacking:
         raise NotImplementedError
 
     def combine(self, coeffs, rows) -> int:
-        """sum_j coeffs[j] * row j, the rows given as bytes."""
+        """sum_j coeffs[j] * row j, the rows given as bytes; coeffs of
+        another length than rows raise ValueError."""
         raise NotImplementedError
 
     def _table(self, c: int) -> bytes:
@@ -185,6 +166,8 @@ class _PrimePacking(RowPacking):
         return x
 
     def combine(self, coeffs, rows):
+        if len(coeffs) != len(rows):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
         q, top = self.field.q, self.bits - 1
         add, bit, tables, from_bytes = self._fold_add, self._fold_bit, \
             self._tables, int.from_bytes
@@ -213,6 +196,8 @@ class _BinaryPacking(RowPacking):
         return x
 
     def combine(self, coeffs, rows):
+        if len(coeffs) != len(rows):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
         tables, from_bytes = self._tables, int.from_bytes
         x = 0
         for c, b in zip(coeffs, rows):
@@ -237,14 +222,13 @@ class Field:
 
     Scalar operations take and return ints in [0, q); add and sub are
     elementwise, so they also take two arrays of elements.
-    packing(cols) is the kernel of every elimination and product in
-    convertbw.linalg, the oracle and the search; lincomb(lanes, coeffs)
-    is the write path's.  Each term of either is one bytes.translate of
-    a packed row through the 256-byte table of products by its
-    coefficient (built on first use) and one big-int operation over all
-    lanes at once.  The arr_* kernels (on reduced int64 arrays) serve
-    only the tests' reference and perfbench/spans.py, which wraps them
-    by name.
+    packing(cols) is the one row kernel: every elimination and product
+    in convertbw.linalg, the oracle, the search and the write path runs
+    on it.  Each term is one bytes.translate of a packed row through the
+    256-byte table of products by its coefficient (built on first use)
+    and one big-int operation over all lanes at once.  The arr_* kernels
+    (on reduced int64 arrays) serve only the tests' reference and
+    perfbench/spans.py, which wraps them by name.
     """
 
     q: int
@@ -323,22 +307,6 @@ class Field:
             pk = self._packings[cols] = self._packing_type(self, cols)
         return pk
 
-    def pack(self, rows, cols: int) -> Lanes:
-        """rows, each cols field elements, packed for lincomb in lanes
-        wide enough that no sum over all of them carries into the next
-        lane (_lane_width)."""
-        width = self._lane_width(len(rows))
-        return Lanes(tuple(b"".join(x.to_bytes(width, sys.byteorder) for x in r)
-                           for r in rows), cols, width)
-
-    def lincomb(self, lanes: Lanes, coeffs) -> list[int]:
-        """sum_j coeffs[j] * row j of the packed matrix, as a list of
-        lanes.cols elements; coeffs has one element per packed row."""
-        raise NotImplementedError
-
-    def _lane_width(self, terms: int) -> int:
-        raise NotImplementedError
-
     def _product_table(self, c: int) -> bytes:
         """The table of c * x for every byte x (bytes >= q, which no
         lane holds, map to 0), built and kept on the first kernel term
@@ -399,25 +367,6 @@ class PrimeField(Field):
         # Entries < 251 and inner dimensions stay desk-scale, so the
         # int64 accumulator cannot overflow.
         return (a @ b) % self.q
-
-    def _lane_width(self, terms):
-        # A lane sums up to `terms` products, each at most q - 1.
-        most = terms * (self.q - 1)
-        for width in _LANE_FORMATS:
-            if most < 1 << (8 * width):
-                return width
-        raise ValueError(f"{terms} rows are too many to pack over {self!r}")
-
-    def lincomb(self, lanes, coeffs):
-        tables = self._products
-        total = 0
-        for row, c in zip(lanes.rows, coeffs, strict=True):
-            if c:
-                total += int.from_bytes(
-                    row.translate(tables[c] or self._product_table(c)), sys.byteorder)
-        sums = total.to_bytes(lanes.cols * lanes.width, sys.byteorder)
-        q = self.q
-        return [x % q for x in memoryview(sums).cast(_LANE_FORMATS[lanes.width])]
 
 
 class BinaryField(Field):
@@ -493,18 +442,6 @@ class BinaryField(Field):
         for k in range(a.shape[1]):
             out = self.arr_submul(out, b[k, :], a[:, k])
         return out
-
-    def _lane_width(self, terms):
-        return 1   # sums are XORs, which never carry
-
-    def lincomb(self, lanes, coeffs):
-        tables = self._products
-        total = 0
-        for row, c in zip(lanes.rows, coeffs, strict=True):
-            if c:
-                total ^= int.from_bytes(
-                    row.translate(tables[c] or self._product_table(c)), "little")
-        return list(total.to_bytes(lanes.cols, "little"))
 
 
 _FIELD_CACHE: dict[int, Field] = {}

@@ -199,6 +199,13 @@ GOLDEN = [
     (["simulate", "--lf", "2", "--kf", "3", "--rf", "2", "--ri", "2",
       "--alpha", "2", "--q", "8"],
      "c1baea000a6ee8496ddf8e86f9aa623cdb9dc2e23e833580a26ab7a621c065e7", 0),
+    # The same conversions over GF(11) (8-bit lanes) and GF(251) (16-bit).
+    (["simulate", "--lf", "2", "--kf", "3", "--rf", "2", "--ri", "2",
+      "--alpha", "2", "--q", "11"],
+     "ed94e728cfc6ee866a97d2f7e7c17f318f12e0e840ac1d123f7accf7ac4f58df", 0),
+    (["simulate", "--lf", "2", "--kf", "3", "--rf", "2", "--ri", "2",
+      "--alpha", "2", "--q", "251"],
+     "ba0f05812f715d8efa8cee593b1dd632ea78039bd234a5ebbc1d6a716131e43a", 0),
     (["search", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1",
       "--alpha", "1", "--q", "5", "--trials", "3"],
      "2b45ac8ad7b54f961cbde71e60ad77b2bba70149fa94b4ddc6282c7e64531c38", 0),

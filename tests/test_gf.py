@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from convertbw.gf import (_IRREDUCIBLE, BinaryField, PrimeField, field,
                           is_prime)
 from convertbw.linalg import Matrix
+from convertbw.mds import _packed
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 LARGE_ORDERS = [32, 64, 128, 251, 256]
@@ -164,10 +165,12 @@ def test_arr_matmul_matches_naive_product(q):
             assert got[i, j] == acc
 
 
-@pytest.mark.parametrize("q", [2, 5, 251, 8, 256])
-def test_lincomb_matches_list_kernel_product(q):
-    # lincomb(pack(m), c) is the row vector c times m; Matrix.matmul
-    # (the packed-row kernel) is the reference.
+@pytest.mark.parametrize("q", [2, 5, 127, 131, 251, 8, 256])
+def test_write_path_product_matches_arr_matmul(q):
+    # The write path's product, pk.unpack(pk.combine(c, rows)) on a
+    # matrix packed by mds._packed, is the row vector c times m; numpy's
+    # arr_matmul is the reference.  The orders cover both lane widths
+    # over GF(p) (8 bits below 128, 16 from 131) and GF(2^m).
     f = field(q)
     rng = random.Random(q)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1)] + [
@@ -181,19 +184,33 @@ def test_lincomb_matches_list_kernel_product(q):
         cases.append((m, cols, [rng.choice([0, rng.randrange(q)])
                                 for _ in range(rows)]))
     # Over GF(p), 300 products of entry q - 1 and coefficient 1 sum to
-    # 300 * (q - 1), which carries out of an 8-bit lane and, at q = 251,
-    # out of a 16-bit one; with coefficient q - 1 each product is 1.
+    # 300 * (q - 1), far past one lane, and with coefficient q - 1 each
+    # product is 1: each of the 300 terms is folded back below q.
     top = q - 1
     for c in (top, 1):
         cases.append(([[top] * 5] * 300, 5, [c] * 300))
     for m, cols, coeffs in cases:
-        want = Matrix._of_rows(f, [coeffs], len(m)) @ Matrix._of_rows(f, m, cols)
-        assert f.lincomb(f.pack(m, cols), coeffs) == list(want.data[0])
+        pk, rows = _packed(Matrix._of_rows(f, m, cols))
+        want = f.arr_matmul(np.array(coeffs, dtype=np.int64).reshape(1, len(m)),
+                            np.array(m, dtype=np.int64).reshape(len(m), cols))
+        assert pk.unpack(pk.combine(coeffs, rows)) == tuple(want[0].tolist())
+
+
+@pytest.mark.parametrize("q", [251, 8])
+def test_combine_refuses_coefficients_of_another_length(q):
+    # One coefficient per packed row: a short or long vector raises
+    # instead of being cut to the shorter length.
+    pk = field(q).packing(2)
+    rows = [pk.pack_bytes([1, 2]), pk.pack_bytes([3, 4])]
+    for coeffs in ([5], [5, 1, 1]):
+        with pytest.raises(ValueError, match="coefficients for 2 rows"):
+            pk.combine(coeffs, rows)
 
 
 def test_product_tables_are_built_on_first_use():
     for f in (PrimeField(251), BinaryField(8)):
         assert not any(f._products)
-        assert f.lincomb(f.pack([[1, 2], [3, 4]], 2), [0, 7]) == \
-            [f.mul(7, 3), f.mul(7, 4)]
+        pk = f.packing(2)
+        rows = [pk.pack_bytes([1, 2]), pk.pack_bytes([3, 4])]
+        assert pk.unpack(pk.combine([0, 7], rows)) == (f.mul(7, 3), f.mul(7, 4))
         assert [c for c, t in enumerate(f._products) if t] == [7]

@@ -155,7 +155,7 @@ def test_decode_reports_corruption_with_extra_node():
         tampered = {i: cw[i].tolist() for i in range(n)}
         tampered[n - 1][-1] = f.add(tampered[n - 1][-1], 1)
         mds._decoder.cache_clear()
-        mds._generator_lanes.cache_clear()
+        mds._packed_generator.cache_clear()
         for _ in ("cold", "warm"):
             with pytest.raises(CorruptDataError, match=f"node {n - 1} "):
                 decode_from(code, tampered)
