@@ -70,21 +70,6 @@ def entropy_V_lb(p: SplitParams, theta1: int) -> Fraction:
     return Fraction(p.lf * p.kf * p.alpha) * Fraction(num, num + p.ri)
 
 
-def default_theta1(p: SplitParams) -> int:
-    """The theta1 choice used by the main bound."""
-    return _ceil_div(p.ri - (p.rf - 1), p.kf)
-
-
-def best_entropy_V_lb(p: SplitParams) -> tuple[int, Fraction]:
-    """Diagnostic: (argmax, max) of entropy_V_lb over theta1 in [1, lf]."""
-    best = (1, entropy_V_lb(p, 1))
-    for t1 in range(2, p.lf + 1):
-        v = entropy_V_lb(p, t1)
-        if v > best[1]:
-            best = (t1, v)
-    return best
-
-
 def uniform_cost_bound(p: SplitParams) -> Fraction:
     """The earlier bound derived under per-node-uniform downloads."""
     if p.rf == 0:
@@ -105,27 +90,6 @@ def achievable_decreasing(p: SplitParams) -> Fraction:
     a = p.lf - 1
     return Fraction(p.lf * p.rf * p.alpha) * Fraction(a * p.kf + p.ri,
                                                       a * p.rf + p.ri)
-
-
-def reference_access_bound(ki: int, ri: int, kf: int, rf: int,
-                           li: int, lf: int) -> int:
-    """Read access (node-count) lower bound for general conversions."""
-    if ki == kf:
-        raise ValueError("access bound needs ki != kf")
-    if ri < rf or rf >= min(ki, kf):
-        return li * ki
-    return li * rf + (li % lf) * (ki - max(kf % ki, rf))
-
-
-def reference_merge_bound(ki: int, ri: int, rf: int, li: int,
-                          alpha: int) -> Fraction:
-    """Read bandwidth lower bound when li >= 2 initial codewords merge
-    into one final codeword."""
-    if li < 2:
-        raise ValueError(f"merge bound needs li >= 2, got {li}")
-    if ri >= rf or ki <= rf:
-        return Fraction(li * alpha * min(ki, rf))
-    return Fraction(li * alpha) * (ri + ki * (1 - Fraction(ri, rf)))
 
 
 def _classify(p: SplitParams) -> str:

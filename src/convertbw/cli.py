@@ -44,11 +44,16 @@ def _threads_cap() -> int:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    """text to out_path, or to stdout; an unwritable out_path (a
+    directory, a missing parent) is a usage error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
 
 
 def _dump_json(obj, out_path: str | None) -> None:

@@ -392,38 +392,6 @@ def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     return mi <= mn and mn * len(s) <= p.ri * _h_rows(ens.packing, rows, s)
 
 
-def check_corollaries(ens: LinearEnsemble,
-                      maps: Mapping[NodeId, Matrix]) -> CheckReport:
-    """Both chained download-inequality checks over the initial-code
-    nodes, for every admissible tuple.  Each node is mapped once; a node
-    missing from maps downloads nothing."""
-    p = ens.params
-    nodes = ens.initial_nodes
-    zero = Matrix.zeros(ens.field, 0, p.alpha)
-    rows = _node_rows(ens, {v: maps.get(v, zero) for v in nodes}, nodes)
-    rep = CheckReport("download-mi-chains", p.as_dict())
-    mi = _download_mi(ens, rows)
-    for n1 in range(p.ri + 1):
-        for s1 in combinations(ens.initial_parities, n1):
-            for b1 in range(0, min(p.ri, n1) + 1):
-                b2 = p.ri - b1
-                for n2 in range(b2, p.ki + 1):
-                    for s2 in combinations(ens.info_nodes, n2):
-                        if not corollary1_holds(ens, rows, mi, s1, s2, b1, b2):
-                            rep.failures.append({
-                                "corollary": 1,
-                                "S1": [v.index for v in s1],
-                                "S2": [v.index for v in s2],
-                                "b1": b1, "b2": b2, "mi": mi})
-    for n in range(p.ri, p.ki + 1):
-        for s in combinations(ens.info_nodes, n):
-            if not corollary2_holds(ens, rows, mi, s):
-                rep.failures.append({
-                    "corollary": 2, "S": [v.index for v in s], "mi": mi})
-    rep.details["mi"] = mi
-    return rep
-
-
 def random_corollary1_tuple(ens: LinearEnsemble, rng):
     """A random admissible (S1, S2, b1, b2) with b1 + b2 = ri."""
     p = ens.params

@@ -24,14 +24,12 @@ whose rows were packed once, serves Matrix.matmul and the write path
 in value-keyed caches.
 
 Only this module knows the lane format.  Outside entries and counts
-are checked in plain Python (Field.as_elements, as_count); numpy
-appears only in the arr_* reference kernels and the int64 tables they
-read.
+are checked in plain Python (Field.as_elements, as_count).  numpy is
+imported only inside the arr_* reference kernels, which build their
+arrays when called; nothing else here needs it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 PRIME_LIMIT = 251
 BINARY_DEGREE_LIMIT = 8
@@ -220,8 +218,8 @@ def is_prime(n: int) -> bool:
 class Field:
     """Interface shared by both field families.
 
-    Scalar operations take and return ints in [0, q); add and sub are
-    elementwise, so they also take two arrays of elements.
+    Scalar operations take and return ints in [0, q); sub is
+    elementwise, so it also takes two arrays of elements.
     packing(cols) is the one row kernel: every elimination and product
     in convertbw.linalg, the oracle, the search and the write path runs
     on it.  Each term is one bytes.translate of a packed row through the
@@ -233,9 +231,6 @@ class Field:
 
     q: int
     degree: int
-
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
 
     def sub(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -288,15 +283,14 @@ class Field:
 
     # Array kernels.
 
-    def arr_scale(self, v: np.ndarray, c: int) -> np.ndarray:
+    def arr_scale(self, v, c: int):
         raise NotImplementedError
 
-    def arr_submul(self, block: np.ndarray, row: np.ndarray,
-                   coeffs: np.ndarray) -> np.ndarray:
+    def arr_submul(self, block, row, coeffs):
         """Return block - coeffs[:, None] * row, the elimination update."""
         raise NotImplementedError
 
-    def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def arr_matmul(self, a, b):
         raise NotImplementedError
 
     def packing(self, cols: int) -> RowPacking:
@@ -343,9 +337,6 @@ class PrimeField(Field):
         self._products: list[bytes | None] = [None] * p
         self._packings: dict[int, RowPacking] = {}
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
@@ -375,8 +366,8 @@ class BinaryField(Field):
 
     Since the modulus is primitive, x (the element 2) generates the
     multiplicative group, so the exp/log tables are one walk over the
-    powers of x.  The scalar ops read the tables as Python lists, the
-    arr_* kernels as int64 arrays.
+    powers of x.  The tables are Python lists; the arr_* kernels make
+    numpy arrays of them when called.
     """
 
     _packing_type = _BinaryPacking
@@ -399,45 +390,43 @@ class BinaryField(Field):
             x <<= 1
             if x & q:
                 x ^= poly
-        self._exp_list = exp
-        self._log_list = log
-        self._exp = np.array(exp, dtype=np.int64)
-        self._log = np.array(log, dtype=np.int64)
+        self._exp = exp
+        self._log = log
         self._products: list[bytes | None] = [None] * q
         self._packings: dict[int, RowPacking] = {}
 
-    def add(self, a: int, b: int) -> int:
+    def sub(self, a: int, b: int) -> int:
         return a ^ b
-
-    sub = add
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        log = self._log_list
-        return self._exp_list[log[a] + log[b]]
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp_list[(self.q - 1) - self._log_list[a]]
+        return self._exp[(self.q - 1) - self._log[a]]
 
     def arr_scale(self, v, c):
-        if c == 0:
-            return np.zeros_like(v)
+        import numpy as np
+        exp, log = np.array(self._exp), np.array(self._log)
         out = np.zeros_like(v)
-        mask = v != 0
-        np.copyto(out, self._exp[self._log[v] + self._log[c]], where=mask)
+        if c:
+            np.copyto(out, exp[log[v] + log[c]], where=v != 0)
         return out
 
     def arr_submul(self, block, row, coeffs):
+        import numpy as np
+        exp, log = np.array(self._exp), np.array(self._log)
         mask = (coeffs[:, None] != 0) & (row[None, :] != 0)
         prod = np.zeros((coeffs.shape[0], row.shape[0]), dtype=np.int64)
-        s = self._log[coeffs][:, None] + self._log[row][None, :]
-        np.copyto(prod, self._exp[s], where=mask)
+        np.copyto(prod, exp[log[coeffs][:, None] + log[row][None, :]], where=mask)
         return block ^ prod
 
     def arr_matmul(self, a, b):
+        import numpy as np
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
         for k in range(a.shape[1]):
             out = self.arr_submul(out, b[k, :], a[:, k])

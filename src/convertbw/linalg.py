@@ -4,8 +4,9 @@ A Matrix couples a Field with a tuple of row tuples of Python ints and
 a column count.  Outside data enters through Matrix(field, rows), 2-D,
 or Matrix.from_flat, a row-major entry list (messages, JSON), whose
 entries Field.as_elements checks; results computed in the package are
-built unchecked by Matrix._of_rows.  numpy is used only for output:
-_frozen and the read-only Matrix.array.
+built unchecked by Matrix._of_rows.  numpy is used only for array
+output (_frozen: Matrix.array, encode, decode_from, run_conversion),
+and is imported on the first such call, not with the package.
 
 All arithmetic runs on packed rows (Field.packing): each row of
 elements is one int, column j in lane j, and a row operation is one
@@ -26,15 +27,17 @@ canonical.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .gf import Field, RowPacking
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _frozen(values, *shape: int) -> np.ndarray:
     """values as a new read-only int64 array of the given shape."""
+    import numpy as np
     out = np.array(values, dtype=np.int64).reshape(shape)
     out.setflags(write=False)
     return out
@@ -242,19 +245,6 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
             return None
         out.append([field.sub(0, x) for x in coords.unpack(r >> shift)])
     return Matrix._of_rows(field, out, basis.rows)
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    assert num % den == 0
-    return num // den
 
 
 def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Matrix]:

@@ -7,13 +7,13 @@ import pytest
 from convertbw.bounds import (REGIME_DECREASING_HIGH_MOD,
                               REGIME_DECREASING_LOW_MOD, REGIME_INCREASING,
                               REGIME_RF_GE_KF, REGIME_RI_GT_KI,
-                              achievable_decreasing, best_entropy_V_lb,
-                              bound_I, bound_II, bound_trivial,
-                              dominance_check, entropy_V_lb, known_achievable,
-                              default_theta1, reference_access_bound,
-                              reference_merge_bound, sweep_rows,
-                              theorem_bound, uniform_cost_bound)
+                              achievable_decreasing, bound_I, bound_II,
+                              bound_trivial, dominance_check, entropy_V_lb,
+                              known_achievable, sweep_rows, theorem_bound,
+                              uniform_cost_bound)
 from convertbw.params import SplitParams
+from support import (best_entropy_V_lb, default_theta1,
+                     reference_access_bound, reference_merge_bound)
 
 
 def P(lf, kf, rf, ri, alpha=1):

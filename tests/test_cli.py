@@ -66,6 +66,18 @@ def test_bound_writes_file(tmp_path, capsys):
     assert doc["tight"] is False
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    # An --out the command cannot open is a usage error (exit 2, one
+    # line), not a traceback with exit 1, which means a failed check.
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["bound", "--lf", "2", "--kf", "2", "--rf", "1",
+                              "--ri", "5", "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_sweep_single_point_matches_bound(capsys):
     code, out, _ = run_cli(["sweep", "--lf", "2", "--kf", "3", "--rf", "1",
                             "--ri", "2", "--alpha", "3"], capsys)

@@ -1,5 +1,6 @@
 """Conversion scheme, feasibility, and end-to-end conversion tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -383,3 +384,29 @@ def test_permuted_systematic_set_rejected():
     gen = initial.generator.array[:, [1, 0, 2]]
     with pytest.raises(ValueError, match="systematic on nodes 0..1"):
         VectorCode(3, 2, 1, p.field(), Matrix(p.field(), gen))
+
+
+# sha256 over the bytes of encode and run_conversion(default_scheme)
+# outputs for seeded messages: simulate prints no symbol, so only these
+# pin the prime-field codewords themselves, 8-bit lanes (GF(11)) and
+# 16-bit lanes (GF(131), GF(251)) alike.
+CODEWORD_DIGESTS = {
+    11: "438c61899d503bfbab714744efc19fe279b4e6d93c37e19ce6083c44ed03e518",
+    131: "9326876aded74f408a62127be432550df1358f41315983d76cb7241053f7da26",
+    251: "ee92198ab4fc9446608b3daaee8e5c8f92e2031b527c8bf87371c72222bb1d83",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CODEWORD_DIGESTS))
+def test_prime_field_codeword_bytes_are_pinned(q):
+    h = hashlib.sha256()
+    for point in [(2, 3, 2, 2, 2), (3, 2, 1, 2, 1), (2, 2, 2, 3, 3)]:
+        p, initial, final, _ = build(*point, q)
+        rng = random.Random(q)
+        for _ in range(4):
+            msg = [rng.randrange(q) for _ in range(p.message_dim)]
+            h.update(encode(initial, msg).astype("<i8").tobytes())
+            finals, _ = run_conversion(p, initial, final, default_scheme(p), msg)
+            for cw in finals:
+                h.update(cw.astype("<i8").tobytes())
+    assert h.hexdigest() == CODEWORD_DIGESTS[q]

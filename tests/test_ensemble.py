@@ -8,8 +8,8 @@ import pytest
 from convertbw.convertible import canonical_codes, default_scheme
 from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
                                 NodeId, check_cond_entropy_final,
-                                check_corollaries, check_joint_entropy,
-                                check_mds_reconstruction, check_mi_bound,
+                                check_joint_entropy, check_mds_reconstruction,
+                                check_mi_bound,
                                 check_min_avg, check_prop_parity_iid,
                                 check_stability, check_storage_axioms,
                                 cond_entropy, corollary1_holds,
@@ -20,6 +20,7 @@ from convertbw.gf import field
 from convertbw.linalg import Matrix, random_matrix, rank_pair
 from convertbw.mds import VectorCode, make_systematic_mds
 from convertbw.params import SplitParams
+from support import check_corollaries
 
 
 def build(lf, kf, rf, ri, alpha, q):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from convertbw.gf import field
-from convertbw.linalg import (Matrix, enumerate_subspaces, gaussian_binomial,
-                              in_span, mat_inverse, mat_rank, randbelow,
-                              rank_pair, random_invertible, random_matrix,
-                              rref, solve_left, vstack)
+from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
+                              mat_inverse, mat_rank, randbelow, rank_pair,
+                              random_invertible, random_matrix, rref,
+                              solve_left, vstack)
 from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
                                ref_solve_left)
+from support import gaussian_binomial
 
 F5 = field(5)
 F2 = field(2)

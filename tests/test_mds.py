@@ -14,6 +14,7 @@ from convertbw.linalg import Matrix
 from convertbw.mds import (CorruptDataError, VectorCode, decode_from, encode,
                            make_systematic_mds, verify_mds)
 from plain_elimination import ref_inverse
+from support import add
 
 F5 = field(5)
 F7 = field(7)
@@ -153,7 +154,7 @@ def test_decode_reports_corruption_with_extra_node():
         msg = [f.q - 1 - j for j in range(code.k * code.alpha)]
         cw = encode(code, msg)
         tampered = {i: cw[i].tolist() for i in range(n)}
-        tampered[n - 1][-1] = f.add(tampered[n - 1][-1], 1)
+        tampered[n - 1][-1] = add(f, tampered[n - 1][-1], 1)
         mds._decoder.cache_clear()
         mds._packed_generator.cache_clear()
         for _ in ("cold", "warm"):

@@ -1,0 +1,80 @@
+"""What the package is made of: every function in src/convertbw has a
+caller there, and importing it, or running a command that returns no
+array, leaves numpy unloaded."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import convertbw
+
+PKG = Path(convertbw.__file__).parent
+
+# Functions nothing in the package calls, each kept for a caller outside
+# it.  Anything else without a caller belongs in tests/support.py or
+# nowhere.
+NO_CALLER_IN_PACKAGE = {
+    # The JSON input boundary for codes and schemes (ROADMAP item 5's
+    # witness file reads codes and schemes through it).
+    "from_json_dict",
+    # numpy reference kernels that perfbench/spans.py wraps by name.
+    "arr_scale",
+    "arr_matmul",
+    # The write path's entry point, a message in and a codeword array
+    # out: run_conversion encodes through _codeword, and
+    # perfbench/run.py calls mds.encode by name.
+    "encode",
+}
+
+
+def test_every_function_has_a_caller_in_the_package():
+    defined: dict[str, list[str]] = {}
+    used: set[str] = set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, []).append(
+                        f"{path.name}:{node.lineno}")
+            elif path.name == "__init__.py":
+                continue   # a re-export is not a use
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = {name: where for name, where in defined.items() if name not in used}
+    assert set(orphans) == NO_CALLER_IN_PACKAGE, orphans
+
+
+# Run in a fresh interpreter: pytest and the other tests load numpy.
+NUMPY_FREE = """
+import runpy, sys
+import convertbw
+assert "numpy" not in sys.modules, "import convertbw loaded numpy"
+sys.argv = ["convertbw", "bound", "--lf", "2", "--kf", "3", "--rf", "1",
+            "--ri", "2", "--alpha", "3"]
+try:
+    runpy.run_module("convertbw", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "numpy" not in sys.modules, "bound loaded numpy"
+
+from convertbw.convertible import canonical_codes
+from convertbw.params import SplitParams
+from convertbw.mds import encode
+initial, _ = canonical_codes(SplitParams(2, 2, 1, 1, 2, 7))
+cw = encode(initial, [1, 2, 3, 4, 5, 6, 0, 1])
+import numpy as np
+assert type(cw) is np.ndarray and cw.dtype == np.int64, (type(cw), cw.dtype)
+assert cw.shape == (5, 2) and not cw.flags.writeable
+"""
+
+
+def test_numpy_is_loaded_only_for_array_outputs():
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", NUMPY_FREE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert '"value"' in run.stdout
