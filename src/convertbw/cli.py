@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -43,9 +44,26 @@ def _threads_cap() -> int:
     return val
 
 
+def _check_out(out_path: str | None) -> None:
+    """Refuse an --out path that names a directory or has no parent
+    directory, before the command computes anything; the file itself is
+    neither created nor truncated here."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write --out {out_path}: {os.strerror(err)}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    """text to out_path, or to stdout; an unwritable out_path (a
-    directory, a missing parent) is a usage error."""
+    """text to out_path, or to stdout; an unwritable out_path is a usage
+    error (_check_out refuses a directory or a missing parent before the
+    run)."""
     if not out_path:
         sys.stdout.write(text)
         return
@@ -280,6 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _threads_cap()
+        _check_out(args.out)
         return args.fn(args, parser)
     except (InfeasibleSchemeError, CorruptDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

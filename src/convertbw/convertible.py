@@ -129,10 +129,12 @@ class BandwidthReport:
         }
 
 
+@lru_cache(maxsize=128)
 def default_scheme(params: SplitParams) -> ConversionScheme:
     """Re-encoding scheme: download every data node in full, no parities.
 
     Feasible for every systematic code pair, with read cost ki*alpha.
+    Built once per params and shared (ConversionScheme is immutable).
     """
     fld = params.field()
     full = Matrix.identity(fld, params.alpha)
@@ -162,8 +164,12 @@ def check_feasible(ens: LinearEnsemble, scheme: ConversionScheme) -> bool:
     return in_span(targets, downloads)
 
 
+@lru_cache(maxsize=128)
 def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
-    """The layered Reed-Solomon initial/final code pair for params."""
+    """The layered Reed-Solomon initial/final code pair for params,
+    built once per params and shared (VectorCode is immutable): the
+    bound covers every point of verify.default_grid(), whose suite and
+    every parity mix (search.random_mds_pair) start from this pair."""
     fld = params.field()
     initial = make_systematic_mds(params.ni, params.ki, params.alpha, fld)
     final = make_systematic_mds(params.nf, params.kf, params.alpha, fld)

@@ -18,7 +18,9 @@ products by a coefficient (built on first use), then one big-int
 operation.  Over GF(2^m) that is one XOR.  Over GF(p) it is one add,
 each lane then below 2q, folded back below q with no carry across lanes.
 RowPacking.reduce and insert serve elimination (convertbw.linalg, the
-oracle and the search); RowPacking.combine, a row vector times a matrix
+oracle and the search); each family's insert runs reduce's loop inline,
+with one set of locals per call and no method call per row, and keeps
+the same echelon basis.  RowPacking.combine, a row vector times a matrix
 whose rows were packed once, serves Matrix.matmul and the write path
 (encode, run_conversion, decode_from), which keeps its packed matrices
 in value-keyed caches.
@@ -69,10 +71,12 @@ class RowPacking:
     column, its lowest nonzero lane, where the row is 1, and the row is
     zero at the pivots of the rows before it.  reduce clears a row at
     each basis pivot in turn; combine is a row vector times a matrix
-    whose rows are given as bytes (pack_bytes).  Each term of either is
-    one translate of a row's bytes through a product table, then one XOR
-    over GF(2^m) or, over GF(p), one add and one fold of every lane back
-    below q.
+    whose rows are given as bytes (pack_bytes).  Each family implements
+    all three; its insert repeats reduce's loop inline, and
+    tests/test_linalg.py pins the two to each other.  Each term of any
+    of them is one translate of a row's bytes through a product table,
+    then one XOR over GF(2^m) or, over GF(p), one add and one fold of
+    every lane back below q.
     """
 
     __slots__ = ("field", "cols", "bits", "mask", "nbytes", "_tables", "_inverse")
@@ -105,22 +109,9 @@ class RowPacking:
     def insert(self, basis: list, rows) -> list:
         """Extend the echelon basis by rows and return it: the nonzero
         remainder of each row under reduce joins, scaled to 1 at its
-        pivot.  Ranks count the rows that join."""
-        reduce, mask, lane, nbytes = self.reduce, self.mask, -self.bits, self.nbytes
-        tables, inverse = self._tables, self._inverse
-        for x in rows:
-            x = reduce(basis, x)
-            if x:
-                shift = ((x & -x).bit_length() - 1) & lane   # the pivot lane's first bit
-                c = x >> shift & mask
-                if c == 1:
-                    basis.append((shift, x, x.to_bytes(nbytes, "little")))
-                else:
-                    c = inverse[c]
-                    b = x.to_bytes(nbytes, "little").translate(
-                        tables[c] or self._table(c))
-                    basis.append((shift, int.from_bytes(b, "little"), b))
-        return basis
+        pivot.  Ranks count the rows that join.  Each family runs
+        reduce's loop inline, with one set of locals per call."""
+        raise NotImplementedError
 
     def reduce(self, basis: list, x: int) -> int:
         """x minus the multiple of each basis row, in order, that clears
@@ -150,6 +141,29 @@ class _PrimePacking(RowPacking):
         half = 1 << (self.bits - 1)
         self._fold_add = (half - field.q) * ones
         self._fold_bit = half * ones
+
+    def insert(self, basis, rows):
+        q, mask, top, lane, nbytes = self.field.q, self.mask, self.bits - 1, \
+            -self.bits, self.nbytes
+        add, bit, tables, inverse, from_bytes = self._fold_add, self._fold_bit, \
+            self._tables, self._inverse, int.from_bytes
+        for x in rows:
+            for shift, _, b in basis:   # reduce, inline
+                c = x >> shift & mask
+                if c:
+                    c = q - c
+                    y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
+                    x = y - (((y + add) & bit) >> top) * q
+            if x:
+                shift = ((x & -x).bit_length() - 1) & lane   # the pivot lane's first bit
+                c = x >> shift & mask
+                b = x.to_bytes(nbytes, "little")
+                if c != 1:
+                    c = inverse[c]
+                    b = b.translate(tables[c] or self._table(c))
+                    x = from_bytes(b, "little")
+                basis.append((shift, x, b))
+        return basis
 
     def reduce(self, basis, x):
         q, mask, top = self.field.q, self.mask, self.bits - 1
@@ -184,6 +198,25 @@ class _BinaryPacking(RowPacking):
 
     def __init__(self, field: "Field", cols: int):
         super().__init__(field, cols, 8)
+
+    def insert(self, basis, rows):
+        nbytes, tables, inverse, from_bytes = self.nbytes, self._tables, \
+            self._inverse, int.from_bytes
+        for x in rows:
+            for shift, _, b in basis:   # reduce, inline
+                c = x >> shift & 255
+                if c:
+                    x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
+            if x:
+                shift = ((x & -x).bit_length() - 1) & -8   # the pivot lane's first bit
+                c = x >> shift & 255
+                b = x.to_bytes(nbytes, "little")
+                if c != 1:
+                    c = inverse[c]
+                    b = b.translate(tables[c] or self._table(c))
+                    x = from_bytes(b, "little")
+                basis.append((shift, x, b))
+        return basis
 
     def reduce(self, basis, x):
         tables, from_bytes = self._tables, int.from_bytes

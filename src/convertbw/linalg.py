@@ -26,6 +26,7 @@ canonical.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -247,9 +248,13 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     return Matrix._of_rows(field, out, basis.rows)
 
 
-def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Matrix]:
+@lru_cache(maxsize=64)
+def enumerate_subspaces(dim_ambient: int, field: Field,
+                        dim_sub: int) -> tuple[Matrix, ...]:
     """All subspaces of F_q^dim_ambient of dimension dim_sub, one
     canonical reduced-echelon basis each, in a fixed deterministic order.
+    The tuple is built once per (dim_ambient, field, dim_sub) and shared:
+    a search takes its menus from it for every code pair it searches.
     """
     n = dim_ambient
     d = dim_sub
@@ -273,7 +278,7 @@ def enumerate_subspaces(dim_ambient: int, field: Field, dim_sub: int) -> list[Ma
             for (i, c), v in zip(free_slots, values):
                 a[i][c] = v
             out.append(Matrix._of_rows(field, a, n))
-    return out
+    return tuple(out)
 
 
 def randbelow(rng, n: int, count: int) -> list[int]:

@@ -13,6 +13,13 @@ parities (see _CutTable); within a profile the fixed nodes join once
 and only the free ones are walked, cutting branches by a rank bound (see
 min_bandwidth_exhaustive).  `visited` is a position in the enumeration
 order, cut profiles and branches included, not a count of evaluations.
+
+What depends on the parameters alone is built once and shared by every
+code pair searched: the subspace menus (linalg.enumerate_subspaces),
+the profiles of each level (_compositions) and the sets of slots the cut
+table tests for each profile (_cut_sets), all in bounded caches of
+tuples.  certify_bound takes the canonical pair and the default scheme
+from the bounded caches of convertbw.convertible.
 """
 
 from __future__ import annotations
@@ -150,18 +157,26 @@ class _CutTable:
         return self._need[a]
 
     def rejects(self, profile) -> bool:
-        """Whether some set A of slots has sum(profile over A) < need(A).
+        """Whether some set A of slots has sum(profile over A) < need(A),
+        over the sets _cut_sets lists."""
+        need = self.need
+        return any(t < need(a) for a, t in _cut_sets(profile, self.alpha))
 
-        Only the sets between the profile's empty slots Z and its
-        non-full slots are tried: adding an empty slot to A keeps the
-        sum and cannot lower need, and dropping a full slot lowers the
-        sum by alpha and need by at most alpha (one block's rank)."""
-        alpha, need = self.alpha, self.need
-        sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
-        for s, d in enumerate(profile):
-            if 0 < d < alpha:
-                sets += [(a | 1 << s, t + d) for a, t in sets]
-        return any(t < need(a) for a, t in sets)
+
+@lru_cache(maxsize=8192)   # one 8-slot alpha = 2 profile space: 3^8 = 6,561
+def _cut_sets(profile: tuple[int, ...], alpha: int) -> tuple[tuple[int, int], ...]:
+    """(mask of A, sum of profile over A) for each set A of slots that
+    _CutTable.rejects tries, the same for every code pair.
+
+    Only the sets between the profile's empty slots Z and its non-full
+    slots are tried: adding an empty slot to A keeps the sum and cannot
+    lower need, and dropping a full slot lowers the sum by alpha and
+    need by at most alpha (one block's rank)."""
+    sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
+    for s, d in enumerate(profile):
+        if 0 < d < alpha:
+            sets += [(a | 1 << s, t + d) for a, t in sets]
+    return tuple(sets)
 
 
 class _VisitCap(Exception):

@@ -122,19 +122,22 @@ def lemma_min_avg_trial(ens: LinearEnsemble, rng: random.Random) -> str:
 
 def corollary_trial(ens: LinearEnsemble, rng: random.Random,
                     which: int) -> str:
-    """One random admissible tuple of download-MI chain 1 or 2."""
+    """One random admissible tuple of download-MI chain 1 or 2.
+
+    The maps are drawn first, then the tuple or set; the nodes are
+    mapped and ranked only for a trial that is evaluated, not for a
+    chain-2 trial skipped because ri > ki."""
     p = ens.params
     maps = {v: _random_map(rng, ens.field, p.alpha) for v in ens.initial_nodes}
-    rows = _node_rows(ens, maps, maps)
-    mi = _download_mi(ens, rows)
     if which == 1:
-        s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
-        return "ok" if corollary1_holds(ens, rows, mi, s1, s2, b1, b2) \
-            else "violation"
-    s = random_corollary2_set(ens, rng)
-    if s is None:
-        return "skipped"
-    return "ok" if corollary2_holds(ens, rows, mi, s) else "violation"
+        holds, args = corollary1_holds, random_corollary1_tuple(ens, rng)
+    else:
+        s = random_corollary2_set(ens, rng)
+        if s is None:
+            return "skipped"
+        holds, args = corollary2_holds, (s,)
+    rows = _node_rows(ens, maps, maps)
+    return "ok" if holds(ens, rows, _download_mi(ens, rows), *args) else "violation"
 
 
 _RANDOM_CHECKS = (

@@ -78,6 +78,33 @@ def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_refused_before_the_run(where, tmp_path, capsys,
+                                                  monkeypatch):
+    # verify's whole grid takes seconds; a bad --out stops it first.
+    def run_suite(*args, **kwargs):
+        raise AssertionError("run_suite ran before --out was checked")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    code, out, err = run_cli(["verify", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def test_out_file_is_not_truncated_before_the_run(tmp_path, capsys, monkeypatch):
+    def run_suite(*args, **kwargs):
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    path = tmp_path / "kept.json"
+    path.write_text("kept\n")
+    code, _, err = run_cli(["verify", "--out", str(path)], capsys)
+    assert (code, err) == (2, "error: stopped\n")
+    assert path.read_text() == "kept\n"
+
+
 def test_sweep_single_point_matches_bound(capsys):
     code, out, _ = run_cli(["sweep", "--lf", "2", "--kf", "3", "--rf", "1",
                             "--ri", "2", "--alpha", "3"], capsys)

@@ -159,6 +159,18 @@ def test_packed_kernel_matches_plain_elimination(q):
         assert [(s // pk.bits, list(pk.unpack(r))) for s, r, _ in basis] == \
             ref_basis(fld, m.data)
         assert all(b == pk.pack_bytes(pk.unpack(r)) for _, r, b in basis)
+        # insert runs reduce's loop inline, so the two are pinned to each
+        # other: the rows inserted in two calls, the second into a
+        # non-empty basis, give the one-call basis, and a row joins
+        # exactly when reduce leaves something of it.
+        rows = [pk.pack(r) for r in m.data]
+        half = (len(rows) + 1) // 2
+        assert pk.insert(pk.insert([], rows[:half]), rows[half:]) == basis
+        grown = []
+        for x in rows:
+            rest, size = pk.reduce(grown, x), len(grown)
+            assert (len(pk.insert(grown, [x])) > size) == (rest != 0)
+        assert grown == basis
         assert mat_rank(m) == len(basis) == ref_rank(m)
         assert rref(m) == ref_rref(m)
         for target in (random_matrix(fld, 3, m.rows, rng) @ m,
@@ -310,6 +322,9 @@ def test_matrix_copies_input_and_exports_read_only():
 
 
 def test_subspace_count_examples():
+    # One shared, immutable tuple per (ambient dim, field, dim).
+    assert type(enumerate_subspaces(2, F2, 1)) is tuple
+    assert enumerate_subspaces(2, F2, 1) is enumerate_subspaces(2, F2, 1)
     assert len(enumerate_subspaces(2, F2, 1)) == 3
     assert len(enumerate_subspaces(2, F3, 1)) == 4
     assert len(enumerate_subspaces(3, F2, 0)) == 1

@@ -1,5 +1,6 @@
 """Scheme-search tests: exhaustive minimization, certification, audits."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,8 @@ from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair, vstack
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
-                              _CutTable, _SchemeSpace, certify_bound,
+                              _cut_sets, _CutTable, _SchemeSpace,
+                              certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 from support import empty_scheme
@@ -272,6 +274,31 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
             assert not any(_feasible(space, profile, combo)
                            for combo in _combos(space, profile))
         assert survivors or level < gamma
+
+
+def test_parameter_only_values_are_shared_and_immutable():
+    p = SplitParams(2, 2, 1, 1, 2, 5)
+    assert canonical_codes(p) is canonical_codes(SplitParams(2, 2, 1, 1, 2, 5))
+    assert default_scheme(p) is default_scheme(p)
+    assert type(canonical_codes(p)) is tuple and type(default_scheme(p).maps) is tuple
+    sets = _cut_sets((0, 1, 2, 1, 2), 2)
+    assert type(sets) is tuple and sets is _cut_sets((0, 1, 2, 1, 2), 2)
+    # Z = {slot 0}; slots 1 and 3 partial: every subset of them joins Z.
+    assert sets == ((1, 0), (3, 1), (9, 1), (11, 2))
+
+
+def test_certify_is_unchanged_by_warm_caches():
+    p = SplitParams(2, 2, 1, 1, 2, 5)
+
+    def certify():
+        return json.dumps([r.to_json_dict() for r in certify_bound(p, trials=3)])
+
+    for cached in (canonical_codes, default_scheme, enumerate_subspaces, _cut_sets):
+        cached.cache_clear()
+    cold = certify()
+    for point in [(2, 2, 1, 1, 1, 5), (2, 3, 2, 2, 1, 8), (2, 1, 1, 1, 2, 7)]:
+        certify_bound(SplitParams(*point), trials=2)
+    assert certify() == cold
 
 
 def test_search_is_deterministic():

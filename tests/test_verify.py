@@ -79,6 +79,27 @@ def test_corollary2_skipped_when_ri_exceeds_ki():
     assert {corollary_trial(ens, rng, 2) for _ in range(5)} == {"skipped"}
 
 
+def test_skipped_chain2_trial_maps_no_node(monkeypatch):
+    # A chain-2 trial with ri > ki draws its maps, so the rng stream (and
+    # the verify JSON) stay as they were, but maps and ranks nothing
+    # before reporting "skipped".
+    from convertbw import ensemble
+    p = SplitParams(2, 1, 1, 3, 1, 5)
+    ens = ensemble_from_codes(p, *canonical_codes(p))
+    real, mapped = ensemble._mapped, []
+
+    def spy(e, maps, v):
+        mapped.append(v)
+        return real(e, maps, v)
+
+    monkeypatch.setattr(ensemble, "_mapped", spy)
+    rng = random.Random(2)
+    assert corollary_trial(ens, rng, 2) == "skipped"
+    assert mapped == []
+    assert corollary_trial(ens, rng, 1) == "ok"
+    assert len(mapped) == p.ni
+
+
 def test_plant_duplicate_parity_fails_parity_iid():
     p = SplitParams(2, 1, 1, 2, 1, 5)
     reports = verify_instance(p, trials=0, seed=0, plant="duplicate-parity")
