@@ -18,10 +18,11 @@ products by a coefficient (built on first use), then one big-int
 operation.  Over GF(2^m) that is one XOR.  Over GF(p) it is one add,
 each lane then below 2q, folded back below q with no carry across lanes.
 RowPacking.reduce and insert serve elimination (convertbw.linalg, the
-oracle and the search); each family's insert runs reduce's loop inline,
-with one set of locals per call and no method call per row, and keeps
-the same echelon basis.  RowPacking.combine, a row vector times a matrix
-whose rows were packed once, serves Matrix.matmul and the write path
+oracle and the search), one call per row list: reduce returns every
+remainder, zeros kept, and insert extends an echelon basis by the
+nonzero ones, each running the loop inline with one set of locals per
+call.  RowPacking.combine, a row vector times a matrix whose rows were
+packed once, serves Matrix.matmul and the write path
 (encode, run_conversion, decode_from), which keeps its packed matrices
 in value-keyed caches.
 
@@ -69,10 +70,10 @@ class RowPacking:
     An echelon basis is a list of (shift, row, row bytes) entries in
     the order the rows joined (insert): shift is bits * the row's pivot
     column, its lowest nonzero lane, where the row is 1, and the row is
-    zero at the pivots of the rows before it.  reduce clears a row at
-    each basis pivot in turn; combine is a row vector times a matrix
-    whose rows are given as bytes (pack_bytes).  Each family implements
-    all three; its insert repeats reduce's loop inline, and
+    zero at the pivots of the rows before it.  reduce clears each row
+    of a list at each basis pivot in turn; combine is a row vector times
+    a matrix whose rows are given as bytes (pack_bytes).  Each family
+    implements all three; its insert repeats reduce's loop inline, and
     tests/test_linalg.py pins the two to each other.  Each term of any
     of them is one translate of a row's bytes through a product table,
     then one XOR over GF(2^m) or, over GF(p), one add and one fold of
@@ -113,10 +114,10 @@ class RowPacking:
         reduce's loop inline, with one set of locals per call."""
         raise NotImplementedError
 
-    def reduce(self, basis: list, x: int) -> int:
-        """x minus the multiple of each basis row, in order, that clears
-        x at that row's pivot: zero at every pivot, and zero exactly when
-        x lies in the span of the basis."""
+    def reduce(self, basis: list, rows) -> list[int]:
+        """Each row x minus the multiple of each basis row, in order,
+        that clears x at that row's pivot, listed in row order: zero at
+        every pivot, and 0 (kept) exactly when x is in the basis' span."""
         raise NotImplementedError
 
     def combine(self, coeffs, rows) -> int:
@@ -165,17 +166,20 @@ class _PrimePacking(RowPacking):
                 basis.append((shift, x, b))
         return basis
 
-    def reduce(self, basis, x):
+    def reduce(self, basis, rows):
         q, mask, top = self.field.q, self.mask, self.bits - 1
         add, bit, tables, from_bytes = self._fold_add, self._fold_bit, \
             self._tables, int.from_bytes
-        for shift, _, b in basis:
-            c = x >> shift & mask
-            if c:   # x - c b = x + (q - c) b
-                c = q - c
-                y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
-                x = y - (((y + add) & bit) >> top) * q
-        return x
+        out = []
+        for x in rows:
+            for shift, _, b in basis:
+                c = x >> shift & mask
+                if c:   # x - c b = x + (q - c) b
+                    c = q - c
+                    y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
+                    x = y - (((y + add) & bit) >> top) * q
+            out.append(x)
+        return out
 
     def combine(self, coeffs, rows):
         if len(coeffs) != len(rows):
@@ -218,13 +222,16 @@ class _BinaryPacking(RowPacking):
                 basis.append((shift, x, b))
         return basis
 
-    def reduce(self, basis, x):
+    def reduce(self, basis, rows):
         tables, from_bytes = self._tables, int.from_bytes
-        for shift, _, b in basis:
-            c = x >> shift & 255
-            if c:
-                x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
-        return x
+        out = []
+        for x in rows:
+            for shift, _, b in basis:
+                c = x >> shift & 255
+                if c:
+                    x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
+            out.append(x)
+        return out
 
     def combine(self, coeffs, rows):
         if len(coeffs) != len(rows):

@@ -18,10 +18,10 @@ and the search keep their rows packed and extend echelon bases with
 RowPacking.insert directly.  Such a basis is kept in insertion order:
 (shift, row, bytes) entries, each row scaled to 1 at its pivot (its
 first nonzero entry) and zero at the pivots of the rows before it.
-Ranks count the rows that join; RowPacking.reduce leaves nothing of
-exactly the rows in the span; rref, mat_inverse and solve_left
-back-substitute the basis sorted by pivot (_rref_rows), so results are
-canonical.
+Ranks count the rows that join; RowPacking.reduce, given a row list,
+leaves nothing of exactly its rows in the span; rref, mat_inverse and
+solve_left back-substitute the basis sorted by pivot (_rref_rows), so
+results are canonical.
 """
 
 from __future__ import annotations
@@ -240,8 +240,7 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     span = [e for e in rows if e[0] < shift]
     coords = field.packing(basis.rows)
     out = []
-    for t in target.data:
-        r = pk.reduce(span, pk.pack(t))
+    for r in pk.reduce(span, [pk.pack(t) for t in target.data]):
         if r & ((1 << shift) - 1):
             return None
         out.append([field.sub(0, x) for x in coords.unpack(r >> shift)])

@@ -15,11 +15,12 @@ min_bandwidth_exhaustive).  `visited` is a position in the enumeration
 order, cut profiles and branches included, not a count of evaluations.
 
 What depends on the parameters alone is built once and shared by every
-code pair searched: the subspace menus (linalg.enumerate_subspaces),
-the profiles of each level (_compositions) and the sets of slots the cut
-table tests for each profile (_cut_sets), all in bounded caches of
-tuples.  certify_bound takes the canonical pair and the default scheme
-from the bounded caches of convertbw.convertible.
+code pair searched: the subspace menus (linalg.enumerate_subspaces) and
+one level table per download total (_level: each profile with its scheme
+count, the sets of slots the cut table tests and the walk's free slots
+and counts), in bounded caches of tuples.  certify_bound takes the
+canonical pair and the default scheme from the bounded caches of
+convertbw.convertible.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from operator import gt
 from typing import Callable
 
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
-                          canonical_codes, check_feasible, default_scheme)
-from .ensemble import LinearEnsemble, ensemble_from_codes, mapped_rows
+                          _check_scheme_params, canonical_codes, default_scheme)
+from .ensemble import LinearEnsemble, _node_rows, ensemble_from_codes
 from .gf import as_count
-from .linalg import Matrix, enumerate_subspaces, mat_rank, random_invertible
+from .linalg import Matrix, enumerate_subspaces, random_invertible
 from .mds import VectorCode, verify_mds
 from .params import SplitParams, rational_json
 
@@ -79,7 +81,7 @@ def _compositions(total: int, slots: int, maxv: int) -> tuple[tuple[int, ...], .
 
 class _SchemeSpace:
     """Precomputed per-node subspace menus and their mapped rows, and
-    the target rows, all packed (ens.packing)."""
+    the echelon basis rows of the targets, all packed (ens.packing)."""
 
     def __init__(self, ens: LinearEnsemble):
         p = ens.params
@@ -94,45 +96,45 @@ class _SchemeSpace:
         # the slot's node block, packed for RowPacking.insert.
         self.mapped = [[[ens.times(s, v) for s in subs]
                         for subs in self.subspaces] for v in self.nodes]
-        self.targets = [r for v in ens.final_parities for r in ens.packed(v)]
-        self.target_rank = mat_rank(ens.stack(ens.final_parities))
+        # The walk's targets (same span) and the cut table's mask-0 residual.
+        self.targets = [r for _, r, _ in ens.packing.insert(
+            [], [r for v in ens.final_parities for r in ens.packed(v)])]
+        self.target_rank = len(self.targets)
 
     def scheme_for(self, profile, combo) -> ConversionScheme:
         return ConversionScheme(self.params, tuple(
             self.subspaces[d][i] for d, i in zip(profile, combo)))
 
 
-class _CutTable:
+class _CutTable(dict):
     """Rank cuts on download profiles (the dimension downloaded from
-    each slot).
+    each slot): need(A) by the bit mask A of a set of slots, computed
+    on the first lookup of A (__missing__).
 
-    need(A), for a set A of slots as a bit mask, is the rank of the
-    target rows modulo the span of the full blocks of the slots outside
-    A.  Whatever a scheme downloads from those slots lies in that span,
-    so the slots of A must supply the rest: a profile whose dimensions
-    sum to less than need(A) over A has no feasible scheme.  This is a
-    rank fact about the ensemble alone.
+    need(A) is the rank of the target rows modulo the span of the full
+    blocks of the slots outside A.  Whatever a scheme downloads from
+    those slots lies in that span, so the slots of A must supply the
+    rest: a profile whose dimensions sum to less than need(A) over A has
+    no feasible scheme.  This is a rank fact about the ensemble alone.
 
-    Entries are computed on demand and kept by complement mask c (the
-    slots outside A): c extends the echelon basis of c minus its top
-    slot by that slot's alpha block rows, and only that parent's
-    residual target rows are reduced against the rows that joined.
-    Residual rows are zero at every pivot of their mask's basis, so
-    their rank is the rank modulo its span.
+    Residuals are kept by complement mask c (the slots outside A): c
+    extends the echelon basis of c minus its top slot by that slot's
+    alpha block rows, and only that parent's residual target rows are
+    reduced against the rows that joined.  Residual rows are zero at
+    every pivot of their mask's basis, so their rank is the rank modulo
+    its span.
     """
 
     def __init__(self, space: _SchemeSpace):
         self.pk = space.ens.packing
-        self.alpha = space.params.alpha
         slots = len(space.nodes)
         self.full = (1 << slots) - 1
-        self.blocks = [space.mapped[s][self.alpha][0] for s in range(slots)]
+        self.blocks = [space.mapped[s][space.params.alpha][0] for s in range(slots)]
         # By complement mask: the echelon basis of its blocks (kept only
         # while the residual is nonempty, since a superset's residual is
         # then empty too) and the targets modulo that span, echelonized.
         self._basis = {0: []}
-        self._residual = {0: [r for _, r, _ in self.pk.insert([], space.targets)]}
-        self._need: dict[int, int] = {}   # need(A) by mask A
+        self._residual = {0: space.targets}
 
     def _reduced(self, c: int) -> list:
         if c in self._residual:
@@ -145,28 +147,19 @@ class _CutTable:
             basis = pk.insert(list(pbasis), self.blocks[top])
             joined = basis[len(pbasis):]
             if joined:
-                res = [r for _, r, _ in pk.insert(
-                    [], [pk.reduce(joined, r) for r in res])]
+                res = [r for _, r, _ in pk.insert([], pk.reduce(joined, res))]
             self._basis[c] = basis
         self._residual[c] = res
         return res
 
-    def need(self, a: int) -> int:
-        if a not in self._need:
-            self._need[a] = len(self._reduced(self.full ^ a))
-        return self._need[a]
-
-    def rejects(self, profile) -> bool:
-        """Whether some set A of slots has sum(profile over A) < need(A),
-        over the sets _cut_sets lists."""
-        need = self.need
-        return any(t < need(a) for a, t in _cut_sets(profile, self.alpha))
+    def __missing__(self, a: int) -> int:
+        need = self[a] = len(self._reduced(self.full ^ a))
+        return need
 
 
-@lru_cache(maxsize=8192)   # one 8-slot alpha = 2 profile space: 3^8 = 6,561
 def _cut_sets(profile: tuple[int, ...], alpha: int) -> tuple[tuple[int, int], ...]:
     """(mask of A, sum of profile over A) for each set A of slots that
-    _CutTable.rejects tries, the same for every code pair.
+    the cut table tests the profile on, the same for every code pair.
 
     Only the sets between the profile's empty slots Z and its non-full
     slots are tried: adding an empty slot to A keeps the sum and cannot
@@ -177,6 +170,25 @@ def _cut_sets(profile: tuple[int, ...], alpha: int) -> tuple[tuple[int, int], ..
         if 0 < d < alpha:
             sets += [(a | 1 << s, t + d) for a, t in sets]
     return tuple(sets)
+
+
+@lru_cache(maxsize=256)   # every level of 15 points with 8 slots, alpha = 2
+def _level(gamma: int, slots: int, alpha: int, sizes: tuple[int, ...]) -> tuple:
+    """The profiles of download total gamma in _compositions order, as
+    (profile, schemes, masks, sums, free, left, below): its scheme
+    count, prod of sizes[d] (the subspaces of dimension d); its cut sets
+    (_cut_sets) as masks and sums; its free slots (more than one
+    subspace); per walk depth j, the rows free slots j.. may add and the
+    schemes under one node."""
+    out = []
+    for profile in _compositions(gamma, slots, alpha):
+        free = tuple(s for s, d in enumerate(profile) if sizes[d] > 1)
+        menu = [sizes[profile[s]] for s in free]
+        masks, sums = zip(*_cut_sets(profile, alpha))
+        out.append((profile, math.prod(sizes[d] for d in profile), masks, sums, free,
+                    tuple(sum(profile[s] for s in free[j:]) for j in range(len(free))),
+                    tuple(math.prod(menu[j:]) for j in range(len(free)))))
+    return tuple(out)
 
 
 class _VisitCap(Exception):
@@ -192,9 +204,11 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     full-data-download level; a budget stop is reported distinctly and
     never as a nonexistence claim.
 
-    A profile that _CutTable rejects holds no feasible scheme and is
-    skipped whole.  The table is made once the first profile's walk has
-    failed, so a search that succeeds at once never pays for it.
+    A profile with a cut set A whose sum is below need(A) (_CutTable)
+    holds no feasible scheme and is skipped whole.  The table is made
+    once the first profile's walk has failed, so a search that succeeds
+    at once never pays for it.  The rest of a profile's counts come
+    from the parameter-only level table (_level).
 
     In a profile, the fixed slots (dimension 0 or alpha: index 0 only)
     join once, the targets and free slots' menu rows are reduced modulo
@@ -214,7 +228,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     cap = p.ki * p.alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
-    sizes = [len(subs) for subs in space.subspaces]
+    sizes = tuple(len(subs) for subs in space.subspaces)
     visited = 0
 
     def skip(schemes):
@@ -226,12 +240,12 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
 
     def modulo(basis, rows):
         # The nonzero rows left of rows reduced against basis.
-        return [r for r in (reduce(basis, r) for r in rows) if r]
+        return [r for r in reduce(basis, rows) if r]
 
     def walk(depth, basis, residual, combo):
-        # menus[j]: free slot j's rows modulo the fixed rows; left[j]:
-        # rows free slots j.. may still add; below[j]: schemes under one
-        # node at depth j.  combo holds index 0 at every fixed slot.
+        # menus[j]: free slot j's rows modulo the fixed rows; free, left
+        # and below come from the profile's level table entry.  combo
+        # holds index 0 at every fixed slot.
         if depth == len(menus):
             skip(1)
             return None if residual else combo
@@ -250,21 +264,20 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
 
     # Any feasible stack must span the target rows, so levels below the
     # target rank cannot be feasible and are skipped wholesale.
-    cuts = None
+    need = None
     try:
         for gamma in range(space.target_rank, cap + 1):
-            for profile in _compositions(gamma, slots, p.alpha):
-                if cuts is not None and cuts.rejects(profile):
-                    skip(math.prod(sizes[d] for d in profile))
+            for profile, schemes, masks, sums, free, left, below in \
+                    _level(gamma, slots, p.alpha, sizes):
+                # Cut when need(A) > the profile's sum over A for some A.
+                if need is not None and any(map(gt, map(need.__getitem__, masks), sums)):
+                    skip(schemes)
                     continue
                 fixed = pk.insert([], [
                     r for s, d in enumerate(profile) if sizes[d] == 1
                     for r in space.mapped[s][d][0]])
-                free = [s for s, d in enumerate(profile) if sizes[d] > 1]
                 menus = [[modulo(fixed, rows) for rows in space.mapped[s][profile[s]]]
                          for s in free]
-                left = [sum(profile[s] for s in free[j:]) for j in range(len(free))]
-                below = [math.prod(map(len, menus[j:])) for j in range(len(free))]
                 combo = walk(0, [], modulo(fixed, space.targets), [0] * slots)
                 if combo is not None:
                     scheme = space.scheme_for(profile, combo)
@@ -272,8 +285,8 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                         on_feasible(scheme)
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
-                if cuts is None:
-                    cuts = _CutTable(space)
+                if need is None:
+                    need = _CutTable(space)
     except _VisitCap:
         return SearchOutcome("max-visits", visited=visited)
     return SearchOutcome("max-total-dim", visited=visited)
@@ -309,17 +322,23 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     (i) needs rf < kf: with rf >= kf each codeword's parities carry only
     kf*alpha of entropy, and schemes cheaper than lf*rf*alpha exist.
     """
-    if not check_feasible(ens, scheme):
-        raise InfeasibleSchemeError("inequality audit needs a feasible scheme")
     p = ens.params
-    maps = dict(zip(ens.initial_nodes, scheme.maps))
-    h_v = mat_rank(mapped_rows(ens, maps, ens.info_nodes))
-    h_u = mat_rank(mapped_rows(ens, maps, ens.initial_parities))
+    _check_scheme_params(p, scheme)
+    pk = ens.packing
+    # Each node mapped once; the info downloads' basis grows into H(U, V)'s.
+    rows = _node_rows(ens, dict(zip(ens.initial_nodes, scheme.maps)), ens.initial_nodes)
+    u_rows = [r for v in ens.initial_parities for r in rows[v]]
+    downloads = pk.insert([], [r for v in ens.info_nodes for r in rows[v]])
+    h_v = len(downloads)
+    h_u = len(pk.insert([], u_rows))
+    h_uv = len(pk.insert(downloads, u_rows))
+    new = pk.insert([], [r for v in ens.final_parities for r in ens.packed(v)])
+    h_new = len(new)
+    # Feasible iff the downloads span every new parity row: none joins.
+    if len(pk.insert(downloads, [r for _, r, _ in new])) > h_uv:
+        raise InfeasibleSchemeError("inequality audit needs a feasible scheme")
     gamma = scheme.read_total
     audit = SchemeAudit(gamma=gamma, h_v=h_v, h_u=h_u)
-
-    h_uv = mat_rank(mapped_rows(ens, maps, ens.initial_nodes))
-    h_new = mat_rank(ens.stack(ens.final_parities))
     audit.items.append({"name": "downloads-cover-new-parities",
                         "lhs": str(Fraction(h_uv)), "rhs": str(Fraction(h_new)),
                         "ok": h_uv >= h_new})

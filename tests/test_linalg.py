@@ -161,16 +161,18 @@ def test_packed_kernel_matches_plain_elimination(q):
         assert all(b == pk.pack_bytes(pk.unpack(r)) for _, r, b in basis)
         # insert runs reduce's loop inline, so the two are pinned to each
         # other: the rows inserted in two calls, the second into a
-        # non-empty basis, give the one-call basis, and a row joins
-        # exactly when reduce leaves something of it.
+        # non-empty basis, give the one-call basis, a row joins exactly
+        # when reduce leaves something of it, and reduce leaves nothing
+        # of any row against the whole basis, one zero per row.
         rows = [pk.pack(r) for r in m.data]
         half = (len(rows) + 1) // 2
         assert pk.insert(pk.insert([], rows[:half]), rows[half:]) == basis
         grown = []
         for x in rows:
-            rest, size = pk.reduce(grown, x), len(grown)
+            [rest], size = pk.reduce(grown, [x]), len(grown)
             assert (len(pk.insert(grown, [x])) > size) == (rest != 0)
         assert grown == basis
+        assert pk.reduce(basis, rows) == [0] * len(rows)
         assert mat_rank(m) == len(basis) == ref_rank(m)
         assert rref(m) == ref_rref(m)
         for target in (random_matrix(fld, 3, m.rows, rng) @ m,
@@ -187,6 +189,40 @@ def test_packed_kernel_matches_plain_elimination(q):
                     mat_inverse(m)
             else:
                 assert mat_inverse(m) == want
+
+
+def _scalar_remainder(fld, pk, basis, row):
+    """row minus the multiple of each basis row, in order, that clears
+    it at that row's pivot, by scalar field operations."""
+    row = list(row)
+    for shift, b, _ in basis:
+        c = row[shift // pk.bits]
+        row = [fld.sub(x, fld.mul(c, y)) for x, y in zip(row, pk.unpack(b))]
+    return row
+
+
+@pytest.mark.parametrize("q", [5, 131, 16])
+def test_reduce_takes_a_row_list(q):
+    # One call per row list: the remainders row by row, in the order of
+    # the rows, with the zero remainder of every row in the span kept.
+    fld = field(q)
+    rng = random.Random(q)
+    m = _random_of_rank(fld, 6, 9, 4, rng)
+    pk = fld.packing(9)
+    basis = pk.insert([], [pk.pack(r) for r in m.data])
+    assert len(basis) == 4
+    top = q - 1
+    rows = ([(0,) * 9, (top,) * 9] + list((random_matrix(fld, 3, 6, rng) @ m).data)
+            + list(random_matrix(fld, 4, 9, rng).data))
+    rng.shuffle(rows)
+    got = pk.reduce(basis, [pk.pack(r) for r in rows])
+    assert type(got) is list and len(got) == len(rows)
+    assert [list(pk.unpack(x)) for x in got] == \
+        [_scalar_remainder(fld, pk, basis, r) for r in rows]
+    in_span = [pk.pack(r) for r in (random_matrix(fld, 3, 6, rng) @ m).data]
+    assert pk.reduce(basis, in_span) == [0, 0, 0]
+    assert pk.reduce(basis, []) == []
+    assert pk.reduce([], [pk.pack(r) for r in rows]) == [pk.pack(r) for r in rows]
 
 
 def test_randbelow_draws_what_randrange_and_randint_draw():

@@ -26,6 +26,11 @@ NO_CALLER_IN_PACKAGE = {
     # out: run_conversion encodes through _codeword, and
     # perfbench/run.py calls mds.encode by name.
     "encode",
+    # The Matrix-level feasibility test, kept apart from the search's
+    # packed audit (which tests feasibility on its own rows) so that it
+    # stays an independent check: perfbench/run.py checks every found
+    # scheme with it and perfbench/spans.py wraps it by name.
+    "check_feasible",
 }
 
 

@@ -1,6 +1,7 @@
 """Scheme-search tests: exhaustive minimization, certification, audits."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,15 +14,18 @@ from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
                                    default_scheme)
 from convertbw.ensemble import ensemble_from_codes
-from convertbw.linalg import Matrix, enumerate_subspaces, rank_pair, vstack
+from convertbw.gf import field
+from convertbw.linalg import (Matrix, enumerate_subspaces, random_matrix,
+                              rank_pair, vstack)
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
 from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
-                              _cut_sets, _CutTable, _SchemeSpace,
+                              _cut_sets, _CutTable, _level, _SchemeSpace,
                               certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
-from support import empty_scheme
+from plain_elimination import ref_rank
+from support import empty_scheme, from_maps
 
 
 def build(lf, kf, rf, ri, alpha, q):
@@ -239,6 +243,33 @@ def test_compositions_are_the_lex_filtered_product(total, slots, maxv):
     assert _compositions(total, slots, maxv) is got   # one shared table
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("q", [2, 5, 8])
+def test_level_tables_are_a_visit_ledger(q, alpha):
+    """Per level and profile, in _compositions order: the profile, its
+    scheme count prod of sizes[d], its cut sets and the walk's free
+    slots and counts; the counts over all levels of a slot count sum to
+    every scheme, (sum of sizes) ** slots."""
+    fld = field(q)
+    sizes = tuple(len(enumerate_subspaces(alpha, fld, d)) for d in range(alpha + 1))
+    for slots in range(1, 9):
+        total = 0
+        for gamma in range(slots * alpha + 1):
+            level = _level(gamma, slots, alpha, sizes)
+            assert [e[0] for e in level] == list(_compositions(gamma, slots, alpha))
+            for profile, schemes, masks, sums, free, left, below in level:
+                assert schemes == math.prod(sizes[d] for d in profile)
+                assert tuple(zip(masks, sums)) == _cut_sets(profile, alpha)
+                assert free == tuple(s for s, d in enumerate(profile) if 0 < d < alpha)
+                assert left == tuple(sum(profile[s] for s in free[j:])
+                                     for j in range(len(free)))
+                assert below == tuple(math.prod(sizes[profile[s]] for s in free[j:])
+                                      for j in range(len(free)))
+                assert schemes == (below[0] if free else 1)
+                total += schemes
+        assert total == sum(sizes) ** slots
+
+
 @pytest.mark.parametrize("pair", [0, 1])
 @pytest.mark.parametrize("point", [(2, 2, 1, 1, 1, 5), (2, 3, 2, 2, 1, 8),
                                    (2, 2, 1, 1, 2, 5)])
@@ -248,9 +279,11 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
     some profile survives at the level where the search succeeds."""
     ens = pair_ensemble(point, pair)
     space = _SchemeSpace(ens)
+    assert space.target_rank == ref_rank(_targets(space))
     table = _CutTable(space)
     alpha = ens.params.alpha
     slots = len(space.nodes)
+    sizes = tuple(map(len, space.subspaces))
     sets = range(1, 1 << slots)
     need = {}
     for a in sets:
@@ -258,13 +291,15 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
         outside = [_mapped(space, s, alpha, 0) for s in range(slots) if not a >> s & 1]
         rb, rbt = rank_pair(_stack(space, outside), _targets(space))
         need[a] = rbt - rb
-        assert table.need(a) == need[a]
+        assert table[a] == need[a]
     gamma = min_bandwidth_exhaustive(ens, SearchBudget()).gamma
     for level in range(space.target_rank, gamma + 1):
         survivors = 0
-        for profile in _compositions(level, slots, alpha):
-            rejected = table.rejects(profile)
-            # rejects() tries only some sets; it must agree with all of them.
+        for profile, _, masks, sums, *_ in _level(level, slots, alpha, sizes):
+            # The search's test: need(A) above the profile's sum over A
+            # for one of the level table's cut sets A.
+            rejected = any(table[a] > t for a, t in zip(masks, sums))
+            # The cut sets are only some sets; they must agree with all.
             assert rejected == any(
                 sum(d for s, d in enumerate(profile) if a >> s & 1) < need[a]
                 for a in sets)
@@ -281,10 +316,16 @@ def test_parameter_only_values_are_shared_and_immutable():
     assert canonical_codes(p) is canonical_codes(SplitParams(2, 2, 1, 1, 2, 5))
     assert default_scheme(p) is default_scheme(p)
     assert type(canonical_codes(p)) is tuple and type(default_scheme(p).maps) is tuple
-    sets = _cut_sets((0, 1, 2, 1, 2), 2)
-    assert type(sets) is tuple and sets is _cut_sets((0, 1, 2, 1, 2), 2)
+    # q = 5, alpha = 2: one subspace of dimension 0 and 2 each, six lines.
+    level = _level(6, 5, 2, (1, 6, 1))
+    assert type(level) is tuple and level is _level(6, 5, 2, (1, 6, 1))
+    profile, schemes, masks, sums, free, left, below = \
+        level[_compositions(6, 5, 2).index((0, 1, 2, 1, 2))]
+    assert profile == (0, 1, 2, 1, 2) and schemes == 36
     # Z = {slot 0}; slots 1 and 3 partial: every subset of them joins Z.
-    assert sets == ((1, 0), (3, 1), (9, 1), (11, 2))
+    sets = ((1, 0), (3, 1), (9, 1), (11, 2))
+    assert tuple(zip(masks, sums)) == sets == _cut_sets((0, 1, 2, 1, 2), 2)
+    assert (free, left, below) == ((1, 3), (2, 1), (36, 6))
 
 
 def test_certify_is_unchanged_by_warm_caches():
@@ -293,7 +334,7 @@ def test_certify_is_unchanged_by_warm_caches():
     def certify():
         return json.dumps([r.to_json_dict() for r in certify_bound(p, trials=3)])
 
-    for cached in (canonical_codes, default_scheme, enumerate_subspaces, _cut_sets):
+    for cached in (canonical_codes, default_scheme, enumerate_subspaces, _level):
         cached.cache_clear()
     cold = certify()
     for point in [(2, 2, 1, 1, 1, 5), (2, 3, 2, 2, 1, 8), (2, 1, 1, 1, 2, 7)]:
@@ -410,6 +451,92 @@ def test_scheme_inequalities_reject_infeasible():
     p, ens = build(2, 2, 1, 1, 1, 5)
     with pytest.raises(InfeasibleSchemeError):
         check_scheme_inequalities(ens, empty_scheme(p))
+
+
+def reference_audit(ens, scheme):
+    """(feasible, audit JSON) of check_scheme_inequalities, from Matrix
+    stacks of each node's map times its block, ranked by the plain
+    elimination of tests/plain_elimination.py."""
+    p = ens.params
+    maps = dict(zip(ens.initial_nodes, scheme.maps))
+
+    def downloads(nodes):
+        return vstack([Matrix.zeros(ens.field, 0, p.message_dim),
+                       *(maps[v] @ ens.block(v) for v in nodes)])
+
+    both = downloads(ens.initial_nodes)
+    targets = ens.stack(ens.final_parities)
+    h_v = ref_rank(downloads(ens.info_nodes))
+    h_u = ref_rank(downloads(ens.initial_parities))
+    h_uv = ref_rank(both)
+    feasible = ref_rank(vstack([both, targets])) == h_uv
+    gamma = scheme.read_total
+    base = p.lf * p.rf * p.alpha
+    items = [("downloads-cover-new-parities", h_uv, ref_rank(targets))]
+    if p.rf < p.kf:
+        items += [("parity-download-tradeoff", Fraction(p.rf, p.kf) * h_v + h_u, base),
+                  ("read-cost-vs-data-entropy", gamma,
+                   Fraction(p.kf - p.rf, p.kf) * h_v + base)]
+    if p.rf < p.ri and p.rf < p.kf:
+        items += [(f"data-download-entropy-theta{t}", h_v, entropy_V_lb(p, t))
+                  for t in range(1, p.lf + 1)]
+    items = [{"name": name, "lhs": str(Fraction(lhs)), "rhs": str(Fraction(rhs)),
+              "ok": lhs >= rhs} for name, lhs, rhs in items]
+    return feasible, {"gamma": gamma, "H_V": h_v, "H_U": h_u,
+                      "ok": all(it["ok"] for it in items), "items": items}
+
+
+def _audited_schemes(p, ens, rng):
+    """The re-encoding and empty schemes, the search's scheme when it
+    finds one within a small budget, and random schemes that mostly
+    download whole nodes, so that both verdicts occur."""
+    schemes = [default_scheme(p), empty_scheme(p)]
+    found = min_bandwidth_exhaustive(ens, SearchBudget(max_visits=100_000))
+    if found.found:
+        schemes.append(found.scheme)
+    for _ in range(16):
+        schemes.append(from_maps(p, [
+            random_matrix(ens.field, rng.choice([p.alpha, p.alpha, rng.randint(0, p.alpha)]),
+                          p.alpha, rng)
+            for _ in range(p.ni)]))
+    return schemes
+
+
+@pytest.mark.parametrize("pair", [0, 1, "free"])
+@pytest.mark.parametrize("point", [(2, 2, 1, 1, 2, 5), (2, 3, 2, 2, 2, 8),
+                                   (2, 2, 1, 1, 1, 131), (2, 2, 0, 1, 2, 5),
+                                   (2, 1, 0, 2, 1, 7), (2, 2, 1, 0, 2, 5),
+                                   (3, 1, 1, 0, 1, 5)])
+def test_packed_audit_matches_matrix_reference(point, pair):
+    # The audit ranks each node's mapped rows packed; the reference
+    # stacks Matrix products and ranks them by plain elimination.  It
+    # raises InfeasibleSchemeError exactly where the reference's
+    # downloads miss a new parity row.
+    ens = pair_ensemble(point, pair)
+    p = ens.params
+    verdicts = set()
+    for scheme in _audited_schemes(p, ens, random.Random(repr((point, pair)))):
+        feasible, want = reference_audit(ens, scheme)
+        verdicts.add(feasible)
+        assert check_feasible(ens, scheme) == feasible
+        if not feasible:
+            with pytest.raises(InfeasibleSchemeError):
+                check_scheme_inequalities(ens, scheme)
+            continue
+        assert check_scheme_inequalities(ens, scheme).to_json_dict() == want
+    # Every new parity is a function of the data, so the re-encoding
+    # scheme is feasible; with rf = 0 there is nothing to produce, so
+    # every scheme is.
+    assert verdicts == ({True} if p.rf == 0 else {True, False})
+
+
+def test_scheme_audit_refuses_a_scheme_for_other_parameters():
+    p, ens = build(2, 2, 1, 2, 1, 7)
+    other = default_scheme(SplitParams(2, 1, 1, 1, 1, 7))
+    for check in (check_feasible, check_scheme_inequalities):
+        with pytest.raises(ValueError, match="scheme is for") as exc:
+            check(ens, other)
+        assert type(exc.value) is ValueError
 
 
 def test_budget_validation():
