@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1,
                     help="code pairs to search (canonical first)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-visits", type=int, default=10_000_000)
+    sp.add_argument("--max-visits", type=int,
+                    default=search.SearchBudget.max_visits)
     sp.add_argument("--max-dim", type=int, default=None)
     sp.set_defaults(fn=cmd_search)
 

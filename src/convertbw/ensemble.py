@@ -244,7 +244,6 @@ class CheckReport:
     check: str
     instance: dict
     failures: list = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -255,8 +254,6 @@ class CheckReport:
              "status": "pass" if self.ok else "fail"}
         if self.failures:
             d["counterexample"] = self.failures[:10]
-        if self.details:
-            d["details"] = self.details
         return d
 
 

@@ -69,43 +69,6 @@ class SearchOutcome:
         return self.status == "found"
 
 
-@lru_cache(maxsize=1024)
-def _compositions(total: int, slots: int, maxv: int) -> tuple[tuple[int, ...], ...]:
-    """All slot-tuples of values in [0, maxv] summing to total, lex order."""
-    if slots == 0:
-        return ((),) if total == 0 else ()
-    lo = max(0, total - (slots - 1) * maxv)
-    return tuple((first,) + rest for first in range(lo, min(total, maxv) + 1)
-                 for rest in _compositions(total - first, slots - 1, maxv))
-
-
-class _SchemeSpace:
-    """Precomputed per-node subspace menus and their mapped rows, and
-    the echelon basis rows of the targets, all packed (ens.packing)."""
-
-    def __init__(self, ens: LinearEnsemble):
-        p = ens.params
-        self.ens = ens
-        self.params = p
-        fld = ens.field
-        self.subspaces = [enumerate_subspaces(p.alpha, fld, d)
-                          for d in range(p.alpha + 1)]
-        # Slot i is node i of the initial codeword (ens.initial_nodes).
-        self.nodes = ens.initial_nodes
-        # mapped[slot][d][i]: rows of subspace i (dimension d) applied to
-        # the slot's node block, packed for RowPacking.insert.
-        self.mapped = [[[ens.times(s, v) for s in subs]
-                        for subs in self.subspaces] for v in self.nodes]
-        # The walk's targets (same span) and the cut table's mask-0 residual.
-        self.targets = [r for _, r, _ in ens.packing.insert(
-            [], [r for v in ens.final_parities for r in ens.packed(v)])]
-        self.target_rank = len(self.targets)
-
-    def scheme_for(self, profile, combo) -> ConversionScheme:
-        return ConversionScheme(self.params, tuple(
-            self.subspaces[d][i] for d, i in zip(profile, combo)))
-
-
 class _CutTable(dict):
     """Rank cuts on download profiles (the dimension downloaded from
     each slot): need(A) by the bit mask A of a set of slots, computed
@@ -125,16 +88,17 @@ class _CutTable(dict):
     its span.
     """
 
-    def __init__(self, space: _SchemeSpace):
-        self.pk = space.ens.packing
-        slots = len(space.nodes)
-        self.full = (1 << slots) - 1
-        self.blocks = [space.mapped[s][space.params.alpha][0] for s in range(slots)]
+    def __init__(self, pk, blocks: list, targets: list):
+        # blocks[s]: slot s's full block rows; targets: the echelon rows
+        # of the targets; all packed (pk).
+        self.pk = pk
+        self.blocks = blocks
+        self.full = (1 << len(blocks)) - 1
         # By complement mask: the echelon basis of its blocks (kept only
         # while the residual is nonempty, since a superset's residual is
         # then empty too) and the targets modulo that span, echelonized.
         self._basis = {0: []}
-        self._residual = {0: space.targets}
+        self._residual = {0: targets}
 
     def _reduced(self, c: int) -> list:
         if c in self._residual:
@@ -157,34 +121,34 @@ class _CutTable(dict):
         return need
 
 
-def _cut_sets(profile: tuple[int, ...], alpha: int) -> tuple[tuple[int, int], ...]:
-    """(mask of A, sum of profile over A) for each set A of slots that
-    the cut table tests the profile on, the same for every code pair.
-
-    Only the sets between the profile's empty slots Z and its non-full
-    slots are tried: adding an empty slot to A keeps the sum and cannot
-    lower need, and dropping a full slot lowers the sum by alpha and
-    need by at most alpha (one block's rank)."""
-    sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
-    for s, d in enumerate(profile):
-        if 0 < d < alpha:
-            sets += [(a | 1 << s, t + d) for a, t in sets]
-    return tuple(sets)
-
-
 @lru_cache(maxsize=256)   # every level of 15 points with 8 slots, alpha = 2
 def _level(gamma: int, slots: int, alpha: int, sizes: tuple[int, ...]) -> tuple:
-    """The profiles of download total gamma in _compositions order, as
-    (profile, schemes, masks, sums, free, left, below): its scheme
-    count, prod of sizes[d] (the subspaces of dimension d); its cut sets
-    (_cut_sets) as masks and sums; its free slots (more than one
-    subspace); per walk depth j, the rows free slots j.. may add and the
-    schemes under one node."""
+    """The profiles of download total gamma (slot tuples of dimensions
+    in [0, alpha]) in lex order, as (profile, schemes, masks, sums,
+    free, left, below): its scheme count, prod of sizes[d] (the
+    subspaces of dimension d); the sets of slots the cut table tests it
+    on, as bit masks, and its sums over them; its free slots (more than
+    one subspace: 0 < d < alpha); per walk depth j, the rows free slots
+    j.. may add and the schemes under one node."""
+    # Lex order, slot by slot, keeping only the prefixes that the slots
+    # after them can still fill up to gamma: (prefix, the rest of gamma).
+    prefixes = [((), gamma)] if gamma <= slots * alpha else []
+    for room in range((slots - 1) * alpha, -1, -alpha):
+        prefixes = [(c + (d,), rest - d) for c, rest in prefixes
+                    for d in range(max(0, rest - room), min(rest, alpha) + 1)]
     out = []
-    for profile in _compositions(gamma, slots, alpha):
+    for profile, _ in prefixes:
         free = tuple(s for s, d in enumerate(profile) if sizes[d] > 1)
         menu = [sizes[profile[s]] for s in free]
-        masks, sums = zip(*_cut_sets(profile, alpha))
+        # Only the sets A between the empty slots Z and the non-full slots
+        # (Z with each subset of the free slots) are tried: adding an empty
+        # slot to A keeps the sum and cannot lower need, and dropping a full
+        # slot lowers the sum by alpha and need by at most alpha (one
+        # block's rank).
+        sets = [(sum(1 << s for s, d in enumerate(profile) if not d), 0)]
+        for s in free:
+            sets += [(a | 1 << s, t + profile[s]) for a, t in sets]
+        masks, sums = zip(*sets)
         out.append((profile, math.prod(sizes[d] for d in profile), masks, sums, free,
                     tuple(sum(profile[s] for s in free[j:]) for j in range(len(free))),
                     tuple(math.prod(menu[j:]) for j in range(len(free)))))
@@ -223,12 +187,19 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     p = ens.params
     pk = ens.packing
     reduce = pk.reduce
-    space = _SchemeSpace(ens)
-    slots = len(space.nodes)
+    subspaces = [enumerate_subspaces(p.alpha, ens.field, d) for d in range(p.alpha + 1)]
+    sizes = tuple(map(len, subspaces))
+    # Slot s is node s of the initial codeword; mapped[s][d][i]: the rows
+    # of subspace i of dimension d applied to its node block, packed.
+    mapped = [[[ens.times(m, v) for m in subs] for subs in subspaces]
+              for v in ens.initial_nodes]
+    slots = len(mapped)
+    # The echelon rows of the new parities: the walk's targets (same span).
+    targets = [r for _, r, _ in pk.insert(
+        [], [r for v in ens.final_parities for r in ens.packed(v)])]
     cap = p.ki * p.alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
-    sizes = tuple(len(subs) for subs in space.subspaces)
     visited = 0
 
     def skip(schemes):
@@ -266,7 +237,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     # target rank cannot be feasible and are skipped wholesale.
     need = None
     try:
-        for gamma in range(space.target_rank, cap + 1):
+        for gamma in range(len(targets), cap + 1):
             for profile, schemes, masks, sums, free, left, below in \
                     _level(gamma, slots, p.alpha, sizes):
                 # Cut when need(A) > the profile's sum over A for some A.
@@ -275,18 +246,20 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                     continue
                 fixed = pk.insert([], [
                     r for s, d in enumerate(profile) if sizes[d] == 1
-                    for r in space.mapped[s][d][0]])
-                menus = [[modulo(fixed, rows) for rows in space.mapped[s][profile[s]]]
+                    for r in mapped[s][d][0]])
+                menus = [[modulo(fixed, rows) for rows in mapped[s][profile[s]]]
                          for s in free]
-                combo = walk(0, [], modulo(fixed, space.targets), [0] * slots)
+                combo = walk(0, [], modulo(fixed, targets), [0] * slots)
                 if combo is not None:
-                    scheme = space.scheme_for(profile, combo)
+                    scheme = ConversionScheme(p, tuple(
+                        subspaces[d][i] for d, i in zip(profile, combo)))
                     if on_feasible is not None:
                         on_feasible(scheme)
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
                 if need is None:
-                    need = _CutTable(space)
+                    need = _CutTable(pk, [rows[p.alpha][0] for rows in mapped],
+                                     targets)
     except _VisitCap:
         return SearchOutcome("max-visits", visited=visited)
     return SearchOutcome("max-total-dim", visited=visited)

@@ -102,5 +102,4 @@ def check_corollaries(ens, maps):
             if not corollary2_holds(ens, rows, mi, s):
                 rep.failures.append({
                     "corollary": 2, "S": [v.index for v in s], "mi": mi})
-    rep.details["mi"] = mi
     return rep

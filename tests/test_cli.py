@@ -15,6 +15,7 @@ import convertbw
 from convertbw import cli
 from convertbw.cli import main
 from convertbw.mds import CorruptDataError
+from convertbw.search import SearchBudget
 from support import empty_scheme
 
 
@@ -209,6 +210,12 @@ def test_search_reports_sound(capsys):
     assert [r["pair"] for r in reports] == ["canonical", "random-1"]
     assert all(r["verdict"] == "sound" for r in reports)
     assert all(r["inequality_audit"]["failures"] == [] for r in reports)
+
+
+def test_search_default_cap_is_the_budget_default():
+    args = cli.build_parser().parse_args(
+        ["search", "--lf", "2", "--kf", "1", "--rf", "1", "--ri", "1", "--q", "5"])
+    assert args.max_visits == SearchBudget().max_visits
 
 
 def test_search_unsampleable_parity_mix_is_usage_error(capsys):

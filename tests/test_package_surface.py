@@ -1,6 +1,6 @@
 """What the package is made of: every function in src/convertbw has a
-caller there, and importing it, or running a command that returns no
-array, leaves numpy unloaded."""
+caller there and every class is named there, and importing it, or
+running a command that returns no array, leaves numpy unloaded."""
 
 import ast
 import os
@@ -13,8 +13,8 @@ import convertbw
 PKG = Path(convertbw.__file__).parent
 
 # Functions nothing in the package calls, each kept for a caller outside
-# it.  Anything else without a caller belongs in tests/support.py or
-# nowhere.
+# it.  Anything else without a caller, and any class nothing in the
+# package names, belongs in tests/support.py or nowhere.
 NO_CALLER_IN_PACKAGE = {
     # The JSON input boundary for codes and schemes (ROADMAP item 5's
     # witness file reads codes and schemes through it).
@@ -39,7 +39,7 @@ def test_every_function_has_a_caller_in_the_package():
     used: set[str] = set()
     for path in sorted(PKG.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, []).append(
                         f"{path.name}:{node.lineno}")

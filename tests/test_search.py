@@ -4,7 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -19,9 +19,7 @@ from convertbw.linalg import (Matrix, enumerate_subspaces, random_matrix,
                               rank_pair, vstack)
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
-from convertbw.search import (SearchBudget, SearchOutcome, _compositions,
-                              _cut_sets, _CutTable, _level, _SchemeSpace,
-                              certify_bound,
+from convertbw.search import (SearchBudget, _CutTable, _level, certify_bound,
                               check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 from plain_elimination import ref_rank
@@ -97,50 +95,60 @@ def test_budget_exhaustion_reported_distinctly():
 def reference_search(ens, budget):
     """The enumerator the incremental walk replaced, kept as the plain
     reference path: one full rank_pair of the whole download stack per
-    scheme, in enumeration order."""
+    scheme, in enumeration order.  Returns (status, gamma, visited,
+    scheme), the fields of the search's SearchOutcome."""
     p = ens.params
-    space = _SchemeSpace(ens)
-    slots = len(space.nodes)
+    menus = _menus(ens)
+    slots = len(ens.initial_nodes)
     cap = p.ki * p.alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
     visited = 0
-    for gamma in range(space.target_rank, cap + 1):
-        for profile in _compositions(gamma, slots, p.alpha):
-            for combo in _combos(space, profile):
+    for gamma in range(ref_rank(_targets(ens)), cap + 1):
+        for profile in _profiles(gamma, slots, p.alpha):
+            for combo in _combos(menus, profile):
                 visited += 1
                 if visited > budget.max_visits:
-                    return SearchOutcome("max-visits", visited=visited - 1)
-                if _feasible(space, profile, combo):
-                    return SearchOutcome("found", gamma=gamma,
-                                         scheme=space.scheme_for(profile, combo),
-                                         visited=visited)
-    return SearchOutcome("max-total-dim", visited=visited)
+                    return "max-visits", None, visited - 1, None
+                picks = [menus[d][i] for d, i in zip(profile, combo)]
+                if _feasible(ens, picks):
+                    return "found", gamma, visited, ConversionScheme(p, picks)
+    return "max-total-dim", None, visited, None
 
 
-def _combos(space, profile):
-    return product(*[range(len(space.subspaces[d])) for d in profile])
+def _outcome(out):
+    return out.status, out.gamma, out.visited, out.scheme
 
 
-def _mapped(space, s, d, i):
-    """Subspace i of dimension d applied to slot s's node block."""
-    return space.subspaces[d][i] @ space.ens.block(space.nodes[s])
+def _menus(ens):
+    """menus[d][i]: canonical subspace i of dimension d."""
+    alpha = ens.params.alpha
+    return [enumerate_subspaces(alpha, ens.field, d) for d in range(alpha + 1)]
 
 
-def _targets(space):
-    return space.ens.stack(space.ens.final_parities)
+def _profiles(total, slots, alpha):
+    """Download profiles (dimension per slot) summing to total, lex order."""
+    return [c for c in product(range(alpha + 1), repeat=slots) if sum(c) == total]
 
 
-def _stack(space, mats):
-    return vstack([Matrix.zeros(space.ens.field, 0, space.params.message_dim),
-                   *mats])
+def _combos(menus, profile):
+    return product(*[range(len(menus[d])) for d in profile])
 
 
-def _feasible(space, profile, combo):
-    """Whether the scheme's downloads span the target rows: one full
-    rank_pair of the whole download stack."""
-    mats = [_mapped(space, s, d, i) for s, (d, i) in enumerate(zip(profile, combo))]
-    rd, rj = rank_pair(_stack(space, mats), _targets(space))
+def _targets(ens):
+    return ens.stack(ens.final_parities)
+
+
+def _stack(ens, mats):
+    return vstack([Matrix.zeros(ens.field, 0, ens.params.message_dim), *mats])
+
+
+def _feasible(ens, picks):
+    """Whether the downloads of picks (one map per slot; slot s is node
+    s of the initial codeword) span the target rows: one full rank_pair
+    of the whole download stack."""
+    mats = [m @ ens.block(v) for m, v in zip(picks, ens.initial_nodes)]
+    rd, rj = rank_pair(_stack(ens, mats), _targets(ens))
     return rd == rj
 
 
@@ -191,10 +199,7 @@ def pair_ensemble(point, pair):
 @pytest.mark.parametrize("point,pair,budget", _differential_cases())
 def test_search_matches_reference_enumerator(point, pair, budget):
     ens = pair_ensemble(point, pair)
-    got = min_bandwidth_exhaustive(ens, budget)
-    want = reference_search(ens, budget)
-    assert (got.status, got.gamma, got.visited, got.scheme) == \
-        (want.status, want.gamma, want.visited, want.scheme)
+    assert _outcome(min_bandwidth_exhaustive(ens, budget)) == reference_search(ens, budget)
 
 
 def random_systematic_pair(p, rng):
@@ -223,51 +228,65 @@ def test_search_rebuilds_fixed_slots_between_free_ones():
     p = SplitParams(2, 2, 1, 1, 2, 5)
     ens = ensemble_from_codes(p, *random_systematic_pair(p, random.Random(0)))
     got = min_bandwidth_exhaustive(ens, SearchBudget())
-    want = reference_search(ens, SearchBudget())
-    assert (got.status, got.gamma, got.visited, got.scheme) == \
-        (want.status, want.gamma, want.visited, want.scheme)
-    subspaces = _SchemeSpace(ens).subspaces
-    assert [(m.rows, subspaces[m.rows].index(m)) for m in got.scheme.maps] == \
+    assert _outcome(got) == reference_search(ens, SearchBudget())
+    menus = _menus(ens)
+    assert [(m.rows, menus[m.rows].index(m)) for m in got.scheme.maps] == \
         [(1, 1), (1, 4), (2, 0), (2, 0), (1, 3)]
     assert (got.gamma, got.visited) == (7, 27942)
+
+
+def _sizes(q, alpha):
+    """The number of canonical subspaces of each dimension d <= alpha."""
+    return tuple(len(enumerate_subspaces(alpha, field(q), d)) for d in range(alpha + 1))
+
+
+def level_ledger(gamma, slots, alpha, sizes):
+    """Check the shared level table of download total gamma entry by
+    entry against the definitions of its fields; return its schemes."""
+    level = _level(gamma, slots, alpha, sizes)
+    assert type(level) is tuple and level is _level(gamma, slots, alpha, sizes)
+    assert [e[0] for e in level] == _profiles(gamma, slots, alpha)
+    for profile, schemes, masks, sums, free, left, below in level:
+        assert type(profile) is tuple
+        assert schemes == math.prod(sizes[d] for d in profile)
+        # Cut sets: every A with Z <= A <= the non-full slots, where Z
+        # is the empty slots (so Z with each subset of the partial
+        # slots), each with the profile's sum over A.
+        empty = tuple(s for s, d in enumerate(profile) if d == 0)
+        partial = [s for s, d in enumerate(profile) if 0 < d < alpha]
+        want = [empty + extra for r in range(len(partial) + 1)
+                for extra in combinations(partial, r)]
+        assert len(set(masks)) == len(masks) == len(sums)
+        assert sorted(zip(masks, sums)) == sorted(
+            (sum(1 << s for s in a), sum(profile[s] for s in a)) for a in want)
+        assert free == tuple(partial)
+        assert left == tuple(sum(profile[s] for s in free[j:])
+                             for j in range(len(free)))
+        assert below == tuple(math.prod(sizes[profile[s]] for s in free[j:])
+                              for j in range(len(free)))
+        assert schemes == (below[0] if free else 1)
+    return sum(e[1] for e in level)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("q", [2, 5, 8])
+def test_level_tables_are_a_visit_ledger(q, alpha):
+    """Per level and profile, in lex order: the profile, its scheme
+    count prod of sizes[d], its cut sets and the walk's free slots and
+    counts (level_ledger); the counts over all levels of a slot count,
+    none above slots * alpha, sum to every scheme, (sum of sizes) ** slots."""
+    sizes = _sizes(q, alpha)
+    for slots in range(9):
+        assert sum(level_ledger(gamma, slots, alpha, sizes)
+                   for gamma in range(slots * alpha + 2)) == sum(sizes) ** slots
 
 
 @pytest.mark.parametrize("total,slots,maxv", [
     (0, 0, 2), (1, 0, 2), (0, 3, 2), (4, 3, 2), (7, 3, 2), (7, 5, 2),
     (3, 4, 1), (5, 3, 3)])
 def test_compositions_are_the_lex_filtered_product(total, slots, maxv):
-    got = _compositions(total, slots, maxv)
-    assert type(got) is tuple and all(type(c) is tuple for c in got)
-    assert list(got) == [c for c in product(range(maxv + 1), repeat=slots)
-                         if sum(c) == total]
-    assert _compositions(total, slots, maxv) is got   # one shared table
-
-
-@pytest.mark.parametrize("alpha", [1, 2])
-@pytest.mark.parametrize("q", [2, 5, 8])
-def test_level_tables_are_a_visit_ledger(q, alpha):
-    """Per level and profile, in _compositions order: the profile, its
-    scheme count prod of sizes[d], its cut sets and the walk's free
-    slots and counts; the counts over all levels of a slot count sum to
-    every scheme, (sum of sizes) ** slots."""
-    fld = field(q)
-    sizes = tuple(len(enumerate_subspaces(alpha, fld, d)) for d in range(alpha + 1))
-    for slots in range(1, 9):
-        total = 0
-        for gamma in range(slots * alpha + 1):
-            level = _level(gamma, slots, alpha, sizes)
-            assert [e[0] for e in level] == list(_compositions(gamma, slots, alpha))
-            for profile, schemes, masks, sums, free, left, below in level:
-                assert schemes == math.prod(sizes[d] for d in profile)
-                assert tuple(zip(masks, sums)) == _cut_sets(profile, alpha)
-                assert free == tuple(s for s, d in enumerate(profile) if 0 < d < alpha)
-                assert left == tuple(sum(profile[s] for s in free[j:])
-                                     for j in range(len(free)))
-                assert below == tuple(math.prod(sizes[profile[s]] for s in free[j:])
-                                      for j in range(len(free)))
-                assert schemes == (below[0] if free else 1)
-                total += schemes
-        assert total == sum(sizes) ** slots
+    # The level ledger at no slots, totals above slots * maxv and maxv 3.
+    level_ledger(total, slots, maxv, _sizes(2, maxv))
 
 
 @pytest.mark.parametrize("pair", [0, 1])
@@ -278,22 +297,26 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
     holds a feasible scheme (by the reference's full rank test), and
     some profile survives at the level where the search succeeds."""
     ens = pair_ensemble(point, pair)
-    space = _SchemeSpace(ens)
-    assert space.target_rank == ref_rank(_targets(space))
-    table = _CutTable(space)
+    pk = ens.packing
+    targets = [r for _, r, _ in pk.insert(
+        [], [r for v in ens.final_parities for r in ens.packed(v)])]
+    assert len(targets) == ref_rank(_targets(ens))
+    table = _CutTable(pk, [ens.packed(v) for v in ens.initial_nodes], targets)
     alpha = ens.params.alpha
-    slots = len(space.nodes)
-    sizes = tuple(map(len, space.subspaces))
+    slots = len(ens.initial_nodes)
+    menus = _menus(ens)
+    sizes = tuple(map(len, menus))
     sets = range(1, 1 << slots)
     need = {}
     for a in sets:
         # Rank of the targets modulo the full blocks outside A, from scratch.
-        outside = [_mapped(space, s, alpha, 0) for s in range(slots) if not a >> s & 1]
-        rb, rbt = rank_pair(_stack(space, outside), _targets(space))
+        outside = [ens.block(v) for s, v in enumerate(ens.initial_nodes)
+                   if not a >> s & 1]
+        rb, rbt = rank_pair(_stack(ens, outside), _targets(ens))
         need[a] = rbt - rb
         assert table[a] == need[a]
     gamma = min_bandwidth_exhaustive(ens, SearchBudget()).gamma
-    for level in range(space.target_rank, gamma + 1):
+    for level in range(len(targets), gamma + 1):
         survivors = 0
         for profile, _, masks, sums, *_ in _level(level, slots, alpha, sizes):
             # The search's test: need(A) above the profile's sum over A
@@ -306,8 +329,8 @@ def test_cut_table_rejects_only_infeasible_profiles(point, pair):
             if not rejected:
                 survivors += 1
                 continue
-            assert not any(_feasible(space, profile, combo)
-                           for combo in _combos(space, profile))
+            assert not any(_feasible(ens, [menus[d][i] for d, i in zip(profile, combo)])
+                           for combo in _combos(menus, profile))
         assert survivors or level < gamma
 
 
@@ -320,11 +343,10 @@ def test_parameter_only_values_are_shared_and_immutable():
     level = _level(6, 5, 2, (1, 6, 1))
     assert type(level) is tuple and level is _level(6, 5, 2, (1, 6, 1))
     profile, schemes, masks, sums, free, left, below = \
-        level[_compositions(6, 5, 2).index((0, 1, 2, 1, 2))]
+        level[[e[0] for e in level].index((0, 1, 2, 1, 2))]
     assert profile == (0, 1, 2, 1, 2) and schemes == 36
     # Z = {slot 0}; slots 1 and 3 partial: every subset of them joins Z.
-    sets = ((1, 0), (3, 1), (9, 1), (11, 2))
-    assert tuple(zip(masks, sums)) == sets == _cut_sets((0, 1, 2, 1, 2), 2)
+    assert tuple(zip(masks, sums)) == ((1, 0), (3, 1), (9, 1), (11, 2))
     assert (free, left, below) == ((1, 3), (2, 1), (36, 6))
 
 
