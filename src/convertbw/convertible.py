@@ -6,11 +6,11 @@ Maps are kept in canonical form: full row rank, reduced row-echelon.
 The read cost of a scheme is simply the total number of downloaded
 rows; writes always materialize the lf*rf new parity nodes in full.
 
-run_conversion multiplies only through the row kernel
-RowPacking.combine, by matrices packed once (mds._packed) per (params,
-code pair, scheme) in the value-keyed _conversion_plan cache: each
-downloading node's map and the matrix combining the downloaded values
-into the new parities.
+run_conversion multiplies only through Matrix.vecmul, by matrices
+solved once per (params, code pair, scheme) in the value-keyed
+_conversion_plan cache, each of which packs its rows on its first
+product: each downloading node's map and the matrix that takes the
+downloaded values to the new parities.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .ensemble import (LinearEnsemble, _check_code_pair, final_parity_rows,
                        mapped_rows)
 from .linalg import Matrix, _frozen, in_span, rref, solve_left, vstack
 from .gf import as_count
-from .mds import VectorCode, _codeword, _packed, make_systematic_mds
+from .mds import VectorCode, _codeword, make_systematic_mds
 from .params import SplitParams, rational_json
 
 
@@ -147,7 +147,8 @@ def scheme_bandwidth(scheme: ConversionScheme) -> BandwidthReport:
 
 
 def _check_scheme_params(p: SplitParams, scheme: ConversionScheme) -> None:
-    """The scheme was built for the conversion point p (any field)."""
+    """The scheme was built for the conversion point p; its maps' field
+    is checked where they are applied (ensemble._mapped, Matrix.matmul)."""
     sp = scheme.params
     if (sp.lf, sp.kf, sp.rf, sp.ri, sp.alpha) != (p.lf, p.kf, p.rf, p.ri, p.alpha):
         raise ValueError(
@@ -179,22 +180,21 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
 @lru_cache(maxsize=64)
 def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
                      scheme: ConversionScheme):
-    """The message-independent part of a conversion, packed (_packed):
-    the downloading nodes in node order, each with its map transposed
-    (so it applies to the node's row of stored symbols), and the matrix
-    `combine`, transposed, that takes the row of their downloaded
-    values, in that order, to the new parities.  Raises
-    InfeasibleSchemeError (never cached) when there is none."""
+    """The message-independent part of a conversion: the downloading
+    nodes in node order, each with its map transposed (so that it
+    multiplies the node's row of stored symbols), and the transposed
+    solution that takes the row of their downloaded values, in that
+    order, to the new parities.  Raises InfeasibleSchemeError (never
+    cached) when there is none."""
     fld = initial.field
     used = tuple((i, m) for i, m in enumerate(scheme.maps) if m.rows)
     downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
                        + [m @ initial.node_block(i) for i, m in used])
-    combine = solve_left(final_parity_rows(p, final), downloads)
-    if combine is None:
+    solution = solve_left(final_parity_rows(p, final), downloads)
+    if solution is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    return (tuple((i, _packed(m.transpose())) for i, m in used),
-            _packed(combine.transpose()))
+    return tuple((i, m.transpose()) for i, m in used), solution.transpose()
 
 
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
@@ -217,12 +217,10 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     _check_code_pair(p, initial, final)
     _check_scheme_params(p, scheme)
     stored = _codeword(initial, message)
-    maps, combine = _conversion_plan(p, initial, final, scheme)
+    maps, to_parities = _conversion_plan(p, initial, final, scheme)
     a = p.alpha
-    values = [v for i, (pk, rows) in maps
-              for v in pk.unpack(pk.combine(stored[i * a:(i + 1) * a], rows))]
-    pk, rows = combine
-    new = pk.unpack(pk.combine(values, rows))
+    values = [v for i, m in maps for v in m.vecmul(stored[i * a:(i + 1) * a])]
+    new = to_parities.vecmul(values)
 
     kfa, rfa = p.kf * p.alpha, p.rf * p.alpha
     return [_frozen(stored[t * kfa:(t + 1) * kfa] + new[t * rfa:(t + 1) * rfa],

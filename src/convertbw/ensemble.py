@@ -88,9 +88,8 @@ class LinearEnsemble:
     initial_nodes lists the initial codeword in node order (info nodes,
     then initial parities): node i there is node i of the initial code
     and is read through a ConversionScheme's maps[i].  Every block is an
-    alpha x message_dim Matrix over fld, and is also kept packed
-    (`packing`, Field.packing of message_dim) for the download checks
-    and the search, which rank packed rows.
+    alpha x message_dim Matrix over fld whose packed rows (Matrix.packed,
+    by `packing`) serve the download checks and the search.
     """
 
     def __init__(self, params: SplitParams, fld: Field,
@@ -110,9 +109,8 @@ class LinearEnsemble:
                 raise ValueError(f"block for {v} has shape {b.shape}")
             if b.field != fld:
                 raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
-        pk = self.packing = fld.packing(p.message_dim)
-        self._row_bytes = {v: [pk.pack_bytes(r) for r in b.data]
-                        for v, b in self._blocks.items()}
+        self.packing = fld.packing(p.message_dim)
+        self._row_bytes = {v: b.packed()[1] for v, b in self._blocks.items()}
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
@@ -222,10 +220,13 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
 
 
 def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> list[int]:
-    """maps[v] @ block(v): rows over the message, packed (ens.packing)."""
+    """maps[v] @ block(v): rows over the message, packed (ens.packing);
+    every download map the oracle applies is checked here."""
     m = maps[v]
     if m.cols != ens.params.alpha:
         raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
+    if m.field is not ens.field and m.field != ens.field:
+        raise ValueError(f"map for {v} is over {m.field!r}, not {ens.field!r}")
     return ens.times(m, v)
 
 

@@ -22,9 +22,8 @@ oracle and the search), one call per row list: reduce returns every
 remainder, zeros kept, and insert extends an echelon basis by the
 nonzero ones, each running the loop inline with one set of locals per
 call.  RowPacking.combine, a row vector times a matrix whose rows were
-packed once, serves Matrix.matmul and the write path
-(encode, run_conversion, decode_from), which keeps its packed matrices
-in value-keyed caches.
+packed once, serves Matrix.vecmul, through which Matrix.matmul and the
+write path (encode, run_conversion, decode_from) multiply.
 
 Only this module knows the lane format.  Outside entries and counts
 are checked in plain Python (Field.as_elements, as_count).  numpy is

@@ -11,9 +11,11 @@ and is imported on the first such call, not with the package.
 All arithmetic runs on packed rows (Field.packing): each row of
 elements is one int, column j in lane j, and a row operation is one
 bytes.translate and one big-int operation over every lane at once (see
-convertbw.gf).  The functions here pack their rows on entry and unpack
-their results; Matrix.matmul packs its right operand once per product
-and sums the rows its left rows pick (RowPacking.combine).  The oracle
+convertbw.gf).  Matrix.vecmul, a row vector times a matrix, runs on
+rows the matrix packs on its first product and keeps (Matrix.packed);
+matmul and the write path (mds, convertible) multiply through it.  The
+elimination functions pack their rows on entry, uncached (their
+matrices mostly serve one call), and unpack their results.  The oracle
 and the search keep their rows packed and extend echelon bases with
 RowPacking.insert directly.  Such a basis is kept in insertion order:
 (shift, row, bytes) entries, each row scaled to 1 at its pivot (its
@@ -47,7 +49,7 @@ def _frozen(values, *shape: int) -> np.ndarray:
 class Matrix:
     """Immutable matrix over a finite field: row tuples `data`, `cols`."""
 
-    __slots__ = ("field", "data", "cols", "_hash")
+    __slots__ = ("field", "data", "cols", "_hash", "_pack")
 
     def __init__(self, field: Field, rows):
         values, shape = field.as_elements(rows)
@@ -56,7 +58,7 @@ class Matrix:
         self.field = field
         self.data = tuple(map(tuple, values))
         self.cols = shape[1]
-        self._hash = None
+        self._hash = self._pack = None
 
     @classmethod
     def _of_rows(cls, field: Field, rows, cols: int) -> "Matrix":
@@ -65,7 +67,7 @@ class Matrix:
         m.field = field
         m.data = tuple(map(tuple, rows))
         m.cols = cols
-        m._hash = None
+        m._hash = m._pack = None
         return m
 
     @classmethod
@@ -114,12 +116,23 @@ class Matrix:
             raise ValueError("matrix product across different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        pk = self.field.packing(other.cols)
-        rows = [pk.pack_bytes(r) for r in other.data]
-        return Matrix._of_rows(self.field, [pk.unpack(pk.combine(c, rows))
-                                            for c in self.data], other.cols)
+        return Matrix._of_rows(self.field, map(other.vecmul, self.data), other.cols)
 
     __matmul__ = matmul
+
+    def packed(self) -> tuple[RowPacking, tuple[bytes, ...]]:
+        """(Field.packing(cols), the rows as bytes): the form vecmul
+        multiplies by, built on the first call and kept."""
+        if self._pack is None:
+            pk = self.field.packing(self.cols)
+            self._pack = pk, tuple(map(pk.pack_bytes, self.data))
+        return self._pack
+
+    def vecmul(self, v) -> tuple[int, ...]:
+        """The row vector v (field elements, one per row) times this
+        matrix; a v of another length raises ValueError."""
+        pk, rows = self._pack or self.packed()
+        return pk.unpack(pk.combine(v, rows))
 
     def flat(self) -> list[int]:
         """Row-major flat entry list."""

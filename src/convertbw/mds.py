@@ -6,10 +6,10 @@ alpha columns [i*alpha, (i+1)*alpha).  Codes are built as alpha
 independent copies of a scalar systematic generalized Reed-Solomon
 layer, which is MDS whenever q >= n.
 
-The write path multiplies only by fixed matrices, each packed once
-(_packed) for the row kernel RowPacking.combine and kept in a
-value-keyed cache: the generator (_packed_generator), which encodes and
-cross-checks decodes, and one inverse per node set (_decoder).
+The write path multiplies only by fixed matrices, through Matrix.vecmul,
+so each packs its rows once: the generator, once per code object, which
+encodes and cross-checks decodes, and one inverse per node set, kept in
+the value-keyed _decoder cache.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .gf import Field, RowPacking, as_count, field as make_field
+from .gf import Field, as_count, field as make_field
 from .linalg import Matrix, _frozen, mat_inverse, mat_rank
 
 
@@ -112,32 +112,12 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
     return VectorCode(n, k, alpha, fld, Matrix._of_rows(fld, gen, n * alpha))
 
 
-# A matrix packed for products by it: its rows' packing and packed rows.
-_Packed = tuple[RowPacking, tuple[bytes, ...]]
-
-
-def _packed(m: Matrix) -> _Packed:
-    """(pk, rows): m's rows packed once for the products
-    pk.unpack(pk.combine(coeffs, rows)), each the row vector coeffs
-    times m."""
-    pk = m.field.packing(m.cols)
-    return pk, tuple(pk.pack_bytes(r) for r in m.data)
-
-
-@lru_cache(maxsize=256)
-def _packed_generator(code: VectorCode) -> _Packed:
-    """The generator's rows packed (_packed), once per code (by value,
-    like verify_mds)."""
-    return _packed(code.generator)
-
-
 def _codeword(code: VectorCode, message: Sequence[int]) -> tuple[int, ...]:
     """The n*alpha symbols of the codeword of a message, which is
     validated here."""
     m = Matrix.from_flat(code.field, message, 1, code.k * code.alpha,
                          "message length")
-    pk, rows = _packed_generator(code)
-    return pk.unpack(pk.combine(m.data[0], rows))
+    return code.generator.vecmul(m.data[0])
 
 
 def encode(code: VectorCode, message: Sequence[int]):
@@ -147,12 +127,12 @@ def encode(code: VectorCode, message: Sequence[int]):
 
 
 @lru_cache(maxsize=256)
-def _decoder(code: VectorCode, nodes: tuple[int, ...]) -> _Packed:
-    """The inverse of the generator's columns of k nodes, packed
-    (_packed) and shared by every decode from the same node set of an
-    equal code."""
+def _decoder(code: VectorCode, nodes: tuple[int, ...]) -> Matrix:
+    """The inverse of the generator's columns of k nodes, shared (with
+    its packed rows) by every decode from the same node set of an equal
+    code."""
     cols = [c for i in nodes for c in code.node_cols(i)]
-    return _packed(mat_inverse(code.generator.take_cols(cols)))
+    return mat_inverse(code.generator.take_cols(cols))
 
 
 def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
@@ -175,11 +155,9 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
             raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
         symbols[i] = tuple(s)
     use = tuple(idx[: code.k])
-    pk, rows = _decoder(code, use)
-    msg = pk.unpack(pk.combine([x for i in use for x in symbols[i]], rows))
+    msg = _decoder(code, use).vecmul([x for i in use for x in symbols[i]])
     if len(idx) > code.k:
-        pk, rows = _packed_generator(code)
-        cw = pk.unpack(pk.combine(msg, rows))
+        cw = code.generator.vecmul(msg)
         for i in idx[code.k:]:
             if tuple(cw[c] for c in code.node_cols(i)) != symbols[i]:
                 raise CorruptDataError(

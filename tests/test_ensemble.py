@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from convertbw.convertible import canonical_codes, default_scheme
+from convertbw.convertible import canonical_codes, check_feasible, default_scheme
 from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
                                 NodeId, check_cond_entropy_final,
                                 check_joint_entropy, check_mds_reconstruction,
@@ -20,7 +20,8 @@ from convertbw.gf import field
 from convertbw.linalg import Matrix, random_matrix, rank_pair
 from convertbw.mds import VectorCode, make_systematic_mds
 from convertbw.params import SplitParams
-from support import check_corollaries
+from convertbw.search import check_scheme_inequalities
+from support import check_corollaries, from_maps
 
 
 def build(lf, kf, rf, ri, alpha, q):
@@ -135,6 +136,29 @@ def test_field_mismatch_rejected():
     blocks = {v: ens7.block(v) for v in ens7.all_nodes()}
     with pytest.raises(ValueError, match="is over"):
         LinearEnsemble(p5, field(5), blocks)
+
+
+@pytest.mark.parametrize("entry", [3, 6])
+def test_download_maps_over_another_field_rejected(entry):
+    # A GF(7) map on a GF(5) ensemble: entry 3 would be read as a GF(5)
+    # element and give a verdict, entry 6 would index past GF(5)'s
+    # product tables.  Every oracle entry point refuses the map instead.
+    p5, ens = build(2, 2, 1, 1, 2, 5)
+    p7 = SplitParams(2, 2, 1, 1, 2, 7)
+    m = Matrix(field(7), [[1, entry]])
+    scheme = from_maps(p7, [m] * p7.ni)
+    maps = dict(zip(ens.initial_nodes, scheme.maps))
+    x0, x1 = info_node(0), info_node(1)
+    calls = [
+        lambda: check_feasible(ens, scheme),
+        lambda: check_scheme_inequalities(ens, scheme),
+        lambda: check_mi_bound(ens, {x0: m}, {x1: m}, [x0], [x1]),
+        lambda: check_min_avg(ens, [(x0, m), (x1, m)], 1),
+        lambda: check_cond_entropy_final(ens, maps, [0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"map for .* is over GF\(7\), not GF\(5\)"):
+            call()
 
 
 def test_parity_iid_check_passes(medium):

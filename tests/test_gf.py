@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from convertbw.gf import (_IRREDUCIBLE, BinaryField, PrimeField, field,
                           is_prime)
 from convertbw.linalg import Matrix
-from convertbw.mds import _packed
 from support import add
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
@@ -168,10 +167,10 @@ def test_arr_matmul_matches_naive_product(q):
 
 @pytest.mark.parametrize("q", [2, 5, 127, 131, 251, 8, 256])
 def test_write_path_product_matches_arr_matmul(q):
-    # The write path's product, pk.unpack(pk.combine(c, rows)) on a
-    # matrix packed by mds._packed, is the row vector c times m; numpy's
-    # arr_matmul is the reference.  The orders cover both lane widths
-    # over GF(p) (8 bits below 128, 16 from 131) and GF(2^m).
+    # Matrix.vecmul, the product matmul and the write path run, is the
+    # row vector c times m on the rows m packs once; numpy's arr_matmul
+    # is the reference.  The orders cover both lane widths over GF(p) (8 bits
+    # below 128, 16 from 131) and GF(2^m).
     f = field(q)
     rng = random.Random(q)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1)] + [
@@ -191,21 +190,28 @@ def test_write_path_product_matches_arr_matmul(q):
     for c in (top, 1):
         cases.append(([[top] * 5] * 300, 5, [c] * 300))
     for m, cols, coeffs in cases:
-        pk, rows = _packed(Matrix._of_rows(f, m, cols))
+        mat = Matrix._of_rows(f, m, cols)
         want = f.arr_matmul(np.array(coeffs, dtype=np.int64).reshape(1, len(m)),
                             np.array(m, dtype=np.int64).reshape(len(m), cols))
-        assert pk.unpack(pk.combine(coeffs, rows)) == tuple(want[0].tolist())
+        assert mat.vecmul(coeffs) == tuple(want[0].tolist())
+        # The packed rows are built on the first product and kept.
+        packed = mat.packed()
+        assert packed[0] is f.packing(cols) and mat.packed() is packed
 
 
 @pytest.mark.parametrize("q", [251, 8])
 def test_combine_refuses_coefficients_of_another_length(q):
     # One coefficient per packed row: a short or long vector raises
-    # instead of being cut to the shorter length.
+    # instead of being cut to the shorter length, in the kernel and
+    # through Matrix.vecmul.
     pk = field(q).packing(2)
     rows = [pk.pack_bytes([1, 2]), pk.pack_bytes([3, 4])]
+    m = Matrix(field(q), [[1, 2], [3, 4]])
     for coeffs in ([5], [5, 1, 1]):
         with pytest.raises(ValueError, match="coefficients for 2 rows"):
             pk.combine(coeffs, rows)
+        with pytest.raises(ValueError, match="coefficients for 2 rows"):
+            m.vecmul(coeffs)
 
 
 def test_product_tables_are_built_on_first_use():

@@ -148,15 +148,15 @@ def test_decode_reports_corruption_with_extra_node():
     # Over GF(8) with alpha = 2 and over GF(251), one tampered subsymbol
     # of the last node is caught on the cold call, which packs the
     # inverse and the generator, and on the warm call, which reuses them.
-    for code in (make_systematic_mds(5, 3, 2, field(8)),
-                 make_systematic_mds(6, 3, 2, field(251))):
-        f, n = code.field, code.n
-        msg = [f.q - 1 - j for j in range(code.k * code.alpha)]
-        cw = encode(code, msg)
+    for args in ((5, 3, 2, field(8)), (6, 3, 2, field(251))):
+        n, k, alpha, f = args
+        msg = [f.q - 1 - j for j in range(k * alpha)]
+        cw = encode(make_systematic_mds(*args), msg)
         tampered = {i: cw[i].tolist() for i in range(n)}
         tampered[n - 1][-1] = add(f, tampered[n - 1][-1], 1)
+        # A freshly built code has not packed its generator yet.
+        code = make_systematic_mds(*args)
         mds._decoder.cache_clear()
-        mds._packed_generator.cache_clear()
         for _ in ("cold", "warm"):
             with pytest.raises(CorruptDataError, match=f"node {n - 1} "):
                 decode_from(code, tampered)

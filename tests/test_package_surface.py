@@ -1,6 +1,7 @@
 """What the package is made of: every function in src/convertbw has a
-caller there and every class is named there, and importing it, or
-running a command that returns no array, leaves numpy unloaded."""
+caller there and every class is named there, the write path names no
+part of the row kernel, and importing the package, or running a command
+that returns no array, leaves numpy unloaded."""
 
 import ast
 import os
@@ -51,6 +52,29 @@ def test_every_function_has_a_caller_in_the_package():
                 used.add(node.attr)
     orphans = {name: where for name, where in defined.items() if name not in used}
     assert set(orphans) == NO_CALLER_IN_PACKAGE, orphans
+
+
+# The row kernel and its lane format, which the write path reaches only
+# through Matrix.vecmul.
+KERNEL_NAMES = {"RowPacking", "packing", "pack_bytes", "combine", "unpack"}
+
+
+def test_write_path_names_no_kernel():
+    for name in ("mds.py", "convertible.py"):
+        path = PKG / name
+        named: set[str] = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update({node.name, node.asname})
+            elif isinstance(node, ast.arg):
+                named.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+        assert not named & KERNEL_NAMES, (name, sorted(named & KERNEL_NAMES))
 
 
 # Run in a fresh interpreter: pytest and the other tests load numpy.
