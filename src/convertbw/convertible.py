@@ -148,7 +148,8 @@ def scheme_bandwidth(scheme: ConversionScheme) -> BandwidthReport:
 
 def _check_scheme_params(p: SplitParams, scheme: ConversionScheme) -> None:
     """The scheme was built for the conversion point p; its maps' field
-    is checked where they are applied (ensemble._mapped, Matrix.matmul)."""
+    is checked where they enter the oracle (ensemble._map_rows) or are
+    multiplied (Matrix.matmul)."""
     sp = scheme.params
     if (sp.lf, sp.kf, sp.rf, sp.ri, sp.alpha) != (p.lf, p.kf, p.rf, p.ri, p.alpha):
         raise ValueError(

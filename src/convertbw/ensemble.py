@@ -10,6 +10,16 @@ The check_* functions mechanically verify the structural facts these
 instances must satisfy (parity independence, codeword independence,
 stability, the download-function inequalities).  They are only ever
 evaluated on linear node contents and linear download maps.
+
+A download map enters as a Matrix with alpha columns, through a public
+entry (check_mi_bound, check_min_avg, check_cond_entropy_final,
+mapped_rows, search.check_scheme_inequalities), which checks its field
+and column count once (_map_rows) and passes its coefficient rows
+(Matrix.data) inward: inside, a map is those rows, and the cores
+(_mi_bound, _min_avg, _cond_entropy_final) and the verify suite's
+random trials take rows only.  Each block's rows are packed once
+(LinearEnsemble.packed); entropies and the download checks rank packed
+rows with RowPacking.insert.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Field, RowPacking, as_count
-from .linalg import Matrix, mat_rank, rref
+from .linalg import Matrix, rref
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -88,8 +98,9 @@ class LinearEnsemble:
     initial_nodes lists the initial codeword in node order (info nodes,
     then initial parities): node i there is node i of the initial code
     and is read through a ConversionScheme's maps[i].  Every block is an
-    alpha x message_dim Matrix over fld whose packed rows (Matrix.packed,
-    by `packing`) serve the download checks and the search.
+    alpha x message_dim Matrix over fld whose rows are packed once, by
+    `packing`: as bytes for times, as ints for packed, which the
+    entropies, the download checks and the search rank.
     """
 
     def __init__(self, params: SplitParams, fld: Field,
@@ -111,18 +122,21 @@ class LinearEnsemble:
                 raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
         self.packing = fld.packing(p.message_dim)
         self._row_bytes = {v: b.packed()[1] for v, b in self._blocks.items()}
+        self._packed = {v: tuple(int.from_bytes(r, "little") for r in rows)
+                        for v, rows in self._row_bytes.items()}
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
 
-    def packed(self, v: NodeId) -> list[int]:
+    def packed(self, v: NodeId) -> tuple[int, ...]:
         """Block v's rows, packed."""
-        return [int.from_bytes(b, "little") for b in self._row_bytes[v]]
+        return self._packed[v]
 
-    def times(self, m: Matrix, v: NodeId) -> list[int]:
-        """The rows of m @ block(v), packed; m has alpha columns."""
+    def times(self, coeffs, v: NodeId) -> list[int]:
+        """The rows of coeffs @ block(v), packed: coeffs is a map's
+        coefficient rows (Matrix.data), each alpha field elements."""
         pk, rows = self.packing, self._row_bytes[v]
-        return [pk.combine(c, rows) for c in m.data]
+        return [pk.combine(c, rows) for c in coeffs]
 
     def all_nodes(self) -> tuple[NodeId, ...]:
         return self.initial_nodes + self.final_parities
@@ -195,11 +209,14 @@ def ensemble_from_codes(params: SplitParams, initial: VectorCode,
 
 
 def entropy(ens: LinearEnsemble, nodes: Iterable[NodeId]) -> int:
-    """Joint entropy in q-ary symbols (= rank of the stacked rows)."""
+    """Joint entropy in q-ary symbols (= rank of the stacked rows),
+    cached per node set; a miss ranks the nodes' packed rows."""
     key = frozenset(nodes)
     val = ens._entropy_cache.get(key)
     if val is None:
-        val = ens._entropy_cache[key] = mat_rank(ens.stack(key))
+        rows = ens._packed
+        val = ens._entropy_cache[key] = len(ens.packing.insert(
+            [], [r for v in key for r in rows[v]]))
     return val
 
 
@@ -219,24 +236,36 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
     return entropy(ens, a) + entropy(ens, b) - entropy(ens, a + b)
 
 
+def _map_rows(ens: LinearEnsemble,
+              maps: Mapping[NodeId, Matrix]) -> dict[NodeId, tuple]:
+    """Each map's coefficient rows (Matrix.data), by node.  Every Matrix
+    download map the oracle takes is checked here, once: it must be
+    over the ensemble's field and have alpha columns."""
+    fld, alpha = ens.field, ens.params.alpha
+    out = {}
+    for v, m in maps.items():
+        if m.cols != alpha:
+            raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
+        if m.field is not fld and m.field != fld:
+            raise ValueError(f"map for {v} is over {m.field!r}, not {fld!r}")
+        out[v] = m.data
+    return out
+
+
 def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> list[int]:
-    """maps[v] @ block(v): rows over the message, packed (ens.packing);
-    every download map the oracle applies is checked here."""
-    m = maps[v]
-    if m.cols != ens.params.alpha:
-        raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
-    if m.field is not ens.field and m.field != ens.field:
-        raise ValueError(f"map for {v} is over {m.field!r}, not {ens.field!r}")
-    return ens.times(m, v)
+    """maps[v] @ block(v), maps[v] being coefficient rows: rows over the
+    message, packed (ens.packing)."""
+    return ens.times(maps[v], v)
 
 
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
     contributes maps[v] @ block(v)."""
+    coeffs = _map_rows(ens, maps)
     unpack = ens.packing.unpack
     return Matrix._of_rows(ens.field, [
-        unpack(r) for v in sorted(set(nodes)) for r in _mapped(ens, maps, v)],
+        unpack(r) for v in sorted(set(nodes)) for r in _mapped(ens, coeffs, v)],
         ens.params.message_dim)
 
 
@@ -282,11 +311,11 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
     return rep
 
 
-def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
+def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
                nodes: Iterable[NodeId]) -> dict[NodeId, list[int]]:
-    """maps[v] @ block(v) for each node v as packed rows: a download
-    check maps each node once and ranks subsets with
-    RowPacking.insert."""
+    """maps[v] @ block(v) for each node v as packed rows, maps holding
+    coefficient rows: a download check maps each node once and ranks
+    subsets with RowPacking.insert."""
     return {v: _mapped(ens, maps, v) for v in nodes}
 
 
@@ -316,6 +345,13 @@ def check_mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, Matrix],
     A, B with D1 <= A, D2 <= B, provided the nodes outside D1 u D2 are
     independent (checked first; failure raises, it is not a violation).
     """
+    return _mi_bound(ens, _map_rows(ens, f_a), _map_rows(ens, f_b), d1, d2)
+
+
+def _mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, tuple],
+              f_b: Mapping[NodeId, tuple],
+              d1: Iterable[NodeId], d2: Iterable[NodeId]) -> bool:
+    """check_mi_bound on maps given as coefficient rows."""
     a_nodes = set(f_a)
     b_nodes = set(f_b)
     d1 = set(d1)
@@ -338,16 +374,22 @@ def check_min_avg(ens: LinearEnsemble,
                   family: Sequence[tuple[NodeId, Matrix]], a: int) -> bool:
     """min over a-subsets of H(f_A(Z_A)) <= (a/b) * sum_i H(f_i(Z_i)),
     b = len(family), provided every a-subset of the Z_i is independent."""
-    b = len(family)
-    if len({v for v, _ in family}) != b:
+    if len({v for v, _ in family}) != len(family):
         raise ValueError("family must list b distinct nodes")
+    return _min_avg(ens, _map_rows(ens, dict(family)), a)
+
+
+def _min_avg(ens: LinearEnsemble, family: Mapping[NodeId, tuple], a: int) -> bool:
+    """check_min_avg on the family's maps as coefficient rows, by node
+    in family order."""
+    b = len(family)
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    for subset in combinations([v for v, _ in family], a):
+    for subset in combinations(family, a):
         if not _nodes_independent(ens, subset):
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
-    rows = _node_rows(ens, dict(family), [v for v, _ in family])
+    rows = _node_rows(ens, family, family)
     singles = sum(_h_rows(ens.packing, rows, [v]) for v in rows)
     best = _min_h_rows(ens.packing, rows, list(rows), a)
     return best * b <= a * singles
@@ -455,6 +497,12 @@ def check_cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
     """H(final parities of S | info downloads of S) splits into the
     per-codeword sum, for any codeword subset S.  Each info node of S is
     mapped once; each term ranks those rows with the final-parity rows."""
+    return _cond_entropy_final(ens, _map_rows(ens, maps), s_set)
+
+
+def _cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
+                        s_set: Iterable[int]) -> bool:
+    """check_cond_entropy_final on maps given as coefficient rows."""
     p = ens.params
     s = sorted(set(s_set))
     if any(not 0 <= t < p.lf for t in s):

@@ -2,11 +2,13 @@
 
 A Matrix couples a Field with a tuple of row tuples of Python ints and
 a column count.  Outside data enters through Matrix(field, rows), 2-D,
-or Matrix.from_flat, a row-major entry list (messages, JSON), whose
-entries Field.as_elements checks; results computed in the package are
-built unchecked by Matrix._of_rows.  numpy is used only for array
-output (_frozen: Matrix.array, encode, decode_from, run_conversion),
-and is imported on the first such call, not with the package.
+or Matrix.from_flat, a row-major entry list (JSON), whose entries
+Field.as_elements checks; results computed in the package are built
+unchecked by Matrix._of_rows.  (A message is checked by
+Field.as_elements alone and multiplied as the list it returns.)  numpy
+is used only for array output (_frozen: Matrix.array, encode,
+decode_from, run_conversion), and is imported on the first such call,
+not with the package.
 
 All arithmetic runs on packed rows (Field.packing): each row of
 elements is one int, column j in lane j, and a row operation is one
@@ -306,6 +308,15 @@ def randbelow(rng, n: int, count: int) -> list[int]:
             r = bits(k)
         out.append(r)
     return out
+
+
+def random_map_rows(field: Field, cols: int, rng) -> tuple[tuple[int, ...], ...]:
+    """The coefficient rows (Matrix.data) of a random download map with
+    cols columns: the values, and the use of rng's stream, of
+    random_matrix(field, rng.randint(0, cols), cols, rng).data."""
+    # randbelow(rng, cols + 1, 1) draws what rng.randint(0, cols) would.
+    flat = randbelow(rng, field.q, randbelow(rng, cols + 1, 1)[0] * cols)
+    return tuple(zip(*[iter(flat)] * cols))   # consecutive cols-tuples
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:

@@ -115,9 +115,11 @@ def make_systematic_mds(n: int, k: int, alpha: int, fld: Field) -> VectorCode:
 def _codeword(code: VectorCode, message: Sequence[int]) -> tuple[int, ...]:
     """The n*alpha symbols of the codeword of a message, which is
     validated here."""
-    m = Matrix.from_flat(code.field, message, 1, code.k * code.alpha,
-                         "message length")
-    return code.generator.vecmul(m.data[0])
+    values, shape = code.field.as_elements(message)
+    if shape != (code.k * code.alpha,):
+        raise ValueError(f"message length: expected {code.k * code.alpha} "
+                         f"entries, got shape {shape}")
+    return code.generator.vecmul(values)
 
 
 def encode(code: VectorCode, message: Sequence[int]):

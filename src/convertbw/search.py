@@ -35,7 +35,8 @@ from typing import Callable
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           _check_scheme_params, canonical_codes, default_scheme)
-from .ensemble import LinearEnsemble, _node_rows, ensemble_from_codes
+from .ensemble import (LinearEnsemble, _map_rows, _node_rows,
+                       ensemble_from_codes)
 from .gf import as_count
 from .linalg import Matrix, enumerate_subspaces, random_invertible
 from .mds import VectorCode, verify_mds
@@ -191,7 +192,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     sizes = tuple(map(len, subspaces))
     # Slot s is node s of the initial codeword; mapped[s][d][i]: the rows
     # of subspace i of dimension d applied to its node block, packed.
-    mapped = [[[ens.times(m, v) for m in subs] for subs in subspaces]
+    mapped = [[[ens.times(m.data, v) for m in subs] for subs in subspaces]
               for v in ens.initial_nodes]
     slots = len(mapped)
     # The echelon rows of the new parities: the walk's targets (same span).
@@ -299,7 +300,8 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     _check_scheme_params(p, scheme)
     pk = ens.packing
     # Each node mapped once; the info downloads' basis grows into H(U, V)'s.
-    rows = _node_rows(ens, dict(zip(ens.initial_nodes, scheme.maps)), ens.initial_nodes)
+    maps = _map_rows(ens, dict(zip(ens.initial_nodes, scheme.maps)))
+    rows = _node_rows(ens, maps, ens.initial_nodes)
     u_rows = [r for v in ens.initial_parities for r in rows[v]]
     downloads = pk.insert([], [r for v in ens.info_nodes for r in rows[v]])
     h_v = len(downloads)

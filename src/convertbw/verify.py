@@ -6,7 +6,10 @@ joint entropies, parity independence, reconstruction, stability, the
 per-codeword conditional-entropy split).  The randomized section drives
 the download-function inequalities with seeded random maps; draws whose
 independence precondition fails are counted separately, never as
-violations.
+violations.  A random map is drawn as its coefficient rows
+(linalg.random_map_rows), never as a Matrix, and the trials call the
+oracle's row-level cores (ensemble._mi_bound, _min_avg,
+_cond_entropy_final), below the checks that take Matrix maps.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from typing import Iterable, Sequence
 
 from .convertible import canonical_codes, default_scheme
 from .ensemble import (CheckReport, IndependencePreconditionError,
-                       LinearEnsemble, _download_mi, _node_rows,
-                       check_cond_entropy_final, check_joint_entropy,
-                       check_mds_reconstruction, check_mi_bound,
-                       check_min_avg, check_prop_parity_iid,
-                       check_stability, check_storage_axioms,
-                       corollary1_holds, corollary2_holds,
-                       ensemble_from_codes, final_parity_node,
-                       initial_parity_node, random_corollary1_tuple,
-                       random_corollary2_set)
-from .linalg import randbelow, random_matrix
+                       LinearEnsemble, _cond_entropy_final, _download_mi,
+                       _map_rows, _mi_bound, _min_avg, _node_rows,
+                       check_joint_entropy, check_mds_reconstruction,
+                       check_prop_parity_iid, check_stability,
+                       check_storage_axioms, corollary1_holds,
+                       corollary2_holds, ensemble_from_codes,
+                       final_parity_node, initial_parity_node,
+                       random_corollary1_tuple, random_corollary2_set)
+from .linalg import random_map_rows
 from .params import SplitParams
 
 DEFAULT_QS = (5, 7, 11)
@@ -78,11 +80,6 @@ def plant_corruption(ens: LinearEnsemble, kind: str) -> LinearEnsemble | None:
     return LinearEnsemble(p, ens.field, blocks)
 
 
-def _random_map(rng: random.Random, fld, alpha: int):
-    # randbelow(rng, alpha + 1, 1) draws what rng.randint(0, alpha) would.
-    return random_matrix(fld, randbelow(rng, alpha + 1, 1)[0], alpha, rng)
-
-
 def lemma_mi_trial(ens: LinearEnsemble, rng: random.Random) -> str:
     """One random draw of the two-set mutual-information bound.
 
@@ -94,12 +91,12 @@ def lemma_mi_trial(ens: LinearEnsemble, rng: random.Random) -> str:
     nb = rng.randint(1, min(3, len(nodes) - na))
     a_set = nodes[:na]
     b_set = nodes[na:na + nb]
-    f_a = {v: _random_map(rng, ens.field, p.alpha) for v in a_set}
-    f_b = {v: _random_map(rng, ens.field, p.alpha) for v in b_set}
+    f_a = {v: random_map_rows(ens.field, p.alpha, rng) for v in a_set}
+    f_b = {v: random_map_rows(ens.field, p.alpha, rng) for v in b_set}
     d1 = [v for v in a_set if rng.random() < 0.4]
     d2 = [v for v in b_set if rng.random() < 0.4]
     try:
-        ok = check_mi_bound(ens, f_a, f_b, d1, d2)
+        ok = _mi_bound(ens, f_a, f_b, d1, d2)
     except IndependencePreconditionError:
         return "precondition"
     return "ok" if ok else "violation"
@@ -111,10 +108,10 @@ def lemma_min_avg_trial(ens: LinearEnsemble, rng: random.Random) -> str:
     nodes = list(ens.all_nodes())
     rng.shuffle(nodes)
     b = rng.randint(2, min(4, len(nodes)))
-    family = [(v, _random_map(rng, ens.field, p.alpha)) for v in nodes[:b]]
+    family = {v: random_map_rows(ens.field, p.alpha, rng) for v in nodes[:b]}
     a = rng.randint(1, b)
     try:
-        ok = check_min_avg(ens, family, a)
+        ok = _min_avg(ens, family, a)
     except IndependencePreconditionError:
         return "precondition"
     return "ok" if ok else "violation"
@@ -128,7 +125,7 @@ def corollary_trial(ens: LinearEnsemble, rng: random.Random,
     mapped and ranked only for a trial that is evaluated, not for a
     chain-2 trial skipped because ri > ki."""
     p = ens.params
-    maps = {v: _random_map(rng, ens.field, p.alpha) for v in ens.initial_nodes}
+    maps = {v: random_map_rows(ens.field, p.alpha, rng) for v in ens.initial_nodes}
     if which == 1:
         holds, args = corollary1_holds, random_corollary1_tuple(ens, rng)
     else:
@@ -172,12 +169,14 @@ def run_randomized_checks(ens: LinearEnsemble, trials: int,
 
 def _prop3_reports(ens: LinearEnsemble, rng: random.Random) -> dict:
     """The conditional-entropy split, exhaustively over codeword subsets,
-    for the re-encoding scheme plus two seeded random download maps."""
+    for the re-encoding scheme plus two seeded random download maps,
+    every map as its coefficient rows."""
     p = ens.params
     failures = []
-    schemes = [("default", dict(zip(ens.initial_nodes, default_scheme(p).maps)))]
+    default = _map_rows(ens, dict(zip(ens.initial_nodes, default_scheme(p).maps)))
+    schemes = [("default", default)]
     for s in range(2):
-        maps = {v: _random_map(rng, ens.field, p.alpha) for v in ens.info_nodes}
+        maps = {v: random_map_rows(ens.field, p.alpha, rng) for v in ens.info_nodes}
         schemes.append((f"random-{s}", maps))
     subsets = [
         [t for t in range(p.lf) if (mask >> t) & 1]
@@ -185,7 +184,7 @@ def _prop3_reports(ens: LinearEnsemble, rng: random.Random) -> dict:
     ]
     for label, maps in schemes:
         for s_set in subsets:
-            if not check_cond_entropy_final(ens, maps, s_set):
+            if not _cond_entropy_final(ens, maps, s_set):
                 failures.append({"scheme": label, "S": s_set})
     return CheckReport("cond-entropy-split", p.as_dict(),
                        failures).to_json_dict()

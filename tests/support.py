@@ -6,8 +6,8 @@ from itertools import combinations
 
 from convertbw.bounds import _ceil_div, entropy_V_lb
 from convertbw.convertible import ConversionScheme
-from convertbw.ensemble import (CheckReport, _download_mi, _node_rows,
-                                corollary1_holds, corollary2_holds)
+from convertbw.ensemble import (CheckReport, _download_mi, _map_rows,
+                                _node_rows, corollary1_holds, corollary2_holds)
 from convertbw.linalg import Matrix, rref
 
 
@@ -82,7 +82,8 @@ def check_corollaries(ens, maps):
     p = ens.params
     nodes = ens.initial_nodes
     zero = Matrix.zeros(ens.field, 0, p.alpha)
-    rows = _node_rows(ens, {v: maps.get(v, zero) for v in nodes}, nodes)
+    rows = _node_rows(ens, _map_rows(ens, {v: maps.get(v, zero) for v in nodes}),
+                      nodes)
     rep = CheckReport("download-mi-chains", p.as_dict())
     mi = _download_mi(ens, rows)
     for n1 in range(p.ri + 1):

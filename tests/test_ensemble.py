@@ -112,6 +112,44 @@ def test_entropy_values_bounded(medium):
         assert 0 <= h <= p.ki * p.alpha
 
 
+@pytest.mark.parametrize("point,plant", [
+    ((2, 2, 1, 2, 1, 7), None),
+    ((2, 1, 2, 2, 2, 5), None),
+    ((2, 2, 1, 2, 1, 8), None),
+    ((2, 1, 1, 3, 2, 8), None),
+    ((2, 2, 1, 2, 1, 7), "duplicate-parity"),
+    ((2, 1, 1, 3, 2, 8), "duplicate-parity"),
+    ((2, 2, 1, 2, 1, 7), "parity-copy"),
+    ((2, 1, 2, 2, 2, 8), "parity-copy"),
+])
+def test_entropy_matches_plain_elimination_of_stacked_blocks(point, plant, monkeypatch):
+    # entropy ranks the ensemble's packed rows on a miss and reads its
+    # cache on a hit; both must give numpy plain elimination's rank of
+    # the stacked blocks, for every node subset, and neither stacks.
+    from convertbw.verify import plant_corruption
+    from plain_elimination import ref_rank
+
+    p, ens = build(*point)
+    if plant is not None:
+        ens = plant_corruption(ens, plant)
+    nodes = ens.all_nodes()
+    subsets = [sub for size in range(len(nodes) + 1)
+               for sub in combinations(nodes, size)]
+    want = {sub: ref_rank(ens.stack(sub)) for sub in subsets}
+    if plant is not None:   # the planted copy of parity 0 adds nothing
+        copy = {"duplicate-parity": initial_parity_node(1),
+                "parity-copy": final_parity_node(0)}[plant]
+        assert want[(initial_parity_node(0), copy)] == p.alpha
+    monkeypatch.setattr(LinearEnsemble, "stack", None)
+    for sub in subsets:                       # misses
+        assert entropy(ens, sub) == want[sub], sub
+    assert len(ens._entropy_cache) == len(subsets)
+    ens.packing = None                        # a hit ranks nothing
+    for sub in subsets:
+        assert entropy(ens, reversed(sub)) == want[sub], sub
+    assert len(ens._entropy_cache) == len(subsets)
+
+
 def test_parameter_mismatch_rejected():
     p = SplitParams(2, 1, 1, 1, 1, 5)
     good_i, good_f = canonical_codes(p)
@@ -338,8 +376,9 @@ def test_corollary2_full_download_reading(medium):
     # S = all data nodes with full downloads: the chain caps MI by
     # (ri/ki) * ki * alpha = ri * alpha.
     p, ens = medium
-    from convertbw.ensemble import _node_rows, corollary2_holds, _download_mi
-    rows = _node_rows(ens, default_maps(ens), ens.initial_nodes)
+    from convertbw.ensemble import (_download_mi, _map_rows, _node_rows,
+                                    corollary2_holds)
+    rows = _node_rows(ens, _map_rows(ens, default_maps(ens)), ens.initial_nodes)
     mi = _download_mi(ens, rows)
     assert mi <= p.ri * p.alpha
     assert corollary2_holds(ens, rows, mi, list(ens.info_nodes))
@@ -539,7 +578,7 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         maps = {v: random_matrix(fld, rng.randint(0, p.alpha), p.alpha, rng)
                 for v in nodes}
         zero_rows += sum(not m.rows for m in maps.values())
-        rows = E._node_rows(ens, maps, nodes)
+        rows = E._node_rows(ens, E._map_rows(ens, maps), nodes)
         for size in range(4):
             for sub in combinations(nodes, size):
                 assert h_rows(ens.packing, rows, sub) == ref(maps, sub)

@@ -8,8 +8,8 @@ import pytest
 from convertbw.gf import field
 from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
                               mat_inverse, mat_rank, randbelow, rank_pair,
-                              random_invertible, random_matrix, rref,
-                              solve_left, vstack)
+                              random_invertible, random_map_rows,
+                              random_matrix, rref, solve_left, vstack)
 from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
                                ref_solve_left)
 from support import gaussian_binomial
@@ -234,6 +234,24 @@ def test_randbelow_draws_what_randrange_and_randint_draw():
             == [c.randint(0, n - 1) for _ in range(40)]
         assert a.getstate() == b.getstate() == c.getstate()
     assert randbelow(random.Random(0), 5, 0) == []
+
+
+SUPPORTED_QS = [q for q in range(2, 257)
+                if all(q % d for d in range(2, q)) or q & (q - 1) == 0]
+
+
+def test_random_map_rows_draws_what_randint_and_random_matrix_draw():
+    # The verify suite draws its random download maps as rows; they must
+    # be the rows, and leave the stream where, the Matrix draw left it.
+    assert len(SUPPORTED_QS) == 54 + 7   # primes <= 251, then 2^2 .. 2^8
+    for q in SUPPORTED_QS:
+        fld = field(q)
+        for alpha in (1, 2, 3):
+            a, b = random.Random(q * 10 + alpha), random.Random(q * 10 + alpha)
+            for _ in range(20):
+                want = random_matrix(fld, b.randint(0, alpha), alpha, b).data
+                assert random_map_rows(fld, alpha, a) == want
+            assert a.getstate() == b.getstate()
 
 
 def test_matrix_hash_is_kept_and_matches_equal_matrices():

@@ -54,3 +54,15 @@ def test_traced_certify_deep_walks_free_slots(tmp_path):
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert proc.returncode == 0 and doc["correct"] is True, proc.stdout[-2000:]
     assert doc["metrics"]["search.visits"]["value"] == 59_394
+
+
+def test_traced_verify_grid_smoke_run(tmp_path):
+    # The randomized trials call the oracle's row-level cores, which the
+    # tracer does not wrap; the wrapped entry points around them
+    # (run_randomized_checks, entropy) must still trace and check clean.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "verify-grid",
+         "--smoke", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.returncode == 0 and doc["correct"] is True, proc.stdout[-2000:]

@@ -1,11 +1,17 @@
 """Verification-suite aggregator tests."""
 
 import random
+from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 import pytest
 
 from convertbw.convertible import canonical_codes
-from convertbw.ensemble import ensemble_from_codes
+from convertbw.ensemble import (IndependencePreconditionError, check_mi_bound,
+                                check_min_avg, ensemble_from_codes, mapped_rows,
+                                random_corollary1_tuple, random_corollary2_set)
+from convertbw.linalg import mat_rank, random_matrix
 from convertbw.params import SplitParams
 from convertbw.verify import (corollary_trial, default_grid, lemma_mi_trial,
                               lemma_min_avg_trial, plant_corruption,
@@ -137,3 +143,92 @@ def test_run_suite_aggregates():
     bad_reports, bad_ok = run_suite([SplitParams(2, 1, 1, 2, 1, 5)],
                                     trials=0, seed=0, plant="duplicate-parity")
     assert not bad_ok
+
+
+# -- the row path against the Matrix path ------------------------------------
+#
+# A test-local copy of each random trial that draws Matrix maps with
+# randint and random_matrix and asks the oracle's public Matrix entry
+# points (check_mi_bound, check_min_avg; mapped_rows ranked by mat_rank
+# for the download-MI chains).
+
+def _ref_map(ens, rng):
+    return random_matrix(ens.field, rng.randint(0, ens.params.alpha),
+                         ens.params.alpha, rng)
+
+
+def _ref_mi_trial(ens, rng):
+    nodes = list(ens.all_nodes())
+    rng.shuffle(nodes)
+    na = rng.randint(1, min(3, len(nodes) - 1))
+    nb = rng.randint(1, min(3, len(nodes) - na))
+    a_set, b_set = nodes[:na], nodes[na:na + nb]
+    f_a = {v: _ref_map(ens, rng) for v in a_set}
+    f_b = {v: _ref_map(ens, rng) for v in b_set}
+    d1 = [v for v in a_set if rng.random() < 0.4]
+    d2 = [v for v in b_set if rng.random() < 0.4]
+    try:
+        return "ok" if check_mi_bound(ens, f_a, f_b, d1, d2) else "violation"
+    except IndependencePreconditionError:
+        return "precondition"
+
+
+def _ref_min_avg_trial(ens, rng):
+    nodes = list(ens.all_nodes())
+    rng.shuffle(nodes)
+    b = rng.randint(2, min(4, len(nodes)))
+    family = [(v, _ref_map(ens, rng)) for v in nodes[:b]]
+    try:
+        ok = check_min_avg(ens, family, rng.randint(1, b))
+    except IndependencePreconditionError:
+        return "precondition"
+    return "ok" if ok else "violation"
+
+
+def _ref_corollary_trial(ens, rng, which):
+    p = ens.params
+    maps = {v: _ref_map(ens, rng) for v in ens.initial_nodes}
+
+    def h(nodes):
+        return mat_rank(mapped_rows(ens, maps, nodes))
+
+    def min_h(pool, size):
+        return min(h(c) for c in combinations(pool, size)) if size else 0
+
+    mi = h(ens.initial_parities) + h(ens.info_nodes) - h(ens.initial_nodes)
+    if which == 1:
+        s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
+        minsum = min_h(s1, b1) + min_h(s2, b2)
+        avg = (Fraction(b1, len(s1) or 1) * sum(h([v]) for v in s1)
+               + Fraction(b2, len(s2) or 1) * h(s2))
+        ok = mi <= minsum <= avg
+    else:
+        s = random_corollary2_set(ens, rng)
+        if s is None:
+            return "skipped"
+        mn = min_h(s, p.ri)
+        ok = mi <= mn <= Fraction(p.ri, len(s)) * h(s)
+    return "ok" if ok else "violation"
+
+
+@pytest.mark.parametrize("point", [
+    (2, 1, 1, 2, 1, 5), (2, 2, 1, 1, 2, 5), (2, 2, 2, 3, 2, 7),
+    (3, 1, 2, 2, 1, 7), (3, 2, 1, 2, 1, 11), (2, 2, 1, 2, 2, 8),
+    (2, 1, 1, 3, 2, 8),
+])
+def test_row_trials_match_matrix_trials(point):
+    p = SplitParams(*point)
+    ens = ensemble_from_codes(p, *canonical_codes(p))
+    pairs = [(lemma_mi_trial, _ref_mi_trial),
+             (lemma_min_avg_trial, _ref_min_avg_trial),
+             (partial(corollary_trial, which=1), partial(_ref_corollary_trial, which=1)),
+             (partial(corollary_trial, which=2), partial(_ref_corollary_trial, which=2))]
+    seen = set()
+    for seed, (trial, ref) in enumerate(pairs):
+        rows_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = [trial(ens, rows_rng) for _ in range(40)]
+        assert got == [ref(ens, ref_rng) for _ in range(40)], trial
+        assert rows_rng.getstate() == ref_rng.getstate()
+        seen.update(got)
+    assert {"ok", "precondition"} <= seen and "violation" not in seen
+    assert ("skipped" in seen) == (p.ri > p.ki)
