@@ -202,8 +202,8 @@ def cmd_simulate(args, parser) -> int:
         finals, report = run_conversion(p, initial, final, scheme, msg)
         for t, cw in enumerate(finals):
             want = msg[t * p.kf * p.alpha:(t + 1) * p.kf * p.alpha]
-            for sub in combinations(range(p.nf), p.kf):
-                got = decode_from(final, {i: cw[i] for i in sub})
+            for nodes in combinations(range(p.nf), p.kf):
+                got = decode_from(final, {i: cw[i] for i in nodes})
                 if list(got) != list(want):
                     failures += 1
             for j in range(p.kf):
@@ -240,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="convertbw",
         description="Split-mode convertible-code bounds, verification, "
                     "and scheme search.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    commands = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("bound", help="evaluate the read-bandwidth bound")
+    sp = commands.add_parser("bound", help="evaluate the read-bandwidth bound")
     _add_point_flags(sp)
     sp.set_defaults(fn=cmd_bound)
 
-    sp = sub.add_parser("sweep", help="CSV of bound reports over a grid")
+    sp = commands.add_parser("sweep", help="CSV of bound reports over a grid")
     for name, default in (("lf", [2]), ("kf", [1, 8]), ("rf", [1, 8]),
                           ("alpha", [1])):
         sp.add_argument(f"--{name}", type=int, nargs="+", default=default,
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="run the structural check suite")
+    sp = commands.add_parser("verify", help="run the structural check suite")
     sp.add_argument("--q", type=int, nargs="+", default=list(verify.DEFAULT_QS))
     sp.add_argument("--lf", type=int, nargs="+", default=list(verify.DEFAULT_LFS))
     sp.add_argument("--kf", type=int, nargs="+", default=list(verify.DEFAULT_KFS))
@@ -275,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("simulate", help="run conversions on random messages")
+    sp = commands.add_parser("simulate", help="run conversions on random messages")
     _add_point_flags(sp)
     sp.add_argument("--messages", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("search", help="certify the bound by exhaustive search")
+    sp = commands.add_parser("search", help="certify the bound by exhaustive search")
     _add_point_flags(sp)
     sp.add_argument("--trials", type=int, default=1,
                     help="code pairs to search (canonical first)")

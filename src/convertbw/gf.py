@@ -17,13 +17,15 @@ bytes.translate of the row through the field's 256-byte table of
 products by a coefficient (built on first use), then one big-int
 operation.  Over GF(2^m) that is one XOR.  Over GF(p) it is one add,
 each lane then below 2q, folded back below q with no carry across lanes.
-RowPacking.reduce and insert serve elimination (convertbw.linalg, the
-oracle and the search), one call per row list: reduce returns every
-remainder, zeros kept, and insert extends an echelon basis by the
-nonzero ones, each running the loop inline with one set of locals per
-call.  RowPacking.combine, a row vector times a matrix whose rows were
-packed once, serves Matrix.vecmul, through which Matrix.matmul and the
-write path (encode, run_conversion, decode_from) multiply.
+RowPacking.insert is the one elimination primitive (convertbw.linalg,
+the oracle and the search), one call per row list: it extends an
+echelon basis by the nonzero remainders of the rows, running the loop
+inline with one set of locals per call.  The rows that join a copy of
+a basis are the rows modulo its span, in echelon form.
+RowPacking.combine, a row vector times a matrix whose rows were packed
+once, serves linalg.solve_left and Matrix.vecmul, through which
+Matrix.matmul and the write path (encode, run_conversion, decode_from)
+multiply.
 
 Only this module knows the lane format.  Outside entries and counts
 are checked in plain Python (Field.as_elements, as_count).  numpy is
@@ -69,14 +71,12 @@ class RowPacking:
     An echelon basis is a list of (shift, row, row bytes) entries in
     the order the rows joined (insert): shift is bits * the row's pivot
     column, its lowest nonzero lane, where the row is 1, and the row is
-    zero at the pivots of the rows before it.  reduce clears each row
-    of a list at each basis pivot in turn; combine is a row vector times
-    a matrix whose rows are given as bytes (pack_bytes).  Each family
-    implements all three; its insert repeats reduce's loop inline, and
-    tests/test_linalg.py pins the two to each other.  Each term of any
-    of them is one translate of a row's bytes through a product table,
-    then one XOR over GF(2^m) or, over GF(p), one add and one fold of
-    every lane back below q.
+    zero at the pivots of the rows before it.  insert clears each row at
+    each basis pivot in turn and appends what is left; combine is a row
+    vector times a matrix whose rows are given as bytes (pack_bytes).
+    Each family implements both.  Each term of either is one translate
+    of a row's bytes through a product table, then one XOR over GF(2^m)
+    or, over GF(p), one add and one fold of every lane back below q.
     """
 
     __slots__ = ("field", "cols", "bits", "mask", "nbytes", "_tables", "_inverse")
@@ -107,16 +107,12 @@ class RowPacking:
         return tuple(b if self.bits == 8 else b[::2])
 
     def insert(self, basis: list, rows) -> list:
-        """Extend the echelon basis by rows and return it: the nonzero
-        remainder of each row under reduce joins, scaled to 1 at its
-        pivot.  Ranks count the rows that join.  Each family runs
-        reduce's loop inline, with one set of locals per call."""
-        raise NotImplementedError
-
-    def reduce(self, basis: list, rows) -> list[int]:
-        """Each row x minus the multiple of each basis row, in order,
-        that clears x at that row's pivot, listed in row order: zero at
-        every pivot, and 0 (kept) exactly when x is in the basis' span."""
+        """Extend the echelon basis by rows and return it: each row x,
+        minus the multiple of each basis row, in order, that clears x at
+        that row's pivot, joins if nonzero, scaled to 1 at its pivot.
+        Ranks count the rows that join, and the rows that join a copy of
+        a basis, insert(list(basis), rows)[len(basis):], are zero at its
+        pivots and span rows modulo its span."""
         raise NotImplementedError
 
     def combine(self, coeffs, rows) -> int:
@@ -148,9 +144,9 @@ class _PrimePacking(RowPacking):
         add, bit, tables, inverse, from_bytes = self._fold_add, self._fold_bit, \
             self._tables, self._inverse, int.from_bytes
         for x in rows:
-            for shift, _, b in basis:   # reduce, inline
+            for shift, _, b in basis:
                 c = x >> shift & mask
-                if c:
+                if c:   # x - c b = x + (q - c) b
                     c = q - c
                     y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
                     x = y - (((y + add) & bit) >> top) * q
@@ -164,21 +160,6 @@ class _PrimePacking(RowPacking):
                     x = from_bytes(b, "little")
                 basis.append((shift, x, b))
         return basis
-
-    def reduce(self, basis, rows):
-        q, mask, top = self.field.q, self.mask, self.bits - 1
-        add, bit, tables, from_bytes = self._fold_add, self._fold_bit, \
-            self._tables, int.from_bytes
-        out = []
-        for x in rows:
-            for shift, _, b in basis:
-                c = x >> shift & mask
-                if c:   # x - c b = x + (q - c) b
-                    c = q - c
-                    y = x + from_bytes(b.translate(tables[c] or self._table(c)), "little")
-                    x = y - (((y + add) & bit) >> top) * q
-            out.append(x)
-        return out
 
     def combine(self, coeffs, rows):
         if len(coeffs) != len(rows):
@@ -206,7 +187,7 @@ class _BinaryPacking(RowPacking):
         nbytes, tables, inverse, from_bytes = self.nbytes, self._tables, \
             self._inverse, int.from_bytes
         for x in rows:
-            for shift, _, b in basis:   # reduce, inline
+            for shift, _, b in basis:
                 c = x >> shift & 255
                 if c:
                     x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
@@ -220,17 +201,6 @@ class _BinaryPacking(RowPacking):
                     x = from_bytes(b, "little")
                 basis.append((shift, x, b))
         return basis
-
-    def reduce(self, basis, rows):
-        tables, from_bytes = self._tables, int.from_bytes
-        out = []
-        for x in rows:
-            for shift, _, b in basis:
-                c = x >> shift & 255
-                if c:
-                    x ^= from_bytes(b.translate(tables[c] or self._table(c)), "little")
-            out.append(x)
-        return out
 
     def combine(self, coeffs, rows):
         if len(coeffs) != len(rows):
@@ -257,8 +227,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """Interface shared by both field families.
 
-    Scalar operations take and return ints in [0, q); sub is
-    elementwise, so it also takes two arrays of elements.
+    Scalar operations take and return ints in [0, q).
     packing(cols) is the one row kernel: every elimination and product
     in convertbw.linalg, the oracle, the search and the write path runs
     on it.  Each term is one bytes.translate of a packed row through the
@@ -270,9 +239,6 @@ class Field:
 
     q: int
     degree: int
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -376,9 +342,6 @@ class PrimeField(Field):
         self._products: list[bytes | None] = [None] * p
         self._packings: dict[int, RowPacking] = {}
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
@@ -433,9 +396,6 @@ class BinaryField(Field):
         self._log = log
         self._products: list[bytes | None] = [None] * q
         self._packings: dict[int, RowPacking] = {}
-
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -22,10 +22,10 @@ and the search keep their rows packed and extend echelon bases with
 RowPacking.insert directly.  Such a basis is kept in insertion order:
 (shift, row, bytes) entries, each row scaled to 1 at its pivot (its
 first nonzero entry) and zero at the pivots of the rows before it.
-Ranks count the rows that join; RowPacking.reduce, given a row list,
-leaves nothing of exactly its rows in the span; rref, mat_inverse and
-solve_left back-substitute the basis sorted by pivot (_rref_rows), so
-results are canonical.
+Ranks count the rows that join; rref, mat_inverse and solve_left
+back-substitute the basis sorted by pivot (_rref_rows), so results are
+canonical, and solve_left reads each solution off one
+RowPacking.combine of that reduced basis.
 """
 
 from __future__ import annotations
@@ -248,17 +248,19 @@ def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     field = basis.field
     # Each reduced row R | T0 of [basis | I] has R = T0 @ basis, and the
     # rows with a pivot in basis's columns (below shift) are the reduced
-    # basis of the row space of basis.  Clearing t | 0 at their pivots
-    # subtracts t[p] * (R | T0) for each, leaving t - T @ basis | -T,
-    # with T = sum of t[p] * T0.
+    # basis of the row space of basis.  The sum of t[p] * (R | T0) over
+    # them is t' | T with t' = T @ basis, and t' is the one vector of
+    # that span with t's entries at the pivots: t is in it iff t' = t.
     pk, shift, rows = _rref_with_identity(basis)
-    span = [e for e in rows if e[0] < shift]
-    coords = field.packing(basis.rows)
+    pivots = [s // pk.bits for s, _, _ in rows if s < shift]
+    span = [b for s, _, b in rows if s < shift]
+    low, coords = (1 << shift) - 1, field.packing(basis.rows)
     out = []
-    for r in pk.reduce(span, [pk.pack(t) for t in target.data]):
-        if r & ((1 << shift) - 1):
+    for t in target.data:
+        r = pk.combine([t[j] for j in pivots], span)
+        if r & low != pk.pack(t):
             return None
-        out.append([field.sub(0, x) for x in coords.unpack(r >> shift)])
+        out.append(coords.unpack(r >> shift))
     return Matrix._of_rows(field, out, basis.rows)
 
 

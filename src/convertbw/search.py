@@ -11,8 +11,11 @@ A download profile (the dimension read from each node) is skipped whole
 when a cut table shows by rank alone that it cannot cover the new
 parities (see _CutTable); within a profile the fixed nodes join once
 and only the free ones are walked, cutting branches by a rank bound (see
-min_bandwidth_exhaustive).  `visited` is a position in the enumeration
-order, cut profiles and branches included, not a count of evaluations.
+min_bandwidth_exhaustive).  Both keep the new parities modulo what is
+downloaded as a residual in echelon form, which RowPacking.insert
+extends, so its row count is its rank.  `visited` is a position in the
+enumeration order, cut profiles and branches included, not a count of
+evaluations.
 
 What depends on the parameters alone is built once and shared by every
 code pair searched: the subspace menus (linalg.enumerate_subspaces) and
@@ -83,10 +86,11 @@ class _CutTable(dict):
 
     Residuals are kept by complement mask c (the slots outside A): c
     extends the echelon basis of c minus its top slot by that slot's
-    alpha block rows, and only that parent's residual target rows are
-    reduced against the rows that joined.  Residual rows are zero at
-    every pivot of their mask's basis, so their rank is the rank modulo
-    its span.
+    alpha block rows, and that parent's residual target rows are
+    inserted into a copy of the block rows that joined
+    (RowPacking.insert).  Those that join are c's residual: zero at
+    every pivot of c's basis and in echelon form, so their count is the
+    rank modulo its span.
     """
 
     def __init__(self, pk, blocks: list, targets: list):
@@ -97,7 +101,8 @@ class _CutTable(dict):
         self.full = (1 << len(blocks)) - 1
         # By complement mask: the echelon basis of its blocks (kept only
         # while the residual is nonempty, since a superset's residual is
-        # then empty too) and the targets modulo that span, echelonized.
+        # then empty too) and the targets modulo that span, in echelon
+        # form.
         self._basis = {0: []}
         self._residual = {0: targets}
 
@@ -112,7 +117,7 @@ class _CutTable(dict):
             basis = pk.insert(list(pbasis), self.blocks[top])
             joined = basis[len(pbasis):]
             if joined:
-                res = [r for _, r, _ in pk.insert([], pk.reduce(joined, res))]
+                res = [r for _, r, _ in pk.insert(list(joined), res)[len(joined):]]
             self._basis[c] = basis
         self._residual[c] = res
         return res
@@ -179,15 +184,16 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     join once, the targets and free slots' menu rows are reduced modulo
     their rows once, and only the free slots are walked, depth first in
     product order.  Each depth carries the echelon basis of the rows
-    downloaded so far (RowPacking.insert) and the residual targets,
-    zero at its pivots, so a visit reduces them against only the rows
-    that joined; a subtree is skipped when their rank exceeds the rows
-    the remaining free slots can add.  Skipped profiles and subtrees
-    still count in `visited`, the position in the full enumeration order.
+    downloaded so far and the residual targets, zero at its pivots and
+    in echelon form; a visit inserts the residual into a copy of only
+    the rows that joined (RowPacking.insert), and a subtree is skipped
+    when the residual has more rows, its rank, than the remaining free
+    slots can add.  Skipped profiles and subtrees still count in
+    `visited`, the position in the full enumeration order.
     """
     p = ens.params
     pk = ens.packing
-    reduce = pk.reduce
+    insert = pk.insert
     subspaces = [enumerate_subspaces(p.alpha, ens.field, d) for d in range(p.alpha + 1)]
     sizes = tuple(map(len, subspaces))
     # Slot s is node s of the initial codeword; mapped[s][d][i]: the rows
@@ -211,8 +217,9 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
         visited += schemes
 
     def modulo(basis, rows):
-        # The nonzero rows left of rows reduced against basis.
-        return [r for r in reduce(basis, rows) if r]
+        # rows modulo the span of basis, in echelon form and zero at its
+        # pivots: the rows that join a copy of basis.
+        return [r for _, r, _ in insert(list(basis), rows)[len(basis):]]
 
     def walk(depth, basis, residual, combo):
         # menus[j]: free slot j's rows modulo the fixed rows; free, left
@@ -221,12 +228,11 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
         if depth == len(menus):
             skip(1)
             return None if residual else combo
-        if len(residual) > left[depth] and \
-                len(pk.insert([], residual)) > left[depth]:
+        if len(residual) > left[depth]:
             skip(below[depth])
             return None
         for i, rows in enumerate(menus[depth]):
-            new_basis = pk.insert(list(basis), rows)
+            new_basis = insert(list(basis), rows)
             joined = new_basis[len(basis):]
             combo[free[depth]] = i
             found = walk(depth + 1, new_basis, modulo(joined, residual), combo)
@@ -245,7 +251,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                 if need is not None and any(map(gt, map(need.__getitem__, masks), sums)):
                     skip(schemes)
                     continue
-                fixed = pk.insert([], [
+                fixed = insert([], [
                     r for s, d in enumerate(profile) if sizes[d] == 1
                     for r in mapped[s][d][0]])
                 menus = [[modulo(fixed, rows) for rows in mapped[s][profile[s]]]

@@ -6,6 +6,7 @@ operations."""
 import numpy as np
 
 from convertbw.linalg import Matrix
+from support import sub
 
 
 def ref_echelon(field, a):
@@ -54,7 +55,7 @@ def ref_solve_left(target, basis):
     a, pivots = ref_echelon(fld, np.hstack([basis.array, np.eye(k, dtype=np.int64)]))
     keep = [i for i, c in enumerate(pivots) if c < n]
     coords = target.array[:, [pivots[i] for i in keep]]
-    if fld.sub(target.array, fld.arr_matmul(coords, a[keep, :n])).any():
+    if sub(fld, target.array, fld.arr_matmul(coords, a[keep, :n])).any():
         return None
     return Matrix(fld, fld.arr_matmul(coords, a[keep, n:]))
 
@@ -69,7 +70,7 @@ def ref_basis(field, rows):
         r = list(r)
         for p, b in basis:
             c = r[p]
-            r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, b)]
+            r = [sub(field, x, field.mul(c, y)) for x, y in zip(r, b)]
         nonzero = [j for j, x in enumerate(r) if x]
         if nonzero:
             inv = field.inv(r[nonzero[0]])

@@ -8,6 +8,7 @@ from convertbw.bounds import _ceil_div, entropy_V_lb
 from convertbw.convertible import ConversionScheme
 from convertbw.ensemble import (CheckReport, _download_mi, _map_rows,
                                 _node_rows, corollary1_holds, corollary2_holds)
+from convertbw.gf import BinaryField
 from convertbw.linalg import Matrix, rref
 
 
@@ -23,9 +24,14 @@ def from_maps(params, maps):
     return ConversionScheme(params, tuple(rref(m) for m in maps))
 
 
+def sub(f, a, b):
+    """a - b in the field f, elementwise on arrays of elements too."""
+    return a ^ b if isinstance(f, BinaryField) else (a - b) % f.q
+
+
 def add(f, a, b):
-    """a + b in the field f, elementwise on arrays as f.sub is."""
-    return f.sub(a, f.sub(0, b))
+    """a + b in the field f, elementwise on arrays as sub is."""
+    return sub(f, a, sub(f, 0, b))
 
 
 def default_theta1(p):

@@ -12,7 +12,7 @@ from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
                               random_matrix, rref, solve_left, vstack)
 from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
                                ref_solve_left)
-from support import gaussian_binomial
+from support import gaussian_binomial, sub
 
 F5 = field(5)
 F2 = field(2)
@@ -159,20 +159,13 @@ def test_packed_kernel_matches_plain_elimination(q):
         assert [(s // pk.bits, list(pk.unpack(r))) for s, r, _ in basis] == \
             ref_basis(fld, m.data)
         assert all(b == pk.pack_bytes(pk.unpack(r)) for _, r, b in basis)
-        # insert runs reduce's loop inline, so the two are pinned to each
-        # other: the rows inserted in two calls, the second into a
-        # non-empty basis, give the one-call basis, a row joins exactly
-        # when reduce leaves something of it, and reduce leaves nothing
-        # of any row against the whole basis, one zero per row.
+        # The rows inserted in two calls, the second into a non-empty
+        # basis, give the one-call basis, and none of them joins a copy
+        # of the whole basis.
         rows = [pk.pack(r) for r in m.data]
         half = (len(rows) + 1) // 2
         assert pk.insert(pk.insert([], rows[:half]), rows[half:]) == basis
-        grown = []
-        for x in rows:
-            [rest], size = pk.reduce(grown, [x]), len(grown)
-            assert (len(pk.insert(grown, [x])) > size) == (rest != 0)
-        assert grown == basis
-        assert pk.reduce(basis, rows) == [0] * len(rows)
+        assert pk.insert(list(basis), rows) == basis
         assert mat_rank(m) == len(basis) == ref_rank(m)
         assert rref(m) == ref_rref(m)
         for target in (random_matrix(fld, 3, m.rows, rng) @ m,
@@ -197,14 +190,16 @@ def _scalar_remainder(fld, pk, basis, row):
     row = list(row)
     for shift, b, _ in basis:
         c = row[shift // pk.bits]
-        row = [fld.sub(x, fld.mul(c, y)) for x, y in zip(row, pk.unpack(b))]
+        row = [sub(fld, x, fld.mul(c, y)) for x, y in zip(row, pk.unpack(b))]
     return row
 
 
 @pytest.mark.parametrize("q", [5, 131, 16])
-def test_reduce_takes_a_row_list(q):
-    # One call per row list: the remainders row by row, in the order of
-    # the rows, with the zero remainder of every row in the span kept.
+def test_rows_joining_a_basis_copy_are_the_rows_modulo_it(q):
+    # The search's residual form: the rows that join a copy of a basis
+    # leave the basis unchanged, are the scalar remainders of the rows
+    # inserted in turn (so zero at every basis pivot), and count the rank
+    # the rows add to the basis.
     fld = field(q)
     rng = random.Random(q)
     m = _random_of_rank(fld, 6, 9, 4, rng)
@@ -215,14 +210,16 @@ def test_reduce_takes_a_row_list(q):
     rows = ([(0,) * 9, (top,) * 9] + list((random_matrix(fld, 3, 6, rng) @ m).data)
             + list(random_matrix(fld, 4, 9, rng).data))
     rng.shuffle(rows)
-    got = pk.reduce(basis, [pk.pack(r) for r in rows])
-    assert type(got) is list and len(got) == len(rows)
-    assert [list(pk.unpack(x)) for x in got] == \
-        [_scalar_remainder(fld, pk, basis, r) for r in rows]
+    before = list(basis)
+    joined = pk.insert(list(basis), [pk.pack(r) for r in rows])[len(basis):]
+    assert basis == before
+    assert [(s // pk.bits, list(pk.unpack(x))) for s, x, _ in joined] == \
+        ref_basis(fld, [_scalar_remainder(fld, pk, basis, r) for r in rows])
+    assert all(x >> s & pk.mask == 0 for s, _, _ in basis for _, x, _ in joined)
+    assert len(joined) == ref_rank(vstack([m, Matrix(fld, rows)])) - len(basis) > 0
     in_span = [pk.pack(r) for r in (random_matrix(fld, 3, 6, rng) @ m).data]
-    assert pk.reduce(basis, in_span) == [0, 0, 0]
-    assert pk.reduce(basis, []) == []
-    assert pk.reduce([], [pk.pack(r) for r in rows]) == [pk.pack(r) for r in rows]
+    assert pk.insert(list(basis), in_span) == basis
+    assert pk.insert(list(basis), []) == basis
 
 
 def test_randbelow_draws_what_randrange_and_randint_draw():

@@ -14,7 +14,7 @@ from convertbw.linalg import Matrix
 from convertbw.mds import (CorruptDataError, VectorCode, decode_from, encode,
                            make_systematic_mds, verify_mds)
 from plain_elimination import ref_inverse
-from support import add
+from support import add, sub
 
 F5 = field(5)
 F7 = field(7)
@@ -24,8 +24,8 @@ def test_all_column_pairs_invertible_via_determinants():
     code = make_systematic_mds(4, 2, 1, F5)
     g = code.generator.array
     for i, j in combinations(range(4), 2):
-        det = F5.sub(F5.mul(int(g[0, i]), int(g[1, j])),
-                     F5.mul(int(g[0, j]), int(g[1, i])))
+        det = sub(F5, F5.mul(int(g[0, i]), int(g[1, j])),
+                  F5.mul(int(g[0, j]), int(g[1, i])))
         assert det != 0
 
 

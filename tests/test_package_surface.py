@@ -39,6 +39,9 @@ NO_CALLER_IN_PACKAGE = {
     "check_mi_bound",
     "check_min_avg",
     "check_cond_entropy_final",
+    # Matrix.array, the documented read-only array output: the tests'
+    # numpy reference (tests/plain_elimination.py) reads it.
+    "array",
 }
 
 
@@ -56,7 +59,9 @@ def test_every_function_has_a_caller_in_the_package():
             elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                # np.array names numpy's function, not Matrix.array.
+                if not (isinstance(node.value, ast.Name) and node.value.id == "np"):
+                    used.add(node.attr)
     orphans = {name: where for name, where in defined.items() if name not in used}
     assert set(orphans) == NO_CALLER_IN_PACKAGE, orphans
 

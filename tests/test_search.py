@@ -235,6 +235,19 @@ def test_search_rebuilds_fixed_slots_between_free_ones():
     assert (got.gamma, got.visited) == (7, 27942)
 
 
+def test_deep_uncapped_search_is_pinned():
+    # The canonical pair at ni = 8 over GF(8), too large for the
+    # reference enumerator: the walk crosses many subtrees the rank
+    # bound skips before the find, 22,121,678 schemes into the order.
+    p, ens = build(2, 2, 1, 4, 2, 8)
+    got = min_bandwidth_exhaustive(ens, SearchBudget(max_visits=10**9))
+    assert (got.status, got.gamma, got.visited) == ("found", 7, 22_121_678)
+    assert got.scheme.to_json_dict() == {
+        "beta": [0, 1, 1, 1], "sigma": [1, 1, 1, 1],
+        "A": [[], [1, 0], [1, 1], [1, 1]], "B": [[1, 2], [1, 7], [1, 5], [1, 7]]}
+    assert check_feasible(ens, got.scheme)
+
+
 def _sizes(q, alpha):
     """The number of canonical subspaces of each dimension d <= alpha."""
     return tuple(len(enumerate_subspaces(alpha, field(q), d)) for d in range(alpha + 1))
