@@ -6,11 +6,12 @@ Maps are kept in canonical form: full row rank, reduced row-echelon.
 The read cost of a scheme is simply the total number of downloaded
 rows; writes always materialize the lf*rf new parity nodes in full.
 
-run_conversion multiplies only through Matrix.vecmul, by matrices
-solved once per (params, code pair, scheme) in the value-keyed
-_conversion_plan cache, each of which packs its rows on its first
-product: each downloading node's map and the matrix that takes the
-downloaded values to the new parities.
+run_conversion multiplies only through Matrix.vecmul, twice per call:
+by the initial generator, and by one matrix solved once per (params,
+code pair, scheme) in the value-keyed _conversion_plan cache, which
+composes the downloading nodes' maps with the solution that takes the
+downloaded values to the new parities and packs its rows on its first
+product.  Schemes hash once, when built, as codes and params do.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ class ConversionScheme:
                 raise ValueError("download map cannot exceed alpha rows")
             if rref(m) != m:
                 raise ValueError("download maps must be canonical full-row-rank bases")
+        # Schemes key value caches (the conversion plans), so the hash
+        # is taken once; the params' and the maps' are of ints.
+        object.__setattr__(self, "_hash", hash((p, self.maps)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def beta(self) -> tuple[int, ...]:
@@ -181,21 +188,31 @@ def canonical_codes(params: SplitParams) -> tuple[VectorCode, VectorCode]:
 @lru_cache(maxsize=64)
 def _conversion_plan(p: SplitParams, initial: VectorCode, final: VectorCode,
                      scheme: ConversionScheme):
-    """The message-independent part of a conversion: the downloading
-    nodes in node order, each with its map transposed (so that it
-    multiplies the node's row of stored symbols), and the transposed
-    solution that takes the row of their downloaded values, in that
-    order, to the new parities.  Raises InfeasibleSchemeError (never
-    cached) when there is none."""
-    fld = initial.field
-    used = tuple((i, m) for i, m in enumerate(scheme.maps) if m.rows)
+    """The message-independent part of a conversion: the positions, in
+    the initial codeword, of the downloading nodes' stored symbols; the
+    one matrix that takes those symbols to the new parities,
+    block-diag(maps^T) @ solution^T, with rows only for them; and the
+    scheme's BandwidthReport.  The solution takes the downloaded values
+    to the parities.  Raises InfeasibleSchemeError (never cached) when
+    there is none."""
+    fld, a = initial.field, p.alpha
+    used = [(i, m) for i, m in enumerate(scheme.maps) if m.rows]
     downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
                        + [m @ initial.node_block(i) for i, m in used])
     solution = solve_left(final_parity_rows(p, final), downloads)
     if solution is None:
         raise InfeasibleSchemeError(
             "downloaded rows do not span the final parity rows")
-    return tuple((i, m.transpose()) for i, m in used), solution.transpose()
+    # Row s of node i's block is column s of its map, placed at the
+    # node's offset among the downloaded values.
+    width, at, maps_t = downloads.rows, 0, []
+    for _, m in used:
+        maps_t += [(0,) * at + col + (0,) * (width - at - m.rows)
+                   for col in zip(*m.data)]
+        at += m.rows
+    to_parities = Matrix._of_rows(fld, maps_t, width) @ solution.transpose()
+    positions = tuple(i * a + s for i, _ in used for s in range(a))
+    return positions, to_parities, scheme_bandwidth(scheme)
 
 
 def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
@@ -203,11 +220,14 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     """Execute one conversion.
 
     Returns (final_codewords, BandwidthReport) where final_codewords is
-    a list of lf arrays of shape (nf, alpha).  Node i of the initial
-    codeword is read through scheme.maps[i].  Data nodes of the final
-    codewords are the unchanged initial data nodes; new parity values
-    are produced only from the downloaded values, through a plan
-    (_conversion_plan) solved once per code pair and scheme.
+    a list of lf read-only arrays of shape (nf, alpha), the rows of one
+    (lf, nf, alpha) array.  Node i of the initial codeword is read
+    through scheme.maps[i].  Data nodes of the final codewords are the
+    unchanged initial data nodes; the new parities are a function of
+    the downloaded values alone: one product of the downloading nodes'
+    stored symbols by a plan (_conversion_plan) that composes their maps
+    with the solution, solved once per code pair and scheme, which also
+    holds the scheme's BandwidthReport.
 
     Raises InfeasibleSchemeError when the scheme cannot produce the
     final parities.  The codes are assumed to satisfy the MDS property
@@ -218,11 +238,10 @@ def run_conversion(params: SplitParams, initial: VectorCode, final: VectorCode,
     _check_code_pair(p, initial, final)
     _check_scheme_params(p, scheme)
     stored = _codeword(initial, message)
-    maps, to_parities = _conversion_plan(p, initial, final, scheme)
-    a = p.alpha
-    values = [v for i, m in maps for v in m.vecmul(stored[i * a:(i + 1) * a])]
-    new = to_parities.vecmul(values)
+    positions, to_parities, report = _conversion_plan(p, initial, final, scheme)
+    new = to_parities.vecmul([stored[c] for c in positions])
 
     kfa, rfa = p.kf * p.alpha, p.rf * p.alpha
-    return [_frozen(stored[t * kfa:(t + 1) * kfa] + new[t * rfa:(t + 1) * rfa],
-                    p.nf, p.alpha) for t in range(p.lf)], scheme_bandwidth(scheme)
+    words = [stored[t * kfa:(t + 1) * kfa] + new[t * rfa:(t + 1) * rfa]
+             for t in range(p.lf)]
+    return list(_frozen(words, p.lf, p.nf, p.alpha)), report

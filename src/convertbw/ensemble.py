@@ -159,7 +159,7 @@ class LinearEnsemble:
 
 def _check_code_pair(p: SplitParams, initial: VectorCode,
                      final: VectorCode) -> None:
-    """Both codes fit p and share a field."""
+    """Both codes fit p and share a field, of order p.q when p has one."""
     if (initial.n, initial.k, initial.alpha) != (p.ni, p.ki, p.alpha):
         raise ValueError(
             f"initial code is [{initial.n},{initial.k},{initial.alpha}], "
@@ -170,6 +170,9 @@ def _check_code_pair(p: SplitParams, initial: VectorCode,
             f"expected [{p.nf},{p.kf},{p.alpha}]")
     if initial.field != final.field:
         raise ValueError("initial and final codes use different fields")
+    if p.q is not None and initial.field.q != p.q:
+        raise ValueError(f"codes are over {initial.field!r}, parameters "
+                         f"have q={p.q}")
 
 
 def final_parity_rows(p: SplitParams, final: VectorCode) -> Matrix:

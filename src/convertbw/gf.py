@@ -256,10 +256,15 @@ class Field:
 
         A bool counts as 0 or 1 and an integral float as its integer; a
         float 5.5 is refused, not truncated to 5, nothing is reduced
-        modulo q, and ragged nesting is refused.  A list of plain ints
-        is returned as is after one pass; callers copy what they keep.
+        modulo q, and ragged nesting is refused.  Flat data, a non-empty
+        list of plain ints in [0, q) or a 1-D array whose .tolist() is
+        one, returns after that one pass, the list as is (callers copy
+        what they keep); anything else is walked entry by entry.
         """
         q = self.q
+        x = data.tolist() if hasattr(data, "tolist") else data
+        if type(x) is list and x and all(type(y) is int and 0 <= y < q for y in x):
+            return x, (len(x),)
 
         def walk(x):
             if hasattr(x, "tolist"):
@@ -280,7 +285,7 @@ class Field:
                 raise ValueError(f"entries outside [0, {q}) for {self!r}")
             return int(x), ()
 
-        values, shape = walk(data)
+        values, shape = walk(x)
         full = getattr(data, "shape", shape)   # keeps a numpy array's empty axes
         if full[:len(shape)] != shape:         # an object array of sequences
             raise ValueError(f"non-integer entries for {self!r}")

@@ -41,11 +41,13 @@ if TYPE_CHECKING:
 
 
 def _frozen(values, *shape: int) -> np.ndarray:
-    """values as a new read-only int64 array of the given shape."""
+    """values as a new read-only int64 array of the given shape, a view
+    of a read-only array, so neither it nor a view of it can be made
+    writeable again."""
     import numpy as np
-    out = np.array(values, dtype=np.int64).reshape(shape)
+    out = np.array(values, dtype=np.int64)
     out.setflags(write=False)
-    return out
+    return out.reshape(shape)
 
 
 class Matrix:

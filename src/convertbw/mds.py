@@ -9,7 +9,10 @@ layer, which is MDS whenever q >= n.
 The write path multiplies only by fixed matrices, through Matrix.vecmul,
 so each packs its rows once: the generator, once per code object, which
 encodes and cross-checks decodes, and one inverse per node set, kept in
-the value-keyed _decoder cache.
+the value-keyed _decoder cache.  A VectorCode hashes once, when built,
+so a cache lookup does not rehash its generator.  Per call, encode makes
+one product and decode_from one, or two with extra nodes; each checks
+its message or each node's symbols in one Field.as_elements pass.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ class VectorCode:
                 Matrix.identity(self.generator.field, ka):
             raise ValueError(
                 f"generator is not systematic on nodes 0..{self.k - 1}")
+        # Codes key value caches (_decoder, verify_mds, the conversion
+        # plans), so the hash is taken once; the generator's is of ints.
+        object.__setattr__(self, "_hash", hash(
+            (self.n, self.k, self.alpha, self.generator)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def node_cols(self, i: int) -> list[int]:
         if not 0 <= i < self.n:
@@ -142,26 +152,29 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
 
     Needs at least k distinct nodes; the first k (in index order) fix the
     message through their cached inverse (_decoder), any extras are
-    cross-checked against the message's codeword and a mismatch raises
-    CorruptDataError.  Every call validates its own symbols, and node
-    indices by the count rule.
+    cross-checked against the slices of the message's codeword and a
+    mismatch raises CorruptDataError.  Every call validates its own
+    symbols, one Field.as_elements pass per node, and node indices by
+    the count rule and by range, before any product.
     """
     idx = sorted(as_count(i, "node index") for i in available)
-    if len(idx) < code.k:
-        raise ValueError(f"need at least k={code.k} nodes, got {len(idx)}")
+    k, a = code.k, code.alpha
+    if len(idx) < k:
+        raise ValueError(f"need at least k={k} nodes, got {len(idx)}")
     fld = code.field
-    symbols = {}
+    symbols = []
     for i in idx:
         s, shape = fld.as_elements(available[i])
-        if shape != (code.alpha,):
-            raise ValueError(f"node {i}: expected {code.alpha} subsymbols")
-        symbols[i] = tuple(s)
-    use = tuple(idx[: code.k])
-    msg = _decoder(code, use).vecmul([x for i in use for x in symbols[i]])
-    if len(idx) > code.k:
+        if shape != (a,):
+            raise ValueError(f"node {i}: expected {a} subsymbols")
+        symbols.append(s)
+    if idx[-1] >= code.n:
+        raise ValueError(f"node index {idx[-1]} out of range [0, {code.n})")
+    msg = _decoder(code, tuple(idx[:k])).vecmul([x for s in symbols[:k] for x in s])
+    if len(idx) > k:
         cw = code.generator.vecmul(msg)
-        for i in idx[code.k:]:
-            if tuple(cw[c] for c in code.node_cols(i)) != symbols[i]:
+        for i, s in zip(idx[k:], symbols[k:]):
+            if cw[i * a:(i + 1) * a] != tuple(s):
                 raise CorruptDataError(
                     f"node {i} symbols are inconsistent with the other nodes")
     return _frozen(msg, len(msg))

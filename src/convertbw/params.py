@@ -52,6 +52,13 @@ class SplitParams:
                 raise ValueError(
                     f"q={self.q} too small for the code construction; "
                     f"need q >= max(ni, nf) = {need}")
+        # Params key value caches (default_scheme, canonical_codes, the
+        # write path's plans), so the hash is taken once, from ints alone.
+        object.__setattr__(self, "_hash", hash((
+            self.lf, self.kf, self.rf, self.ri, self.alpha, self.q or 0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ki(self) -> int:

@@ -15,11 +15,13 @@ from convertbw.convertible import (ConversionScheme,
                                    InfeasibleSchemeError, canonical_codes,
                                    check_feasible, default_scheme,
                                    run_conversion, scheme_bandwidth)
-from convertbw.ensemble import ensemble_from_codes
-from convertbw.linalg import Matrix, enumerate_subspaces
+from convertbw.ensemble import ensemble_from_codes, final_parity_rows
+from convertbw.linalg import (Matrix, enumerate_subspaces, solve_left,
+                              vstack)
 from convertbw.mds import VectorCode, decode_from, encode
 from convertbw.params import SplitParams
-from convertbw.search import random_mds_pair
+from convertbw.search import (SearchBudget, min_bandwidth_exhaustive,
+                              random_mds_pair)
 from support import empty_scheme, from_maps
 
 
@@ -410,3 +412,142 @@ def test_prime_field_codeword_bytes_are_pinned(q):
             for cw in finals:
                 h.update(cw.astype("<i8").tobytes())
     assert h.hexdigest() == CODEWORD_DIGESTS[q]
+
+
+def _reference_parities(p, initial, final, scheme, stored):
+    """The new parities the long way: each downloading node's symbols
+    times its map (m @ node symbols), then the solution solve_left finds
+    for the per-node downloads m @ node_block."""
+    fld, a = p.field(), p.alpha
+    used = [(i, m) for i, m in enumerate(scheme.maps) if m.rows]
+    downloads = vstack([Matrix.zeros(fld, 0, p.message_dim)]
+                       + [m @ initial.node_block(i) for i, m in used])
+    solution = solve_left(final_parity_rows(p, final), downloads)
+    assert solution is not None
+    values = [x for i, m in used
+              for x in (m @ Matrix(fld, [[s] for s in stored[i * a:(i + 1) * a]])).flat()]
+    return (Matrix(fld, [values]) @ solution.transpose()).data[0] if values else ()
+
+
+def _plan_cases():
+    yield "default GF(7)", (2, 2, 2, 1, 1, 7), default_scheme
+    yield "default GF(8)", (2, 3, 2, 2, 2, 8), default_scheme
+    fld5 = SplitParams(2, 1, 1, 2, 1, 5).field()
+    full, none = Matrix.identity(fld5, 1), Matrix.zeros(fld5, 0, 1)
+    yield "parity read GF(5)", (2, 1, 1, 2, 1, 5), \
+        lambda p: ConversionScheme(p, (full, full, full, none))
+    for point in [(2, 2, 1, 1, 2, 5), (2, 2, 1, 2, 1, 8)]:
+        yield f"searched {point}", point, lambda p: min_bandwidth_exhaustive(
+            ensemble_from_codes(p, *canonical_codes(p)), SearchBudget()).scheme
+    yield "rf = 0 default", (2, 1, 0, 1, 1, 5), default_scheme
+    yield "rf = 0 empty", (2, 1, 0, 1, 1, 5), empty_scheme
+
+
+@pytest.mark.parametrize("case", list(_plan_cases()), ids=lambda c: c[0])
+def test_composed_plan_matches_per_node_reference(case):
+    # The plan composes every map with the solution into one matrix;
+    # the parities it gives must be those of the per-node downloads
+    # solved for explicitly, for every message, and the plan matrix
+    # itself must be the reference's image of each unit symbol.
+    _, point, make = case
+    p = SplitParams(*point)
+    initial, final = canonical_codes(p)
+    scheme = make(p)
+    assert check_feasible(ensemble_from_codes(p, initial, final), scheme)
+    positions, to_parities, report = convertible._conversion_plan(
+        p, initial, final, scheme)
+    a = p.alpha
+    assert positions == tuple(i * a + s for i, m in enumerate(scheme.maps)
+                              if m.rows for s in range(a))
+    assert report == scheme_bandwidth(scheme)
+    for row, c in zip(to_parities.data, positions):
+        unit = [int(j == c) for j in range(p.ni * a)]
+        assert row == _reference_parities(p, initial, final, scheme, unit)
+    rng = random.Random(sum(point))
+    kfa, rfa = p.kf * a, p.rf * a
+    for _ in range(5):
+        msg = [rng.randrange(p.q) for _ in range(p.message_dim)]
+        stored = encode(initial, msg).reshape(-1).tolist()
+        want = _reference_parities(p, initial, final, scheme, stored)
+        finals, rep = run_conversion(p, initial, final, scheme, msg)
+        assert rep == report and len(finals) == p.lf
+        for t, cw in enumerate(finals):
+            assert cw.shape == (p.nf, a) and not cw.flags.writeable
+            with pytest.raises(ValueError):
+                cw.setflags(write=True)
+            flat = tuple(cw.reshape(-1).tolist())
+            assert flat[:kfa] == tuple(stored[t * kfa:(t + 1) * kfa])
+            assert flat[kfa:] == tuple(want[t * rfa:(t + 1) * rfa])
+
+
+def test_code_pair_over_another_field_than_q_is_refused():
+    # GF(8) codes for a point whose parameters name q = 7: the symbol 7
+    # is no element of GF(7), and a search would certify a bound under
+    # the wrong field.
+    p = SplitParams(2, 2, 1, 1, 1, 7)
+    p8 = SplitParams(2, 2, 1, 1, 1, 8)
+    initial, final = canonical_codes(p8)
+    with pytest.raises(ValueError, match="q=7"):
+        run_conversion(p, initial, final, default_scheme(p8), [7, 7, 7, 7])
+    with pytest.raises(ValueError, match="q=7"):
+        ensemble_from_codes(p, initial, final)
+    # Parameters without q take the codes' field.
+    free = SplitParams(2, 2, 1, 1, 1)
+    assert ensemble_from_codes(free, initial, final).field == initial.field
+
+
+def test_value_keys_hash_once_and_share_cache_entries():
+    # Params, codes and schemes key the write path's value caches.  Equal
+    # ones built in different ways hash equal and share entries, and so
+    # do their copies and pickle round trips.
+    import copy
+    import json
+    import pickle
+    from convertbw import mds
+    p = SplitParams(2, 3, 2, 2, 2, 8)
+    p2 = SplitParams(**json.loads(json.dumps(p.as_dict())))
+    initial, final = canonical_codes(p)
+    initial2, final2 = (VectorCode.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+                        for c in (initial, final))
+    scheme = default_scheme(p)
+    scheme2 = ConversionScheme.from_json_dict(
+        p2, json.loads(json.dumps(scheme.to_json_dict())))
+    for a, b in ((p, p2), (initial, initial2), (final, final2), (scheme, scheme2)):
+        assert a is not b and a == b and hash(a) == hash(b)
+        for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(c) is type(a) and c == a and hash(c) == hash(a)
+    assert default_scheme(p2) is scheme and canonical_codes(p2) == (initial, final)
+    convertible._conversion_plan.cache_clear()
+    mds._decoder.cache_clear()
+    msg = [x % p.q for x in range(p.message_dim)]
+    for args in ((p, initial, final, scheme), (p2, initial2, final2, scheme2)):
+        finals, _ = run_conversion(*args, msg)
+        decode_from(args[2], {i: finals[0][i] for i in range(p.kf)})
+    for cached in (convertible._conversion_plan, mds._decoder):
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1), cached
+
+
+HASH_IN_FRESH_INTERPRETER = """
+from convertbw.convertible import canonical_codes, default_scheme
+from convertbw.params import SplitParams
+p = SplitParams(2, 2, 1, 1, 2, 8)
+print(hash(p), hash(canonical_codes(p)[0]), hash(default_scheme(p)))
+"""
+
+
+def test_value_key_hashes_do_not_depend_on_the_string_hash_seed():
+    # The hashes are built from ints and tuples alone, so interpreters
+    # with different string hash seeds agree on them (and a pickled
+    # hash stays valid).
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(convertible.__file__))
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.add(subprocess.run([sys.executable, "-c", HASH_IN_FRESH_INTERPRETER],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
+    assert len(outs) == 1, outs

@@ -221,3 +221,63 @@ def test_product_tables_are_built_on_first_use():
         rows = [pk.pack_bytes([1, 2]), pk.pack_bytes([3, 4])]
         assert pk.unpack(pk.combine([0, 7], rows)) == (f.mul(7, 3), f.mul(7, 4))
         assert [c for c, t in enumerate(f._products) if t] == [7]
+
+
+def _object_array(*items):
+    out = np.empty(len(items), dtype=object)
+    for i, x in enumerate(items):
+        out[i] = x
+    return out
+
+
+# Field.as_elements on inputs at the edge of its flat fast path: each
+# row is (input, values and shape or None, error text or None), the
+# error text with {f} for the field's repr.  The table was recorded
+# before the fast path existed; flat data and the walker must agree.
+AS_ELEMENTS_TABLE = [
+    (lambda q: np.zeros((0, 5), dtype=np.int64), ([], (0, 5)), None),
+    (lambda q: np.zeros(0, dtype=np.int64), ([], (0,)), None),
+    (lambda q: [], ([], (0,)), None),
+    (lambda q: [[], []], ([[], []], (2, 0)), None),
+    (lambda q: [True, False, True], ([1, 0, 1], (3,)), None),
+    (lambda q: np.array([True, False]), ([1, 0], (2,)), None),
+    (lambda q: _object_array(1, 2, 3), ([1, 2, 3], (3,)), None),
+    (lambda q: _object_array([1, 2], [3, 4]), None, "non-integer entries for {f}"),
+    (lambda q: _object_array([1, 2], [3]), None, "ragged entries for {f}"),
+    (lambda q: np.array([1, 2, 3], dtype=np.uint8), ([1, 2, 3], (3,)), None),
+    (lambda q: np.uint8(3), (3, ()), None),
+    (lambda q: [np.int64(3), np.uint8(1)], ([3, 1], (2,)), None),
+    (lambda q: np.array([[1, 2], [3, 4]]), ([[1, 2], [3, 4]], (2, 2)), None),
+    (lambda q: [1.0, 2.0, 0.0], ([1, 2, 0], (3,)), None),
+    (lambda q: [1, 5.5], None, "non-integer entries for {f}"),
+    (lambda q: [1, -1], None, "entries outside [0, {q}) for {f}"),
+    (lambda q: [0, q], None, "entries outside [0, {q}) for {f}"),
+    (lambda q: [[1, 2], [3]], None, "ragged entries for {f}"),
+    (lambda q: [1, None], None, "non-integer entries for {f}"),
+    (lambda q: "12", None, "non-integer entries for {f}"),
+    (lambda q: (1, 2, 3), ([1, 2, 3], (3,)), None),
+    (lambda q: range(3), ([0, 1, 2], (3,)), None),
+    (lambda q: 4, (4, ()), None),
+]
+
+
+def _plain(values):
+    """values with every int checked to be a plain int (no bool)."""
+    if isinstance(values, list):
+        return [_plain(v) for v in values]
+    assert type(values) is int, type(values)
+    return values
+
+
+@pytest.mark.parametrize("q", [7, 8])
+@pytest.mark.parametrize("row", range(len(AS_ELEMENTS_TABLE)))
+def test_as_elements_table(q, row):
+    make, want, error = AS_ELEMENTS_TABLE[row]
+    f = field(q)
+    if error is None:
+        values, shape = f.as_elements(make(q))
+        assert (_plain(values), shape) == want
+    else:
+        with pytest.raises(ValueError) as err:
+            f.as_elements(make(q))
+        assert str(err.value) == error.format(f=f, q=q)

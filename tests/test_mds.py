@@ -281,3 +281,50 @@ def test_json_round_trip_property(q, k, r, alpha, data):
     gen = Matrix(fld, np.hstack([np.eye(ka, dtype=np.int64), parity]))
     code = VectorCode(k + r, k, alpha, fld, gen)
     assert VectorCode.from_json_dict(code.to_json_dict()) == code
+
+
+@pytest.mark.parametrize("nodes", [
+    {0: [1], 5: [1]},                      # among the first k
+    {0: [1], 1: [2], 5: [1]},              # an extra
+    {0: [1], 1: [2], 2: [0], 5: [1]},      # after a corrupt extra
+    {0: [1], 1: [2], 3: [0], 4: [1]},      # every extra out of range
+])
+def test_decode_refuses_out_of_range_nodes(nodes):
+    # An index past n is a usage error wherever it sits, never read as
+    # a node whose symbols disagree with the others.
+    code = make_systematic_mds(3, 2, 1, F5)
+    assert encode(code, [1, 2])[2].tolist() != [0]
+    with pytest.raises(ValueError, match="out of range") as err:
+        decode_from(code, nodes)
+    assert not isinstance(err.value, CorruptDataError)
+
+
+@pytest.mark.parametrize("point", [(2, 3, 2, 2, 2, 8), (2, 2, 1, 1, 1, 7),
+                                   (2, 1, 0, 1, 1, 5)])
+def test_write_path_product_counts(point, monkeypatch):
+    # Each write-path call multiplies once per fixed matrix it needs:
+    # encode by the generator; run_conversion by the generator and by
+    # its plan; decode_from by its inverse, and by the generator when
+    # extra nodes are cross-checked.  Caches are warmed first.
+    from convertbw.convertible import (canonical_codes, default_scheme,
+                                       run_conversion)
+    from convertbw.params import SplitParams
+    p = SplitParams(*point)
+    initial, final = canonical_codes(p)
+    scheme = default_scheme(p)
+    msg = [x % p.q for x in range(p.message_dim)]
+    finals, _ = run_conversion(p, initial, final, scheme, msg)
+    cw = finals[0]
+    some = {i: cw[i] for i in range(p.kf)}
+    every = {i: cw[i] for i in range(p.nf)}
+    decode_from(final, some)
+    calls, vecmul = [], Matrix.vecmul
+    monkeypatch.setattr(Matrix, "vecmul",
+                        lambda m, v: calls.append(m.shape) or vecmul(m, v))
+    for run, want in [(lambda: encode(initial, msg), 1),
+                      (lambda: run_conversion(p, initial, final, scheme, msg), 2),
+                      (lambda: decode_from(final, some), 1),
+                      (lambda: decode_from(final, every), 1 + (p.nf > p.kf))]:
+        calls.clear()
+        run()
+        assert len(calls) == want, calls
