@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: bound, verify, simulate, search, sweep.  Exit codes:
-0 success, 1 check or certification failure, 2 usage error.  Rationals
-are serialized as {"num": ..., "den": ...}; CSV rows carry num/den
-pairs plus a decimal convenience column.  Identical flags and seed give
-byte-identical output.
+0 success, 1 check or certification failure, 2 usage error, 3 internal
+error (an uncaught exception: one "error: internal:" line, then the
+traceback, on stderr).  Rationals are serialized as {"num": ...,
+"den": ...}; CSV rows carry num/den pairs plus a decimal convenience
+column.  Identical flags and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +31,7 @@ from .params import SplitParams, rational_json
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _threads_cap() -> int:
@@ -307,6 +310,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Field, RowPacking, as_count
-from .linalg import Matrix, rref
+from .linalg import Matrix, randint, rref, shuffle
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -440,13 +440,13 @@ def random_corollary1_tuple(ens: LinearEnsemble, rng):
     p = ens.params
     while True:
         s1 = [v for v in ens.initial_parities if rng.random() < 0.5]
-        b1 = rng.randint(0, min(p.ri, len(s1)))
+        b1 = randint(rng, 0, min(p.ri, len(s1)))
         b2 = p.ri - b1
         if b2 > p.ki:
             continue
         pool = list(ens.info_nodes)
-        rng.shuffle(pool)
-        n2 = rng.randint(b2, p.ki)
+        shuffle(rng, pool)
+        n2 = randint(rng, b2, p.ki)
         s2 = sorted(pool[:n2])
         return s1, s2, b1, b2
 
@@ -458,8 +458,8 @@ def random_corollary2_set(ens: LinearEnsemble, rng):
     if p.ri > p.ki:
         return None
     pool = list(ens.info_nodes)
-    rng.shuffle(pool)
-    n = rng.randint(p.ri, p.ki)
+    shuffle(rng, pool)
+    n = randint(rng, p.ri, p.ki)
     return sorted(pool[:n])
 
 

@@ -26,6 +26,16 @@ Ranks count the rows that join; rref, mat_inverse and solve_left
 back-substitute the basis sorted by pivot (_rref_rows), so results are
 canonical, and solve_left reads each solution off one
 RowPacking.combine of that reduced basis.
+
+The random draws (randbelow, randint, shuffle, random_map_rows) each
+inline the getrandbits rejection loop of CPython's
+random.Random._randbelow_with_getrandbits, with no stdlib method frame
+per value: on a random.Random they return what rng.randrange,
+rng.randint, rng.shuffle and random_matrix return and leave the stream
+where those leave it, so every seeded output is the same either way.
+randbelow is the bulk form that random_matrix and random_invertible
+draw through; the randomized verify trials draw through the other three.
+An empty range raises ValueError before any draw, as randrange does.
 """
 
 from __future__ import annotations
@@ -300,9 +310,11 @@ def enumerate_subspaces(dim_ambient: int, field: Field,
 
 
 def randbelow(rng, n: int, count: int) -> list[int]:
-    """count uniform draws from range(n), n >= 1: the values, and the
-    use of rng's stream, of count calls of rng.randrange(n) on a
-    random.Random, whose getrandbits rejection loop this is."""
+    """count uniform draws from range(n): what count calls of
+    rng.randrange(n) return.  count == 0 draws nothing; n < 1 with
+    count > 0 raises ValueError, as randrange does."""
+    if n < 1 and count > 0:
+        raise ValueError(f"empty range for randbelow({n})")
     bits = rng.getrandbits
     k = n.bit_length()
     out = []
@@ -314,13 +326,55 @@ def randbelow(rng, n: int, count: int) -> list[int]:
     return out
 
 
+def randint(rng, a: int, b: int) -> int:
+    """What rng.randint(a, b) returns; b < a raises ValueError."""
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    bits = rng.getrandbits
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return a + r
+
+
+def shuffle(rng, x: list) -> None:
+    """Shuffle the list x in place as rng.shuffle(x) does."""
+    bits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_map_rows(field: Field, cols: int, rng) -> tuple[tuple[int, ...], ...]:
     """The coefficient rows (Matrix.data) of a random download map with
-    cols columns: the values, and the use of rng's stream, of
-    random_matrix(field, rng.randint(0, cols), cols, rng).data."""
-    # randbelow(rng, cols + 1, 1) draws what rng.randint(0, cols) would.
-    flat = randbelow(rng, field.q, randbelow(rng, cols + 1, 1)[0] * cols)
-    return tuple(zip(*[iter(flat)] * cols))   # consecutive cols-tuples
+    cols columns: what random_matrix(field, rng.randint(0, cols), cols,
+    rng).data returns.  cols < 0 raises ValueError."""
+    n = cols + 1
+    if n < 1:
+        raise ValueError(f"empty range for the row count of a map with {cols} columns")
+    bits = rng.getrandbits
+    k = n.bit_length()
+    count = bits(k)
+    while count >= n:
+        count = bits(k)
+    q = field.q
+    kq = q.bit_length()
+    rows = []
+    for _ in range(count):
+        row = []
+        for _ in range(cols):
+            x = bits(kq)
+            while x >= q:
+                x = bits(kq)
+            row.append(x)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:

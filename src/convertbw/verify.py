@@ -9,7 +9,10 @@ independence precondition fails are counted separately, never as
 violations.  A random map is drawn as its coefficient rows
 (linalg.random_map_rows), never as a Matrix, and the trials call the
 oracle's row-level cores (ensemble._mi_bound, _min_avg,
-_cond_entropy_final), below the checks that take Matrix maps.
+_cond_entropy_final), below the checks that take Matrix maps.  The
+trials draw their node orders and set sizes through linalg.shuffle and
+linalg.randint, which use rng's stream as rng.shuffle and rng.randint
+do, and their coin flips through rng.random.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .ensemble import (CheckReport, IndependencePreconditionError,
                        corollary2_holds, ensemble_from_codes,
                        final_parity_node, initial_parity_node,
                        random_corollary1_tuple, random_corollary2_set)
-from .linalg import random_map_rows
+from .linalg import randint, random_map_rows, shuffle
 from .params import SplitParams
 
 DEFAULT_QS = (5, 7, 11)
@@ -86,9 +89,9 @@ def lemma_mi_trial(ens: LinearEnsemble, rng: random.Random) -> str:
     Returns "ok", "violation", or "precondition"."""
     p = ens.params
     nodes = list(ens.all_nodes())
-    rng.shuffle(nodes)
-    na = rng.randint(1, min(3, len(nodes) - 1))
-    nb = rng.randint(1, min(3, len(nodes) - na))
+    shuffle(rng, nodes)
+    na = randint(rng, 1, min(3, len(nodes) - 1))
+    nb = randint(rng, 1, min(3, len(nodes) - na))
     a_set = nodes[:na]
     b_set = nodes[na:na + nb]
     f_a = {v: random_map_rows(ens.field, p.alpha, rng) for v in a_set}
@@ -106,10 +109,10 @@ def lemma_min_avg_trial(ens: LinearEnsemble, rng: random.Random) -> str:
     """One random draw of the min-vs-average entropy bound."""
     p = ens.params
     nodes = list(ens.all_nodes())
-    rng.shuffle(nodes)
-    b = rng.randint(2, min(4, len(nodes)))
+    shuffle(rng, nodes)
+    b = randint(rng, 2, min(4, len(nodes)))
     family = {v: random_map_rows(ens.field, p.alpha, rng) for v in nodes[:b]}
-    a = rng.randint(1, b)
+    a = randint(rng, 1, b)
     try:
         ok = _min_avg(ens, family, a)
     except IndependencePreconditionError:

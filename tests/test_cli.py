@@ -329,6 +329,22 @@ def test_failed_conversion_or_decode_exits_1(name, patch, message, capsys,
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def _crash(args, parser):
+    raise RuntimeError("planted fault")
+
+
+def test_crash_exits_3_with_one_error_line_and_the_traceback(capsys, monkeypatch):
+    # 1 means a failed check and 2 a usage error; a crash is neither.
+    monkeypatch.setattr(cli, "cmd_bound", _crash)
+    code, out, err = run_cli(["bound", "--lf", "2", "--kf", "2", "--rf", "1",
+                              "--ri", "1"], capsys)
+    assert code == cli.EXIT_INTERNAL == 3 and out == ""
+    first, rest = err.split("\n", 1)
+    assert first == "error: internal: RuntimeError: planted fault"
+    assert rest.startswith("Traceback (most recent call last):")
+    assert "in _crash" in rest and rest.endswith("RuntimeError: planted fault\n")
+
+
 def test_python_m_runs_the_cli(capsys):
     args = ["bound", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1"]
     src = str(Path(convertbw.__file__).resolve().parents[1])

@@ -7,9 +7,10 @@ import pytest
 
 from convertbw.gf import field
 from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
-                              mat_inverse, mat_rank, randbelow, rank_pair,
-                              random_invertible, random_map_rows,
-                              random_matrix, rref, solve_left, vstack)
+                              mat_inverse, mat_rank, randbelow, randint,
+                              rank_pair, random_invertible, random_map_rows,
+                              random_matrix, rref, shuffle, solve_left,
+                              vstack)
 from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
                                ref_solve_left)
 from support import gaussian_binomial, sub
@@ -231,6 +232,68 @@ def test_randbelow_draws_what_randrange_and_randint_draw():
             == [c.randint(0, n - 1) for _ in range(40)]
         assert a.getstate() == b.getstate() == c.getstate()
     assert randbelow(random.Random(0), 5, 0) == []
+    assert randbelow(random.Random(0), 0, 0) == randbelow(random.Random(0), -3, 0) == []
+
+
+def test_randint_draws_what_random_randint_draws():
+    # Spans 1..300: each power of two 2^k and its neighbours 2^k +- 1 are in.
+    for span in range(1, 301):
+        for a in (0, -7, span):
+            b = a + span - 1
+            ours, ref = random.Random(span * 3 + a), random.Random(span * 3 + a)
+            assert [randint(ours, a, b) for _ in range(30)] == \
+                [ref.randint(a, b) for _ in range(30)]
+            assert ours.getstate() == ref.getstate()
+
+
+def test_shuffle_draws_what_random_shuffle_draws():
+    for n in range(13):
+        for seed in range(20):
+            ours, ref = random.Random(seed), random.Random(seed)
+            x, y = list(range(n)), list(range(n))
+            assert shuffle(ours, x) is None
+            ref.shuffle(y)
+            assert x == y and sorted(x) == list(range(n))
+            assert ours.getstate() == ref.getstate()
+
+
+def test_draws_interleaved_with_random_keep_the_stream():
+    # The trials' pattern: shuffle, randint, coin flips, map draws, more
+    # randint; both sides must stay in step for the whole sequence.
+    ours, ref = random.Random(2024), random.Random(2024)
+    fld = field(7)
+    for step in range(400):
+        n = step % 12
+        x, y = [f"v{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+        shuffle(ours, x)
+        ref.shuffle(y)
+        assert x == y
+        hi = step % 300 + 1
+        assert randint(ours, 1, hi) == ref.randint(1, hi)
+        assert randint(ours, hi, hi) == ref.randint(hi, hi) == hi
+        assert [ours.random() < 0.4 for _ in range(n)] == \
+            [ref.random() < 0.4 for _ in range(n)]
+        assert random_map_rows(fld, step % 3, ours) == \
+            random_matrix(fld, ref.randint(0, step % 3), step % 3, ref).data
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: randbelow(rng, 0, 1),
+    lambda rng: randbelow(rng, -3, 1),
+    lambda rng: randint(rng, 1, 0),
+    lambda rng: randint(rng, 5, -5),
+    lambda rng: random_map_rows(F5, -1, rng),
+    lambda rng: random_map_rows(F5, -4, rng),
+])
+def test_empty_ranges_are_refused_before_any_draw(draw):
+    # getrandbits(0) is 0, never below an n < 1: without the refusal the
+    # rejection loop would never end.  randrange raises on an empty range.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        draw(rng)
+    assert rng.getstate() == state
 
 
 SUPPORTED_QS = [q for q in range(2, 257)

@@ -1,5 +1,7 @@
 """Verification-suite aggregator tests."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -145,12 +147,29 @@ def test_run_suite_aggregates():
     assert not bad_ok
 
 
+# sha256 of json.dumps(reports) + "\n" for two seeded suites the CLI
+# golden digests miss: the GF(4)/GF(8) grid, whose map draws reject
+# about half their bits, and the benchmark's shape (every default point,
+# 100 trials).  Any draw that leaves the stdlib's stream moves them.
+@pytest.mark.parametrize("grid, trials, seed, count, digest", [
+    (dict(qs=(4, 8)), 40, 3, 560,
+     "7390deba41e5620bd6b060054099ae5aaa5fb8ef68ed9702460f439d6a783d90"),
+    ({}, 100, 0, 1080,
+     "addd4ced07d44c38b35dec43817307dacd36e4f2f4b7d142cf547e3df8e4b6f0"),
+])
+def test_seeded_trial_streams_are_pinned(grid, trials, seed, count, digest):
+    reports, ok = run_suite(default_grid(**grid), trials=trials, seed=seed)
+    assert ok and len(reports) == count
+    assert hashlib.sha256((json.dumps(reports) + "\n").encode()).hexdigest() == digest
+
+
 # -- the row path against the Matrix path ------------------------------------
 #
-# A test-local copy of each random trial that draws Matrix maps with
-# randint and random_matrix and asks the oracle's public Matrix entry
-# points (check_mi_bound, check_min_avg; mapped_rows ranked by mat_rank
-# for the download-MI chains).
+# A test-local copy of each random trial that draws through the stdlib
+# (Matrix maps with rng.randint and random_matrix; node orders, sizes and
+# admissible tuples with rng.shuffle and rng.randint) and asks the
+# oracle's public Matrix entry points (check_mi_bound, check_min_avg;
+# mapped_rows ranked by mat_rank for the download-MI chains).
 
 def _ref_map(ens, rng):
     return random_matrix(ens.field, rng.randint(0, ens.params.alpha),
@@ -185,6 +204,27 @@ def _ref_min_avg_trial(ens, rng):
     return "ok" if ok else "violation"
 
 
+def _ref_corollary1_tuple(ens, rng):
+    p = ens.params
+    while True:
+        s1 = [v for v in ens.initial_parities if rng.random() < 0.5]
+        b1 = rng.randint(0, min(p.ri, len(s1)))
+        b2 = p.ri - b1
+        if b2 <= p.ki:
+            pool = list(ens.info_nodes)
+            rng.shuffle(pool)
+            return s1, sorted(pool[:rng.randint(b2, p.ki)]), b1, b2
+
+
+def _ref_corollary2_set(ens, rng):
+    p = ens.params
+    if p.ri > p.ki:
+        return None
+    pool = list(ens.info_nodes)
+    rng.shuffle(pool)
+    return sorted(pool[:rng.randint(p.ri, p.ki)])
+
+
 def _ref_corollary_trial(ens, rng, which):
     p = ens.params
     maps = {v: _ref_map(ens, rng) for v in ens.initial_nodes}
@@ -197,18 +237,30 @@ def _ref_corollary_trial(ens, rng, which):
 
     mi = h(ens.initial_parities) + h(ens.info_nodes) - h(ens.initial_nodes)
     if which == 1:
-        s1, s2, b1, b2 = random_corollary1_tuple(ens, rng)
+        s1, s2, b1, b2 = _ref_corollary1_tuple(ens, rng)
         minsum = min_h(s1, b1) + min_h(s2, b2)
         avg = (Fraction(b1, len(s1) or 1) * sum(h([v]) for v in s1)
                + Fraction(b2, len(s2) or 1) * h(s2))
         ok = mi <= minsum <= avg
     else:
-        s = random_corollary2_set(ens, rng)
+        s = _ref_corollary2_set(ens, rng)
         if s is None:
             return "skipped"
         mn = min_h(s, p.ri)
         ok = mi <= mn <= Fraction(p.ri, len(s)) * h(s)
     return "ok" if ok else "violation"
+
+
+@pytest.mark.parametrize("point", [(2, 1, 1, 2, 1, 5), (3, 2, 2, 2, 1, 11),
+                                   (2, 3, 1, 3, 2, 11), (2, 1, 1, 3, 1, 5)])
+def test_admissible_draws_match_the_stdlib_draws(point):
+    p = SplitParams(*point)
+    ens = ensemble_from_codes(p, *canonical_codes(p))
+    ours, ref = random.Random(sum(point)), random.Random(sum(point))
+    for _ in range(60):
+        assert random_corollary1_tuple(ens, ours) == _ref_corollary1_tuple(ens, ref)
+        assert random_corollary2_set(ens, ours) == _ref_corollary2_set(ens, ref)
+        assert ours.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("point", [
