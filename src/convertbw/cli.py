@@ -134,14 +134,13 @@ def cmd_sweep(args, parser) -> int:
     alpha_r = parse_range(args.alpha, "alpha")
     ri_r = parse_range(args.ri, "ri")
 
-    n_points = len(lf_r) * len(kf_r) * len(rf_r) * len(alpha_r)
-    if ri_r is not None:
-        n_points *= len(ri_r)
-    else:
-        n_points *= max(2 * lf * kf for lf in lf_r for kf in kf_r)
+    # Every count has only a lower bound, so the grid's first point
+    # checks them all, also where the default ri range would be empty.
+    SplitParams(lf_r[0], kf_r[0], rf_r[0], ri_r[0] if ri_r else 0, alpha_r[0])
+    n_points = len(rf_r) * len(alpha_r) * sum(
+        len(ri_r) if ri_r is not None else 2 * lf * kf for lf in lf_r for kf in kf_r)
     if n_points > args.max_rows:
-        parser.error(
-            f"grid of about {n_points} rows exceeds --max-rows {args.max_rows}")
+        parser.error(f"grid of {n_points} rows exceeds --max-rows {args.max_rows}")
 
     buf = io.StringIO()
     writer = csv.writer(buf)

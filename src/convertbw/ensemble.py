@@ -122,8 +122,8 @@ class LinearEnsemble:
                 raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
         self.packing = fld.packing(p.message_dim)
         self._row_bytes = {v: b.packed()[1] for v, b in self._blocks.items()}
-        self._packed = {v: tuple(int.from_bytes(r, "little") for r in rows)
-                        for v, rows in self._row_bytes.items()}
+        self._packed = {v: tuple(map(self.packing.pack, b.data))
+                        for v, b in self._blocks.items()}
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
@@ -255,12 +255,6 @@ def _map_rows(ens: LinearEnsemble,
     return out
 
 
-def _mapped(ens: LinearEnsemble, maps: Mapping, v: NodeId) -> list[int]:
-    """maps[v] @ block(v), maps[v] being coefficient rows: rows over the
-    message, packed (ens.packing)."""
-    return ens.times(maps[v], v)
-
-
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
@@ -268,7 +262,7 @@ def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
     coeffs = _map_rows(ens, maps)
     unpack = ens.packing.unpack
     return Matrix._of_rows(ens.field, [
-        unpack(r) for v in sorted(set(nodes)) for r in _mapped(ens, coeffs, v)],
+        unpack(r) for v in sorted(set(nodes)) for r in ens.times(coeffs[v], v)],
         ens.params.message_dim)
 
 
@@ -319,7 +313,7 @@ def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
     """maps[v] @ block(v) for each node v as packed rows, maps holding
     coefficient rows: a download check maps each node once and ranks
     subsets with RowPacking.insert."""
-    return {v: _mapped(ens, maps, v) for v in nodes}
+    return {v: ens.times(maps[v], v) for v in nodes}
 
 
 def _h_rows(pk: RowPacking, rows: Mapping[NodeId, list], nodes) -> int:

@@ -20,17 +20,21 @@ each lane then below 2q, folded back below q with no carry across lanes.
 RowPacking.insert is the one elimination primitive (convertbw.linalg,
 the oracle and the search), one call per row list: it extends an
 echelon basis by the nonzero remainders of the rows, running the loop
-inline with one set of locals per call.  The rows that join a copy of
-a basis are the rows modulo its span, in echelon form.
-RowPacking.combine, a row vector times a matrix whose rows were packed
-once, serves linalg.solve_left and Matrix.vecmul, through which
-Matrix.matmul and the write path (encode, run_conversion, decode_from)
-multiply.
+inline with one set of locals per call.  RowPacking.modulo returns the
+rows that join a copy of a basis, which are the rows modulo its span in
+echelon form (the search's residuals), and RowPacking.reduced the
+reduced row-echelon basis of a span (linalg.rref and solve_left), both
+through insert.  RowPacking.combine, a row vector times a matrix whose
+rows were packed once, serves Matrix.vecmul, through which
+Matrix.matmul, linalg.solve_left and the write path (encode,
+run_conversion, decode_from) multiply.
 
-Only this module knows the lane format.  Outside entries and counts
-are checked in plain Python (Field.as_elements, as_count).  numpy is
-imported only inside the arr_* reference kernels, which build their
-arrays when called; nothing else here needs it.
+Only this module knows the lane format and the layout of a basis
+entry: other modules pack and unpack rows through RowPacking and treat
+a basis as an opaque list, which they copy, slice and count.  Outside
+entries and counts are checked in plain Python (Field.as_elements,
+as_count).  numpy is imported only inside the arr_* reference kernels,
+which build their arrays when called; nothing else here needs it.
 """
 
 from __future__ import annotations
@@ -114,6 +118,21 @@ class RowPacking:
         a basis, insert(list(basis), rows)[len(basis):], are zero at its
         pivots and span rows modulo its span."""
         raise NotImplementedError
+
+    def modulo(self, basis: list, rows) -> list[int]:
+        """The rows that join a copy of basis, as packed ints: rows
+        modulo the span of basis, in echelon form and zero at its
+        pivots.  basis is left as it was."""
+        return [r for _, r, _ in self.insert(list(basis), rows)[len(basis):]]
+
+    def reduced(self, rows) -> list[int]:
+        """The reduced row-echelon basis of the span of rows, as packed
+        ints sorted by pivot: the inserted rows, each cleared at the
+        larger pivots from the last pivot up."""
+        out: list = []
+        for _, r, _ in sorted(self.insert([], rows), reverse=True):
+            self.insert(out, [r])   # r is 1 at its pivot, which no row in out has
+        return [r for _, r, _ in reversed(out)]
 
     def combine(self, coeffs, rows) -> int:
         """sum_j coeffs[j] * row j, the rows given as bytes; coeffs of

@@ -10,22 +10,21 @@ is used only for array output (_frozen: Matrix.array, encode,
 decode_from, run_conversion), and is imported on the first such call,
 not with the package.
 
-All arithmetic runs on packed rows (Field.packing): each row of
-elements is one int, column j in lane j, and a row operation is one
-bytes.translate and one big-int operation over every lane at once (see
-convertbw.gf).  Matrix.vecmul, a row vector times a matrix, runs on
-rows the matrix packs on its first product and keeps (Matrix.packed);
-matmul and the write path (mds, convertible) multiply through it.  The
-elimination functions pack their rows on entry, uncached (their
-matrices mostly serve one call), and unpack their results.  The oracle
-and the search keep their rows packed and extend echelon bases with
-RowPacking.insert directly.  Such a basis is kept in insertion order:
-(shift, row, bytes) entries, each row scaled to 1 at its pivot (its
-first nonzero entry) and zero at the pivots of the rows before it.
-Ranks count the rows that join; rref, mat_inverse and solve_left
-back-substitute the basis sorted by pivot (_rref_rows), so results are
-canonical, and solve_left reads each solution off one
-RowPacking.combine of that reduced basis.
+All arithmetic runs on packed rows (Field.packing), whose lane format
+only convertbw.gf knows: a row operation is one bytes.translate and one
+big-int operation over every lane at once.  Matrix.vecmul, a row vector
+times a matrix, runs on rows the matrix packs on its first product and
+keeps (Matrix.packed); matmul and the write path (mds, convertible)
+multiply through it.  The elimination functions pack their rows on
+entry, uncached (their matrices mostly serve one call), and unpack
+their results; the oracle and the search keep their rows packed and
+extend echelon bases with RowPacking.insert directly.  Ranks count the
+rows that join a basis.  rref reads RowPacking.reduced, the reduced
+basis sorted by pivot, so results are canonical.  solve_left reduces
+the rows of [basis | I], each packed from its tuple, reads the pivots
+and the transform off the unpacked rows and each solution off one
+Matrix.vecmul of that reduced basis; mat_inverse is solve_left against
+I.
 
 The random draws (randbelow, randint, shuffle, random_map_rows) each
 inline the getrandbits rejection loop of CPython's
@@ -41,7 +40,6 @@ An empty range raises ValueError before any draw, as randrange does.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .gf import Field, RowPacking
@@ -187,26 +185,6 @@ def _packed(m: Matrix):
     return pk, [pk.pack(r) for r in m.data]
 
 
-def _rref_rows(pk: RowPacking, rows) -> list:
-    """The reduced row-echelon basis of the span of rows, as (shift,
-    row, bytes) entries sorted by pivot: the inserted rows, each cleared
-    at the larger pivots from the last pivot up."""
-    out: list = []
-    for _, r, _ in sorted(pk.insert([], rows), key=itemgetter(0), reverse=True):
-        pk.insert(out, [r])   # r is 1 at its pivot, which no row in out has
-    out.reverse()
-    return out
-
-
-def _rref_with_identity(m: Matrix) -> tuple[RowPacking, int, list]:
-    """(pk, shift, rows): the _rref_rows of [m | I] packed by pk, where
-    shift is the first bit of I's lanes."""
-    pk = m.field.packing(m.cols + m.rows)
-    shift = pk.bits * m.cols
-    return pk, shift, _rref_rows(pk, [pk.pack(r) | 1 << shift + pk.bits * i
-                                      for i, r in enumerate(m.data)])
-
-
 def _check_span_args(target: Matrix, basis: Matrix) -> None:
     if target.field != basis.field or target.cols != basis.cols:
         raise ValueError(f"span question across {target!r} and {basis!r}")
@@ -230,8 +208,7 @@ def mat_rank(m: Matrix) -> int:
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
     pk, rows = _packed(m)
-    return Matrix._of_rows(m.field, [pk.unpack(r) for _, r, _ in _rref_rows(pk, rows)],
-                           m.cols)
+    return Matrix._of_rows(m.field, map(pk.unpack, pk.reduced(rows)), m.cols)
 
 
 def in_span(target: Matrix, basis: Matrix) -> bool:
@@ -244,36 +221,36 @@ def mat_inverse(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     if m.rows != m.cols:
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
-    pk, shift, rows = _rref_with_identity(m)
-    # [m | I] always has rank n; m is invertible iff every pivot is in m.
-    if [s for s, _, _ in rows] != list(range(0, shift, pk.bits)):
+    # T @ m = I has a solution iff m is invertible, and it is m's inverse.
+    inverse = solve_left(Matrix.identity(m.field, m.rows), m)
+    if inverse is None:
         raise ValueError("matrix is singular")
-    inverse = m.field.packing(m.rows)
-    return Matrix._of_rows(m.field, [inverse.unpack(r >> shift) for _, r, _ in rows],
-                           m.rows)
+    return inverse
 
 
 def solve_left(target: Matrix, basis: Matrix) -> Matrix | None:
     """Find T with T @ basis = target, or None if some row is outside
     the row space of basis."""
     _check_span_args(target, basis)
-    field = basis.field
+    field, n, k = basis.field, basis.cols, basis.rows
     # Each reduced row R | T0 of [basis | I] has R = T0 @ basis, and the
-    # rows with a pivot in basis's columns (below shift) are the reduced
-    # basis of the row space of basis.  The sum of t[p] * (R | T0) over
-    # them is t' | T with t' = T @ basis, and t' is the one vector of
-    # that span with t's entries at the pivots: t is in it iff t' = t.
-    pk, shift, rows = _rref_with_identity(basis)
-    pivots = [s // pk.bits for s, _, _ in rows if s < shift]
-    span = [b for s, _, b in rows if s < shift]
-    low, coords = (1 << shift) - 1, field.packing(basis.rows)
+    # rows with a pivot in basis's first n columns are the reduced basis
+    # of the row space of basis.  The sum of t[p] * (R | T0) over them is
+    # t' | T with t' = T @ basis, and t' is the one vector of that span
+    # with t's entries at the pivots: t is in it iff t' = t.
+    pk = field.packing(n + k)
+    eye = Matrix.identity(field, k).data
+    reduced = map(pk.unpack, pk.reduced([pk.pack(r + e) for r, e in zip(basis.data, eye)]))
+    rows = [r for r in reduced if any(r[:n])]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    span = Matrix._of_rows(field, rows, n + k)
     out = []
     for t in target.data:
-        r = pk.combine([t[j] for j in pivots], span)
-        if r & low != pk.pack(t):
+        x = span.vecmul([t[j] for j in pivots])
+        if x[:n] != t:
             return None
-        out.append(coords.unpack(r >> shift))
-    return Matrix._of_rows(field, out, basis.rows)
+        out.append(x[n:])
+    return Matrix._of_rows(field, out, k)
 
 
 @lru_cache(maxsize=64)

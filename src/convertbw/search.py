@@ -12,10 +12,10 @@ when a cut table shows by rank alone that it cannot cover the new
 parities (see _CutTable); within a profile the fixed nodes join once
 and only the free ones are walked, cutting branches by a rank bound (see
 min_bandwidth_exhaustive).  Both keep the new parities modulo what is
-downloaded as a residual in echelon form, which RowPacking.insert
-extends, so its row count is its rank.  `visited` is a position in the
-enumeration order, cut profiles and branches included, not a count of
-evaluations.
+downloaded as a residual in echelon form, the rows that join a copy
+of the downloaded basis (RowPacking.modulo), so its row count is its
+rank.  `visited` is a position in the enumeration order, cut profiles
+and branches included, not a count of evaluations.
 
 What depends on the parameters alone is built once and shared by every
 code pair searched: the subspace menus (linalg.enumerate_subspaces) and
@@ -86,11 +86,10 @@ class _CutTable(dict):
 
     Residuals are kept by complement mask c (the slots outside A): c
     extends the echelon basis of c minus its top slot by that slot's
-    alpha block rows, and that parent's residual target rows are
-    inserted into a copy of the block rows that joined
-    (RowPacking.insert).  Those that join are c's residual: zero at
-    every pivot of c's basis and in echelon form, so their count is the
-    rank modulo its span.
+    alpha block rows, and that parent's residual target rows taken
+    modulo the block rows that joined (RowPacking.modulo) are c's
+    residual: zero at every pivot of c's basis and in echelon form, so
+    their count is the rank modulo its span.
     """
 
     def __init__(self, pk, blocks: list, targets: list):
@@ -117,7 +116,7 @@ class _CutTable(dict):
             basis = pk.insert(list(pbasis), self.blocks[top])
             joined = basis[len(pbasis):]
             if joined:
-                res = [r for _, r, _ in pk.insert(list(joined), res)[len(joined):]]
+                res = pk.modulo(joined, res)
             self._basis[c] = basis
         self._residual[c] = res
         return res
@@ -185,15 +184,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     their rows once, and only the free slots are walked, depth first in
     product order.  Each depth carries the echelon basis of the rows
     downloaded so far and the residual targets, zero at its pivots and
-    in echelon form; a visit inserts the residual into a copy of only
-    the rows that joined (RowPacking.insert), and a subtree is skipped
-    when the residual has more rows, its rank, than the remaining free
-    slots can add.  Skipped profiles and subtrees still count in
-    `visited`, the position in the full enumeration order.
+    in echelon form; a visit takes the residual modulo only the rows
+    that joined (RowPacking.modulo), and a subtree is skipped when the
+    residual has more rows, its rank, than the remaining free slots can
+    add.  Skipped profiles and subtrees still count in `visited`, the
+    position in the full enumeration order.
     """
     p = ens.params
     pk = ens.packing
-    insert = pk.insert
+    insert, modulo = pk.insert, pk.modulo
     subspaces = [enumerate_subspaces(p.alpha, ens.field, d) for d in range(p.alpha + 1)]
     sizes = tuple(map(len, subspaces))
     # Slot s is node s of the initial codeword; mapped[s][d][i]: the rows
@@ -202,8 +201,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
               for v in ens.initial_nodes]
     slots = len(mapped)
     # The echelon rows of the new parities: the walk's targets (same span).
-    targets = [r for _, r, _ in pk.insert(
-        [], [r for v in ens.final_parities for r in ens.packed(v)])]
+    targets = modulo([], [r for v in ens.final_parities for r in ens.packed(v)])
     cap = p.ki * p.alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
@@ -215,11 +213,6 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
             visited = budget.max_visits
             raise _VisitCap
         visited += schemes
-
-    def modulo(basis, rows):
-        # rows modulo the span of basis, in echelon form and zero at its
-        # pivots: the rows that join a copy of basis.
-        return [r for _, r, _ in insert(list(basis), rows)[len(basis):]]
 
     def walk(depth, basis, residual, combo):
         # menus[j]: free slot j's rows modulo the fixed rows; free, left
@@ -313,10 +306,10 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     h_v = len(downloads)
     h_u = len(pk.insert([], u_rows))
     h_uv = len(pk.insert(downloads, u_rows))
-    new = pk.insert([], [r for v in ens.final_parities for r in ens.packed(v)])
+    new = pk.modulo([], [r for v in ens.final_parities for r in ens.packed(v)])
     h_new = len(new)
     # Feasible iff the downloads span every new parity row: none joins.
-    if len(pk.insert(downloads, [r for _, r, _ in new])) > h_uv:
+    if len(pk.insert(downloads, new)) > h_uv:
         raise InfeasibleSchemeError("inequality audit needs a feasible scheme")
     gamma = scheme.read_total
     audit = SchemeAudit(gamma=gamma, h_v=h_v, h_u=h_u)

@@ -145,6 +145,28 @@ def test_sweep_row_cap_enforced(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_row_cap_counts_rows_exactly(capsys):
+    # lf = 2 and 3 at kf = 1 have 4 and 6 default ri values: with 8 rf
+    # values that is 80 rows, not 8 * 2 * max(2 * lf * kf) = 96.
+    args = ["sweep", "--lf", "2", "3", "--kf", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--max-rows", "79"])
+    assert exc.value.code == 2
+    assert "grid of 80 rows exceeds --max-rows 79" in capsys.readouterr().err
+    code, out, _ = run_cli(args + ["--max-rows", "80"], capsys)
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 80
+
+
+@pytest.mark.parametrize("ri", [[], ["--ri", "1"]])
+def test_sweep_refuses_kf_0_with_or_without_ri(ri, capsys):
+    # Without --ri the default ri range of kf = 0 is empty, which used to
+    # print a header-only CSV and exit 0.
+    code, out, err = run_cli(["sweep", "--lf", "2", "--kf", "0", *ri], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: kf must be >= 1, got 0\n"
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run_cli(["verify", "--q", "5", "--lf", "2", "--kf", "1",
                             "--rf", "1", "--ri", "1", "2", "--alpha", "1",

@@ -487,14 +487,14 @@ def test_download_checks_map_each_node_once(monkeypatch):
     p, ens = build(2, 2, 1, 3, 1, 7)
     initial = list(ens.initial_nodes)
     maps = default_maps(ens)
-    seen = []   # every node ensemble._mapped maps
-    mapped = E._mapped
+    seen = []   # every node LinearEnsemble.times maps
+    times = E.LinearEnsemble.times
 
-    def counting(ens, maps, v):
+    def counting(ens, coeffs, v):
         seen.append(v)
-        return mapped(ens, maps, v)
+        return times(ens, coeffs, v)
 
-    monkeypatch.setattr(E, "_mapped", counting)
+    monkeypatch.setattr(E.LinearEnsemble, "times", counting)
     rep = check_corollaries(ens, maps)
     assert rep.ok and sorted(seen) == initial
     rng = random.Random(3)

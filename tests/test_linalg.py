@@ -164,6 +164,7 @@ def test_packed_kernel_matches_plain_elimination(q):
         # basis, give the one-call basis, and none of them joins a copy
         # of the whole basis.
         rows = [pk.pack(r) for r in m.data]
+        assert [pk.unpack(r) for r in pk.reduced(rows)] == list(ref_rref(m).data)
         half = (len(rows) + 1) // 2
         assert pk.insert(pk.insert([], rows[:half]), rows[half:]) == basis
         assert pk.insert(list(basis), rows) == basis
@@ -198,9 +199,9 @@ def _scalar_remainder(fld, pk, basis, row):
 @pytest.mark.parametrize("q", [5, 131, 16])
 def test_rows_joining_a_basis_copy_are_the_rows_modulo_it(q):
     # The search's residual form: the rows that join a copy of a basis
-    # leave the basis unchanged, are the scalar remainders of the rows
-    # inserted in turn (so zero at every basis pivot), and count the rank
-    # the rows add to the basis.
+    # (pk.modulo) leave the basis unchanged, are the scalar remainders of
+    # the rows inserted in turn (so zero at every basis pivot), and count
+    # the rank the rows add to the basis.
     fld = field(q)
     rng = random.Random(q)
     m = _random_of_rank(fld, 6, 9, 4, rng)
@@ -213,14 +214,20 @@ def test_rows_joining_a_basis_copy_are_the_rows_modulo_it(q):
     rng.shuffle(rows)
     before = list(basis)
     joined = pk.insert(list(basis), [pk.pack(r) for r in rows])[len(basis):]
+    assert pk.modulo(basis, [pk.pack(r) for r in rows]) == [x for _, x, _ in joined]
     assert basis == before
     assert [(s // pk.bits, list(pk.unpack(x))) for s, x, _ in joined] == \
         ref_basis(fld, [_scalar_remainder(fld, pk, basis, r) for r in rows])
     assert all(x >> s & pk.mask == 0 for s, _, _ in basis for _, x, _ in joined)
-    assert len(joined) == ref_rank(vstack([m, Matrix(fld, rows)])) - len(basis) > 0
+    both = vstack([m, Matrix(fld, rows)])
+    assert len(joined) == ref_rank(both) - len(basis) > 0
+    assert [pk.unpack(r) for r in pk.reduced([pk.pack(r) for r in both.data])] == \
+        list(ref_rref(both).data)
     in_span = [pk.pack(r) for r in (random_matrix(fld, 3, 6, rng) @ m).data]
     assert pk.insert(list(basis), in_span) == basis
     assert pk.insert(list(basis), []) == basis
+    assert pk.modulo(basis, in_span) == pk.modulo(basis, []) == []
+    assert basis == before
 
 
 def test_randbelow_draws_what_randrange_and_randint_draw():

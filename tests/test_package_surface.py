@@ -1,6 +1,7 @@
 """What the package is made of: every function in src/convertbw has a
 caller there and every class is named there, the write path names no
-part of the row kernel, and importing the package, or running a command
+part of the row kernel, no module but gf names the lane format, and
+importing the package, or running a command
 that returns no array, leaves numpy unloaded."""
 
 import ast
@@ -87,6 +88,20 @@ def test_write_path_names_no_kernel():
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 named.add(node.name)
         assert not named & KERNEL_NAMES, (name, sorted(named & KERNEL_NAMES))
+
+
+# The lane format of a packed row: its width and mask, its byte length
+# and its conversions to and from bytes.
+LANE_ATTRIBUTES = {"bits", "mask", "nbytes", "from_bytes", "to_bytes"}
+
+
+def test_only_gf_knows_the_lane_format():
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        named = {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)}
+        assert not named & LANE_ATTRIBUTES, (path.name, sorted(named & LANE_ATTRIBUTES))
 
 
 # Run in a fresh interpreter: pytest and the other tests load numpy.

@@ -94,13 +94,13 @@ def test_skipped_chain2_trial_maps_no_node(monkeypatch):
     from convertbw import ensemble
     p = SplitParams(2, 1, 1, 3, 1, 5)
     ens = ensemble_from_codes(p, *canonical_codes(p))
-    real, mapped = ensemble._mapped, []
+    real, mapped = ensemble.LinearEnsemble.times, []
 
-    def spy(e, maps, v):
+    def spy(e, coeffs, v):
         mapped.append(v)
-        return real(e, maps, v)
+        return real(e, coeffs, v)
 
-    monkeypatch.setattr(ensemble, "_mapped", spy)
+    monkeypatch.setattr(ensemble.LinearEnsemble, "times", spy)
     rng = random.Random(2)
     assert corollary_trial(ens, rng, 2) == "skipped"
     assert mapped == []
