@@ -17,9 +17,10 @@ mapped_rows, search.check_scheme_inequalities), which checks its field
 and column count once (_map_rows) and passes its coefficient rows
 (Matrix.data) inward: inside, a map is those rows, and the cores
 (_mi_bound, _min_avg, _cond_entropy_final) and the verify suite's
-random trials take rows only.  Each block's rows are packed once
-(LinearEnsemble.packed); entropies and the download checks rank packed
-rows with RowPacking.insert.
+random trials take rows only.  Each block packs its rows once
+(Matrix.packed); the ensemble keeps them as ints (LinearEnsemble.packed)
+for the ranks (RowPacking.insert) and as bytes for LinearEnsemble.times,
+through which every check maps its nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Field, RowPacking, as_count
-from .linalg import Matrix, randint, rref, shuffle
+from .linalg import Matrix, randint, shuffle
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
 
@@ -98,9 +99,10 @@ class LinearEnsemble:
     initial_nodes lists the initial codeword in node order (info nodes,
     then initial parities): node i there is node i of the initial code
     and is read through a ConversionScheme's maps[i].  Every block is an
-    alpha x message_dim Matrix over fld whose rows are packed once, by
-    `packing`: as bytes for times, as ints for packed, which the
-    entropies, the download checks and the search rank.
+    alpha x message_dim Matrix over fld; its rows, packed once by the
+    block (Matrix.packed), serve as bytes for times and as ints for
+    packed, which the entropies, the download checks and the search
+    rank.
     """
 
     def __init__(self, params: SplitParams, fld: Field,
@@ -121,9 +123,9 @@ class LinearEnsemble:
             if b.field != fld:
                 raise ValueError(f"block for {v} is over {b.field!r}, not {fld!r}")
         self.packing = fld.packing(p.message_dim)
-        self._row_bytes = {v: b.packed()[1] for v, b in self._blocks.items()}
-        self._packed = {v: tuple(map(self.packing.pack, b.data))
-                        for v, b in self._blocks.items()}
+        self._packed, self._row_bytes = {}, {}
+        for v, b in self._blocks.items():
+            _, self._packed[v], self._row_bytes[v] = b.packed()
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
@@ -308,14 +310,6 @@ def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
     return rep
 
 
-def _node_rows(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
-               nodes: Iterable[NodeId]) -> dict[NodeId, list[int]]:
-    """maps[v] @ block(v) for each node v as packed rows, maps holding
-    coefficient rows: a download check maps each node once and ranks
-    subsets with RowPacking.insert."""
-    return {v: ens.times(maps[v], v) for v in nodes}
-
-
 def _h_rows(pk: RowPacking, rows: Mapping[NodeId, list], nodes) -> int:
     """Rank of the union of the nodes' mapped rows."""
     return len(pk.insert([], [r for v in nodes for r in rows[v]]))
@@ -361,7 +355,7 @@ def _mi_bound(ens: LinearEnsemble, f_a: Mapping[NodeId, tuple],
     if not _nodes_independent(ens, rest):
         raise IndependencePreconditionError(
             "nodes outside D1 u D2 are not independent")
-    rows = _node_rows(ens, {**f_a, **f_b}, a_nodes | b_nodes)
+    rows = {v: ens.times(m, v) for v, m in {**f_a, **f_b}.items()}
     pk = ens.packing
     mi = _rows_mi(pk, rows, a_nodes, b_nodes)
     return mi <= _h_rows(pk, rows, d1) + _h_rows(pk, rows, d2)
@@ -386,16 +380,10 @@ def _min_avg(ens: LinearEnsemble, family: Mapping[NodeId, tuple], a: int) -> boo
         if not _nodes_independent(ens, subset):
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
-    rows = _node_rows(ens, family, family)
+    rows = {v: ens.times(m, v) for v, m in family.items()}
     singles = sum(_h_rows(ens.packing, rows, [v]) for v in rows)
     best = _min_h_rows(ens.packing, rows, list(rows), a)
     return best * b <= a * singles
-
-
-def _download_mi(ens: LinearEnsemble, rows: Mapping[NodeId, list]) -> int:
-    """I(parity downloads ; info downloads) over the initial codeword,
-    from every initial-code node's mapped rows (see _node_rows)."""
-    return _rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
 
 
 def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
@@ -403,8 +391,9 @@ def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
                      b1: int, b2: int) -> bool:
     """MI <= (min size-b1 parity H + min size-b2 info H)
           <= (b1/|S1|) sum of parity H + (b2/|S2|) joint info H,
-    for b1 + b2 = ri, b1 <= |S1|, b2 <= |S2|.  rows holds each node's
-    mapped rows (see _node_rows) and mi is _download_mi of them."""
+    for b1 + b2 = ri, b1 <= |S1|, b2 <= |S2|.  rows holds each
+    initial-code node's mapped rows (ens.times) and mi is I(parity
+    downloads ; info downloads) of them (_rows_mi)."""
     p = ens.params
     if b1 + b2 != p.ri or b1 > len(s1) or b2 > len(s2):
         raise ValueError("inadmissible (S1, S2, b1, b2) split")
@@ -478,9 +467,10 @@ def check_stability(ens: LinearEnsemble) -> CheckReport:
                 rep.failures.append({
                     "kind": "final-parity-mi", "codeword": t,
                     "parity": yf.index, "mi": got, "expected": p.alpha})
-    finals = [(yf, rref(ens.block(yf))) for yf in ens.final_parities]
+    reduced = ens.packing.reduced
+    finals = [(yf, reduced(ens.packed(yf))) for yf in ens.final_parities]
     for yi in ens.initial_parities:
-        bi = rref(ens.block(yi))
+        bi = reduced(ens.packed(yi))
         for yf, bf in finals:
             if bi == bf:
                 rep.failures.append({
@@ -505,7 +495,7 @@ def _cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
     if any(not 0 <= t < p.lf for t in s):
         raise ValueError("codeword index out of range")
     pk = ens.packing
-    rows = _node_rows(ens, maps, [v for t in s for v in ens.info_of_codeword(t)])
+    rows = {v: ens.times(maps[v], v) for t in s for v in ens.info_of_codeword(t)}
 
     def lhs_for(ts: Sequence[int]) -> int:
         basis = pk.insert([], [

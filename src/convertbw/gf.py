@@ -31,10 +31,14 @@ run_conversion, decode_from) multiply.
 
 Only this module knows the lane format and the layout of a basis
 entry: other modules pack and unpack rows through RowPacking and treat
-a basis as an opaque list, which they copy, slice and count.  Outside
-entries and counts are checked in plain Python (Field.as_elements,
-as_count).  numpy is imported only inside the arr_* reference kernels,
-which build their arrays when called; nothing else here needs it.
+a basis as an opaque list, which they copy, slice and count.
+RowPacking.pack_rows makes both forms of a row list at once, the ints
+insert ranks and the bytes combine multiplies by; a Matrix packs its
+rows through it once (linalg.Matrix.packed), and the oracle keeps its
+blocks' packed rows from there.  Outside entries and counts are
+checked in plain Python (Field.as_elements, as_count).  numpy is
+imported only inside the arr_* reference kernels, which build their
+arrays when called; nothing else here needs it.
 """
 
 from __future__ import annotations
@@ -104,6 +108,13 @@ class RowPacking:
 
     def pack(self, row) -> int:
         return int.from_bytes(self.pack_bytes(row), "little")
+
+    def pack_rows(self, rows) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
+        """(rows packed, rows as bytes): both forms of rows of elements,
+        the ints that insert ranks and the bytes that combine multiplies
+        by."""
+        rows = tuple(map(self.pack_bytes, rows))
+        return tuple(int.from_bytes(b, "little") for b in rows), rows
 
     def unpack(self, x: int) -> tuple[int, ...]:
         """The cols elements of the packed row x."""

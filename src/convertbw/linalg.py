@@ -12,29 +12,30 @@ not with the package.
 
 All arithmetic runs on packed rows (Field.packing), whose lane format
 only convertbw.gf knows: a row operation is one bytes.translate and one
-big-int operation over every lane at once.  Matrix.vecmul, a row vector
-times a matrix, runs on rows the matrix packs on its first product and
-keeps (Matrix.packed); matmul and the write path (mds, convertible)
-multiply through it.  The elimination functions pack their rows on
-entry, uncached (their matrices mostly serve one call), and unpack
-their results; the oracle and the search keep their rows packed and
-extend echelon bases with RowPacking.insert directly.  Ranks count the
-rows that join a basis.  rref reads RowPacking.reduced, the reduced
-basis sorted by pivot, so results are canonical.  solve_left reduces
-the rows of [basis | I], each packed from its tuple, reads the pivots
-and the transform off the unpacked rows and each solution off one
-Matrix.vecmul of that reduced basis; mat_inverse is solve_left against
-I.
+big-int operation over every lane at once.  A matrix packs its rows
+once, on the first product or elimination, and keeps them
+(Matrix.packed, through RowPacking.pack_rows): as bytes for
+Matrix.vecmul, a row vector times the matrix, through which matmul and
+the write path (mds, convertible) multiply, and as ints for mat_rank,
+rank_pair and rref, which unpack their results.  The oracle and the
+search keep their rows packed and extend echelon bases with
+RowPacking.insert directly.  Ranks count the rows that join a basis.
+rref reads RowPacking.reduced, the reduced basis sorted by pivot, so
+results are canonical.  solve_left reduces the rows of [basis | I],
+each packed from its tuple, reads the pivots and the transform off the
+unpacked rows and each solution off one Matrix.vecmul of that reduced
+basis; mat_inverse is solve_left against I.
 
-The random draws (randbelow, randint, shuffle, random_map_rows) each
-inline the getrandbits rejection loop of CPython's
+The random draws (randint, shuffle, random_map_rows) each inline the
+getrandbits rejection loop of CPython's
 random.Random._randbelow_with_getrandbits, with no stdlib method frame
-per value: on a random.Random they return what rng.randrange,
-rng.randint, rng.shuffle and random_matrix return and leave the stream
-where those leave it, so every seeded output is the same either way.
-randbelow is the bulk form that random_matrix and random_invertible
-draw through; the randomized verify trials draw through the other three.
-An empty range raises ValueError before any draw, as randrange does.
+per value: on a random.Random they return what rng.randint, rng.shuffle
+and random_matrix return and leave the stream where those leave it, so
+every seeded output is the same either way.  random_matrix, and
+random_invertible through it, draws each entry with randint(rng, 0,
+q - 1), what rng.randrange(q) draws; the randomized verify trials draw
+through all three.  An empty range raises ValueError before any draw,
+as randrange does.
 """
 
 from __future__ import annotations
@@ -132,18 +133,19 @@ class Matrix:
 
     __matmul__ = matmul
 
-    def packed(self) -> tuple[RowPacking, tuple[bytes, ...]]:
-        """(Field.packing(cols), the rows as bytes): the form vecmul
-        multiplies by, built on the first call and kept."""
+    def packed(self) -> tuple[RowPacking, tuple[int, ...], tuple[bytes, ...]]:
+        """(Field.packing(cols), the rows packed, the rows as bytes)
+        (RowPacking.pack_rows): the ints the eliminations rank and the
+        bytes vecmul multiplies by, built on the first call and kept."""
         if self._pack is None:
             pk = self.field.packing(self.cols)
-            self._pack = pk, tuple(map(pk.pack_bytes, self.data))
+            self._pack = pk, *pk.pack_rows(self.data)
         return self._pack
 
     def vecmul(self, v) -> tuple[int, ...]:
         """The row vector v (field elements, one per row) times this
         matrix; a v of another length raises ValueError."""
-        pk, rows = self._pack or self.packed()
+        pk, _, rows = self._pack or self.packed()
         return pk.unpack(pk.combine(v, rows))
 
     def flat(self) -> list[int]:
@@ -179,12 +181,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._of_rows(field, [r for m in mats for r in m.data], cols)
 
 
-def _packed(m: Matrix):
-    """(the packing of m's rows, m's rows packed)."""
-    pk = m.field.packing(m.cols)
-    return pk, [pk.pack(r) for r in m.data]
-
-
 def _check_span_args(target: Matrix, basis: Matrix) -> None:
     if target.field != basis.field or target.cols != basis.cols:
         raise ValueError(f"span question across {target!r} and {basis!r}")
@@ -194,20 +190,20 @@ def rank_pair(basis: Matrix, extra: Matrix) -> tuple[int, int]:
     """(rank(basis), rank(basis stacked with extra)) in one pass: the
     extra rows are inserted into the basis rows' echelon form."""
     _check_span_args(extra, basis)
-    pk, rows = _packed(basis)
+    pk, rows, _ = basis.packed()
     rows = pk.insert([], rows)
-    return len(rows), len(pk.insert(rows, map(pk.pack, extra.data)))
+    return len(rows), len(pk.insert(rows, extra.packed()[1]))
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank of m over its field."""
-    pk, rows = _packed(m)
+    pk, rows, _ = m.packed()
     return len(pk.insert([], rows))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    pk, rows = _packed(m)
+    pk, rows, _ = m.packed()
     return Matrix._of_rows(m.field, map(pk.unpack, pk.reduced(rows)), m.cols)
 
 
@@ -286,23 +282,6 @@ def enumerate_subspaces(dim_ambient: int, field: Field,
     return tuple(out)
 
 
-def randbelow(rng, n: int, count: int) -> list[int]:
-    """count uniform draws from range(n): what count calls of
-    rng.randrange(n) return.  count == 0 draws nothing; n < 1 with
-    count > 0 raises ValueError, as randrange does."""
-    if n < 1 and count > 0:
-        raise ValueError(f"empty range for randbelow({n})")
-    bits = rng.getrandbits
-    k = n.bit_length()
-    out = []
-    for _ in range(count):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        out.append(r)
-    return out
-
-
 def randint(rng, a: int, b: int) -> int:
     """What rng.randint(a, b) returns; b < a raises ValueError."""
     n = b - a + 1
@@ -356,9 +335,9 @@ def random_map_rows(field: Field, cols: int, rng) -> tuple[tuple[int, ...], ...]
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
     """Uniformly random matrix, driven by a random.Random instance."""
-    flat = randbelow(rng, field.q, rows * cols)
-    return Matrix._of_rows(field, [flat[i * cols:(i + 1) * cols]
-                                   for i in range(rows)], cols)
+    top = field.q - 1
+    return Matrix._of_rows(field, [[randint(rng, 0, top) for _ in range(cols)]
+                                   for _ in range(rows)], cols)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

@@ -38,8 +38,7 @@ from typing import Callable
 from . import bounds
 from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           _check_scheme_params, canonical_codes, default_scheme)
-from .ensemble import (LinearEnsemble, _map_rows, _node_rows,
-                       ensemble_from_codes)
+from .ensemble import LinearEnsemble, _map_rows, ensemble_from_codes
 from .gf import as_count
 from .linalg import Matrix, enumerate_subspaces, random_invertible
 from .mds import VectorCode, verify_mds
@@ -300,7 +299,7 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     pk = ens.packing
     # Each node mapped once; the info downloads' basis grows into H(U, V)'s.
     maps = _map_rows(ens, dict(zip(ens.initial_nodes, scheme.maps)))
-    rows = _node_rows(ens, maps, ens.initial_nodes)
+    rows = {v: ens.times(m, v) for v, m in maps.items()}
     u_rows = [r for v in ens.initial_parities for r in rows[v]]
     downloads = pk.insert([], [r for v in ens.info_nodes for r in rows[v]])
     h_v = len(downloads)

@@ -9,10 +9,12 @@ independence precondition fails are counted separately, never as
 violations.  A random map is drawn as its coefficient rows
 (linalg.random_map_rows), never as a Matrix, and the trials call the
 oracle's row-level cores (ensemble._mi_bound, _min_avg,
-_cond_entropy_final), below the checks that take Matrix maps.  The
-trials draw their node orders and set sizes through linalg.shuffle and
-linalg.randint, which use rng's stream as rng.shuffle and rng.randint
-do, and their coin flips through rng.random.
+_cond_entropy_final; the chains map their nodes through
+LinearEnsemble.times and rank them through _rows_mi), below the checks
+that take Matrix maps.  The trials draw their node orders and set sizes
+through linalg.shuffle and linalg.randint, which use rng's stream as
+rng.shuffle and rng.randint do, and their coin flips through
+rng.random.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
+from . import gf
 from .convertible import canonical_codes, default_scheme
 from .ensemble import (CheckReport, IndependencePreconditionError,
-                       LinearEnsemble, _cond_entropy_final, _download_mi,
-                       _map_rows, _mi_bound, _min_avg, _node_rows,
+                       LinearEnsemble, _cond_entropy_final, _map_rows,
+                       _mi_bound, _min_avg, _rows_mi,
                        check_joint_entropy, check_mds_reconstruction,
                        check_prop_parity_iid, check_stability,
                        check_storage_axioms, corollary1_holds,
@@ -54,7 +57,16 @@ def default_grid(qs: Sequence[int] = DEFAULT_QS,
                  alphas: Sequence[int] = DEFAULT_ALPHAS,
                  max_ni: int = DEFAULT_MAX_NI) -> list[SplitParams]:
     """All constructible grid points: ni capped, q large enough for the
-    layered Reed-Solomon pair."""
+    layered Reed-Solomon pair.  Every q, max_ni and the smallest of each
+    count are checked first, so an input is refused (ValueError) even
+    where the filters would drop every point it makes; an empty axis
+    makes an empty grid."""
+    for q in qs:
+        gf.field(q)
+    gf.as_count(max_ni, "max_ni")
+    counts = (lfs, kfs, rfs, ris, alphas)
+    if all(map(len, counts)):
+        SplitParams(*map(min, counts))
     points = []
     for q, lf, kf, rf, ri, alpha in product(qs, lfs, kfs, rfs, ris, alphas):
         ni = lf * kf + ri
@@ -136,8 +148,9 @@ def corollary_trial(ens: LinearEnsemble, rng: random.Random,
         if s is None:
             return "skipped"
         holds, args = corollary2_holds, (s,)
-    rows = _node_rows(ens, maps, maps)
-    return "ok" if holds(ens, rows, _download_mi(ens, rows), *args) else "violation"
+    rows = {v: ens.times(m, v) for v, m in maps.items()}
+    mi = _rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
+    return "ok" if holds(ens, rows, mi, *args) else "violation"
 
 
 _RANDOM_CHECKS = (
@@ -196,7 +209,8 @@ def _prop3_reports(ens: LinearEnsemble, rng: random.Random) -> dict:
 def verify_instance(p: SplitParams, *, trials: int = 0,
                     seed: int = 0, plant: str | None = None) -> list[dict]:
     """All checks for one parameter point; returns report dicts ordered
-    by check name."""
+    by check name.  trials must be a plain int >= 0 (gf.as_count)."""
+    gf.as_count(trials, "trials")
     rng = random.Random(seed)
     initial, final = canonical_codes(p)
     ens = ensemble_from_codes(p, initial, final)

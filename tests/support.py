@@ -6,8 +6,8 @@ from itertools import combinations
 
 from convertbw.bounds import _ceil_div, entropy_V_lb
 from convertbw.convertible import ConversionScheme
-from convertbw.ensemble import (CheckReport, _download_mi, _map_rows,
-                                _node_rows, corollary1_holds, corollary2_holds)
+from convertbw.ensemble import (CheckReport, _map_rows, _rows_mi,
+                                corollary1_holds, corollary2_holds)
 from convertbw.gf import BinaryField
 from convertbw.linalg import Matrix, rref
 
@@ -88,10 +88,10 @@ def check_corollaries(ens, maps):
     p = ens.params
     nodes = ens.initial_nodes
     zero = Matrix.zeros(ens.field, 0, p.alpha)
-    rows = _node_rows(ens, _map_rows(ens, {v: maps.get(v, zero) for v in nodes}),
-                      nodes)
+    coeffs = _map_rows(ens, {v: maps.get(v, zero) for v in nodes})
+    rows = {v: ens.times(coeffs[v], v) for v in nodes}
     rep = CheckReport("download-mi-chains", p.as_dict())
-    mi = _download_mi(ens, rows)
+    mi = _rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
     for n1 in range(p.ri + 1):
         for s1 in combinations(ens.initial_parities, n1):
             for b1 in range(0, min(p.ri, n1) + 1):

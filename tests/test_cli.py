@@ -196,6 +196,27 @@ def test_verify_empty_grid_warns_and_passes(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--q", "0"], "field order must be >= 2, got 0"),
+    (["--q", "6", "--lf", "3", "--kf", "2", "--ri", "3"], "unsupported field order 6"),
+    (["--max-ni", "-1"], "max_ni must be a nonnegative integer, got -1"),
+    (["--lf", "1", "2"], "split conversion requires lf >= 2, got 1"),
+])
+def test_verify_refuses_inputs_the_grid_filters_would_drop(args, message, capsys):
+    # Each of these once printed [] with an empty-grid warning and exited 0.
+    code, out, err = run_cli(["verify", *args, "--trials", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_verify_grid_of_valid_inputs_that_the_ni_cap_drops_warns(capsys):
+    code, out, err = run_cli(["verify", "--q", "7", "--lf", "9", "--trials", "0"],
+                             capsys)
+    assert code == 0
+    assert json.loads(out) == []
+    assert err == "warning: empty instance grid, zero checks run\n"
+
+
 def test_verify_inapplicable_corruption_warns_and_passes(capsys):
     # duplicate-parity needs ri >= 2, so every instance is skipped.
     code, out, err = run_cli(["verify", "--ri", "1", "--plant-corruption",

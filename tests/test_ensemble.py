@@ -17,7 +17,7 @@ from convertbw.ensemble import (IndependencePreconditionError, LinearEnsemble,
                                 final_parity_node, info_node,
                                 initial_parity_node, mutual_info)
 from convertbw.gf import field
-from convertbw.linalg import Matrix, random_matrix, rank_pair
+from convertbw.linalg import Matrix, random_invertible, random_matrix, rank_pair
 from convertbw.mds import VectorCode, make_systematic_mds
 from convertbw.params import SplitParams
 from convertbw.search import check_scheme_inequalities
@@ -50,6 +50,19 @@ def test_block_counts_forced_by_parameters(small):
     assert len(ens.initial_parities) == 1
     assert len(ens.final_parities) == 2
     assert all(ens.block(v).rows == p.alpha for v in ens.all_nodes())
+
+
+def test_oracle_reads_each_blocks_packed_rows(medium):
+    # The ensemble keeps the rows each block packed (Matrix.packed), so
+    # an ensemble built from another's blocks reuses them.
+    p, ens = medium
+    for v in ens.all_nodes():
+        assert ens.packed(v) is ens.block(v).packed()[1]
+    blocks = {v: ens.block(v) for v in ens.all_nodes()}
+    blocks[final_parity_node(0)] = blocks[initial_parity_node(0)]
+    copied = LinearEnsemble(p, ens.field, blocks)
+    assert copied.packed(final_parity_node(0)) is ens.packed(initial_parity_node(0))
+    assert all(copied.packed(v) is ens.packed(v) for v in ens.info_nodes)
 
 
 def test_info_blocks_stack_to_full_rank(medium):
@@ -376,10 +389,9 @@ def test_corollary2_full_download_reading(medium):
     # S = all data nodes with full downloads: the chain caps MI by
     # (ri/ki) * ki * alpha = ri * alpha.
     p, ens = medium
-    from convertbw.ensemble import (_download_mi, _map_rows, _node_rows,
-                                    corollary2_holds)
-    rows = _node_rows(ens, _map_rows(ens, default_maps(ens)), ens.initial_nodes)
-    mi = _download_mi(ens, rows)
+    from convertbw.ensemble import _map_rows, _rows_mi, corollary2_holds
+    rows = {v: ens.times(m, v) for v, m in _map_rows(ens, default_maps(ens)).items()}
+    mi = _rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
     assert mi <= p.ri * p.alpha
     assert corollary2_holds(ens, rows, mi, list(ens.info_nodes))
 
@@ -397,15 +409,22 @@ def test_stability_values():
 
 
 def test_stability_flags_planted_parity_copy():
-    p, ens = build(2, 2, 1, 2, 1, 7)
-    blocks = {v: ens.block(v) for v in ens.all_nodes()}
-    blocks[final_parity_node(0)] = blocks[initial_parity_node(0)]
-    corrupted = LinearEnsemble(p, ens.field, blocks)
-    rep = check_stability(corrupted)
-    assert not rep.ok
-    kinds = {f["kind"] for f in rep.failures}
-    assert "parity-row-space-coincidence" in kinds
-    assert "final-parity-mi" in kinds
+    # Final parity 0 := initial parity 0, and final parity 1 := T @
+    # initial parity 1 for a random invertible T: the same row space as
+    # another block, not the same rows.  Both lane widths over GF(p) and
+    # GF(2^m).
+    for q in (7, 8, 131):
+        p, ens = build(2, 2, 1, 2, 2, q)
+        blocks = {v: ens.block(v) for v in ens.all_nodes()}
+        blocks[final_parity_node(0)] = blocks[initial_parity_node(0)]
+        t = random_invertible(ens.field, 2, random.Random(q))
+        moved = blocks[final_parity_node(1)] = t @ blocks[initial_parity_node(1)]
+        assert moved != blocks[initial_parity_node(1)]
+        rep = check_stability(LinearEnsemble(p, ens.field, blocks))
+        coincide = [(f["initial"], f["final"]) for f in rep.failures
+                    if f["kind"] == "parity-row-space-coincidence"]
+        assert coincide == [(0, 0), (1, 1)], q
+        assert "final-parity-mi" in {f["kind"] for f in rep.failures}
 
 
 @pytest.mark.parametrize("lf,kf,rf,ri,alpha,q", [
@@ -542,9 +561,8 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
     # rank they use must equal numpy plain elimination of
     # mapped_rows for the same nodes.  Maps are seeded, 0-row ones included.
     from convertbw import ensemble as E
-    from convertbw.ensemble import (_download_mi, corollary1_holds,
-                                    corollary2_holds, mapped_rows,
-                                    random_corollary1_tuple,
+    from convertbw.ensemble import (corollary1_holds, corollary2_holds,
+                                    mapped_rows, random_corollary1_tuple,
                                     random_corollary2_set)
     from plain_elimination import ref_rank
 
@@ -578,11 +596,11 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         maps = {v: random_matrix(fld, rng.randint(0, p.alpha), p.alpha, rng)
                 for v in nodes}
         zero_rows += sum(not m.rows for m in maps.values())
-        rows = E._node_rows(ens, E._map_rows(ens, maps), nodes)
+        rows = {v: ens.times(m, v) for v, m in E._map_rows(ens, maps).items()}
         for size in range(4):
             for sub in combinations(nodes, size):
                 assert h_rows(ens.packing, rows, sub) == ref(maps, sub)
-        mi = _download_mi(ens, rows)
+        mi = rows_mi(ens.packing, rows, ens.initial_parities, ens.info_nodes)
         assert mi == ref_mi(maps, ens.initial_parities, ens.info_nodes)
 
         rng.shuffle(nodes)

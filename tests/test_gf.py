@@ -194,9 +194,12 @@ def test_write_path_product_matches_arr_matmul(q):
         want = f.arr_matmul(np.array(coeffs, dtype=np.int64).reshape(1, len(m)),
                             np.array(m, dtype=np.int64).reshape(len(m), cols))
         assert mat.vecmul(coeffs) == tuple(want[0].tolist())
-        # The packed rows are built on the first product and kept.
+        # The packed rows are built on the first product and kept, as
+        # ints and as bytes.
         packed = mat.packed()
-        assert packed[0] is f.packing(cols) and mat.packed() is packed
+        pk = f.packing(cols)
+        assert packed[0] is pk and mat.packed() is packed
+        assert packed[1:] == (tuple(map(pk.pack, m)), tuple(map(pk.pack_bytes, m)))
 
 
 @pytest.mark.parametrize("q", [251, 8])

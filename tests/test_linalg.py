@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from convertbw.gf import field
+from convertbw.gf import RowPacking, field
 from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
-                              mat_inverse, mat_rank, randbelow, randint,
+                              mat_inverse, mat_rank, randint,
                               rank_pair, random_invertible, random_map_rows,
                               random_matrix, rref, shuffle, solve_left,
                               vstack)
@@ -230,16 +230,16 @@ def test_rows_joining_a_basis_copy_are_the_rows_modulo_it(q):
     assert basis == before
 
 
-def test_randbelow_draws_what_randrange_and_randint_draw():
+def test_random_matrix_draws_what_randrange_draws():
     # Same values and the same use of the stream, so seeded outputs
     # (the verify JSON, the search's parity mixes) do not move.
-    for n in range(1, 257):
-        a, b, c = random.Random(n), random.Random(n), random.Random(n)
-        assert randbelow(a, n, 40) == [b.randrange(n) for _ in range(40)] \
-            == [c.randint(0, n - 1) for _ in range(40)]
-        assert a.getstate() == b.getstate() == c.getstate()
-    assert randbelow(random.Random(0), 5, 0) == []
-    assert randbelow(random.Random(0), 0, 0) == randbelow(random.Random(0), -3, 0) == []
+    for q in SUPPORTED_QS:
+        fld = field(q)
+        for rows, cols in ((5, 8), (0, 3), (3, 0)):
+            a, b = random.Random(q), random.Random(q)
+            assert random_matrix(fld, rows, cols, a).data == tuple(
+                tuple(b.randrange(q) for _ in range(cols)) for _ in range(rows))
+            assert a.getstate() == b.getstate()
 
 
 def test_randint_draws_what_random_randint_draws():
@@ -286,8 +286,6 @@ def test_draws_interleaved_with_random_keep_the_stream():
 
 
 @pytest.mark.parametrize("draw", [
-    lambda rng: randbelow(rng, 0, 1),
-    lambda rng: randbelow(rng, -3, 1),
     lambda rng: randint(rng, 1, 0),
     lambda rng: randint(rng, 5, -5),
     lambda rng: random_map_rows(F5, -1, rng),
@@ -326,6 +324,29 @@ def test_matrix_hash_is_kept_and_matches_equal_matrices():
     assert hash(m) == hash(m) == hash(Matrix(F5, [[1, 2], [3, 4]]))
     assert {m: 1}[Matrix(F5, [[1, 2], [3, 4]])] == 1
     assert hash(Matrix.zeros(F5, 0, 2)) != hash(Matrix.zeros(F5, 0, 3))
+
+
+@pytest.mark.parametrize("q", [7, 131, 8])
+def test_a_matrix_packs_its_rows_once(q, monkeypatch):
+    # Products and eliminations read one cache (Matrix.packed), whichever
+    # of them touches the matrix first.
+    calls = []
+    pack_rows = RowPacking.pack_rows
+
+    def spy(pk, rows):
+        calls.append(rows)
+        return pack_rows(pk, rows)
+
+    monkeypatch.setattr(RowPacking, "pack_rows", spy)
+    fld = field(q)
+    uses = [lambda m: m.packed(), mat_rank, rref,
+            lambda m: rank_pair(m, m), lambda m: m.vecmul([1, 2, 0])]
+    for first in range(len(uses)):
+        m = random_matrix(fld, 3, 4, random.Random(first))
+        calls.clear()
+        for use in uses[first:] + uses[:first]:
+            use(m)
+        assert calls == [m.data]
 
 
 @pytest.mark.parametrize("q", [7, 8])

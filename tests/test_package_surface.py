@@ -1,8 +1,8 @@
 """What the package is made of: every function in src/convertbw has a
 caller there and every class is named there, the write path names no
-part of the row kernel, no module but gf names the lane format, and
-importing the package, or running a command
-that returns no array, leaves numpy unloaded."""
+part of the row kernel, no module but gf names the lane format, no
+module but gf and linalg packs rows, and importing the package, or
+running a command that returns no array, leaves numpy unloaded."""
 
 import ast
 import os
@@ -102,6 +102,26 @@ def test_only_gf_knows_the_lane_format():
         named = {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Attribute)}
         assert not named & LANE_ATTRIBUTES, (path.name, sorted(named & LANE_ATTRIBUTES))
+
+
+# Packing rows: a Matrix packs its own rows once (Matrix.packed), and
+# every other module reads that cache.
+PACKING_NAMES = {"pack", "pack_bytes", "pack_rows"}
+
+
+def test_only_gf_and_linalg_pack_rows():
+    for path in sorted(PKG.glob("*.py")):
+        if path.name in ("gf.py", "linalg.py"):
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.alias):
+                named.update({node.name, node.asname})
+        assert not named & PACKING_NAMES, (path.name, sorted(named & PACKING_NAMES))
 
 
 # Run in a fresh interpreter: pytest and the other tests load numpy.

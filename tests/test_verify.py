@@ -130,6 +130,21 @@ def test_plant_skips_inapplicable_instances():
     assert verify_instance(p, trials=0, seed=0, plant="duplicate-parity") == []
 
 
+@pytest.mark.parametrize("trials", [-3, True, 2.0])
+def test_verify_instance_refuses_trial_counts_that_are_not_counts(trials):
+    # -3 once ran no randomized check and True ran one.
+    with pytest.raises(ValueError, match="trials must be"):
+        verify_instance(SplitParams(2, 1, 1, 1, 1, 5), trials=trials)
+
+
+@pytest.mark.parametrize("grid", [{"qs": (5, 0)}, {"max_ni": -1},
+                                  {"kfs": (0, 1), "max_ni": 0}])
+def test_default_grid_checks_inputs_the_filters_drop(grid):
+    # Each of these once returned the points that survived the filters.
+    with pytest.raises(ValueError):
+        default_grid(**grid)
+
+
 def test_plant_unknown_kind_rejected():
     p = SplitParams(2, 1, 1, 2, 1, 5)
     ens = ensemble_from_codes(p, *canonical_codes(p))
