@@ -286,6 +286,8 @@ def test_draws_interleaved_with_random_keep_the_stream():
 
 
 @pytest.mark.parametrize("draw", [
+    lambda rng: randint(rng, 0, -1),
+    lambda rng: randint(rng, 0, -4),
     lambda rng: randint(rng, 1, 0),
     lambda rng: randint(rng, 5, -5),
     lambda rng: random_map_rows(F5, -1, rng),
