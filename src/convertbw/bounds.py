@@ -25,6 +25,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _piggyback_cost(p: SplitParams, t: int) -> Fraction:
+    """lf*rf*alpha * (t*kf + ri) / (t*rf + ri): bound_II's value when
+    b >= rf, at t = lf - ceil(ri/kf), and the construction cost
+    achievable_decreasing, at t = lf - 1; the two meet when ri <= kf."""
+    return Fraction(p.lf * p.rf * p.alpha) * Fraction(t * p.kf + p.ri,
+                                                      t * p.rf + p.ri)
+
+
 def bound_trivial(p: SplitParams) -> Fraction:
     """Writes alone force lf * min(kf, rf) * alpha downloaded subsymbols."""
     return Fraction(p.lf * min(p.kf, p.rf) * p.alpha)
@@ -46,11 +54,8 @@ def bound_II(p: SplitParams) -> Fraction:
     if not (p.rf < p.ri <= p.ki):
         raise ValueError(
             f"bound_II requires rf < ri <= ki, got ri={p.ri}, ki={p.ki}")
-    b = p.ri % p.kf
-    if b >= p.rf:
-        t = p.lf - _ceil_div(p.ri, p.kf)
-        return Fraction(p.lf * p.rf * p.alpha) * Fraction(t * p.kf + p.ri,
-                                                          t * p.rf + p.ri)
+    if p.ri % p.kf >= p.rf:
+        return _piggyback_cost(p, p.lf - _ceil_div(p.ri, p.kf))
     t = p.ri // p.kf
     return Fraction(p.lf * p.kf * p.alpha) - Fraction(p.lf * p.ri * p.alpha) \
         * Fraction(p.kf - p.rf, (p.lf - t) * p.rf + t * p.kf)
@@ -87,9 +92,7 @@ def achievable_decreasing(p: SplitParams) -> Fraction:
         raise ValueError(
             f"achievable_decreasing requires 1 <= rf < kf and rf < ri, "
             f"got rf={p.rf}, kf={p.kf}, ri={p.ri}")
-    a = p.lf - 1
-    return Fraction(p.lf * p.rf * p.alpha) * Fraction(a * p.kf + p.ri,
-                                                      a * p.rf + p.ri)
+    return _piggyback_cost(p, p.lf - 1)
 
 
 def _classify(p: SplitParams) -> str:

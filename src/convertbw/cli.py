@@ -260,13 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = commands.add_parser("verify", help="run the structural check suite")
-    sp.add_argument("--q", type=int, nargs="+", default=list(verify.DEFAULT_QS))
-    sp.add_argument("--lf", type=int, nargs="+", default=list(verify.DEFAULT_LFS))
-    sp.add_argument("--kf", type=int, nargs="+", default=list(verify.DEFAULT_KFS))
-    sp.add_argument("--rf", type=int, nargs="+", default=list(verify.DEFAULT_RFS))
-    sp.add_argument("--ri", type=int, nargs="+", default=list(verify.DEFAULT_RIS))
-    sp.add_argument("--alpha", type=int, nargs="+",
-                    default=list(verify.DEFAULT_ALPHAS))
+    for name, default in (("q", verify.DEFAULT_QS), ("lf", verify.DEFAULT_LFS),
+                          ("kf", verify.DEFAULT_KFS), ("rf", verify.DEFAULT_RFS),
+                          ("ri", verify.DEFAULT_RIS), ("alpha", verify.DEFAULT_ALPHAS)):
+        sp.add_argument(f"--{name}", type=int, nargs="+", default=list(default))
     sp.add_argument("--max-ni", type=int, default=verify.DEFAULT_MAX_NI)
     sp.add_argument("--trials", type=int, default=100,
                     help="random draws per instance for the inequality checks")

@@ -162,14 +162,12 @@ class LinearEnsemble:
 def _check_code_pair(p: SplitParams, initial: VectorCode,
                      final: VectorCode) -> None:
     """Both codes fit p and share a field, of order p.q when p has one."""
-    if (initial.n, initial.k, initial.alpha) != (p.ni, p.ki, p.alpha):
-        raise ValueError(
-            f"initial code is [{initial.n},{initial.k},{initial.alpha}], "
-            f"expected [{p.ni},{p.ki},{p.alpha}]")
-    if (final.n, final.k, final.alpha) != (p.nf, p.kf, p.alpha):
-        raise ValueError(
-            f"final code is [{final.n},{final.k},{final.alpha}], "
-            f"expected [{p.nf},{p.kf},{p.alpha}]")
+    for side, code, n, k in (("initial", initial, p.ni, p.ki),
+                             ("final", final, p.nf, p.kf)):
+        if (code.n, code.k, code.alpha) != (n, k, p.alpha):
+            raise ValueError(
+                f"{side} code is [{code.n},{code.k},{code.alpha}], "
+                f"expected [{n},{k},{p.alpha}]")
     if initial.field != final.field:
         raise ValueError("initial and final codes use different fields")
     if p.q is not None and initial.field.q != p.q:
@@ -455,18 +453,15 @@ def check_stability(ens: LinearEnsemble) -> CheckReport:
     rep = CheckReport("stability", p.as_dict())
     for t in range(p.lf):
         xs = list(ens.info_of_codeword(t))
-        for yi in ens.initial_parities:
-            got = mutual_info(ens, xs, [yi])
-            if got != 0:
-                rep.failures.append({
-                    "kind": "initial-parity-leak", "codeword": t,
-                    "parity": yi.index, "mi": got, "expected": 0})
-        for yf in ens.final_parities_of_codeword(t):
-            got = mutual_info(ens, xs, [yf])
-            if got != p.alpha:
-                rep.failures.append({
-                    "kind": "final-parity-mi", "codeword": t,
-                    "parity": yf.index, "mi": got, "expected": p.alpha})
+        for kind, parities, expected in (
+                ("initial-parity-leak", ens.initial_parities, 0),
+                ("final-parity-mi", ens.final_parities_of_codeword(t), p.alpha)):
+            for y in parities:
+                got = mutual_info(ens, xs, [y])
+                if got != expected:
+                    rep.failures.append({
+                        "kind": kind, "codeword": t,
+                        "parity": y.index, "mi": got, "expected": expected})
     reduced = ens.packing.reduced
     finals = [(yf, reduced(ens.packed(yf))) for yf in ens.final_parities]
     for yi in ens.initial_parities:
@@ -513,26 +508,17 @@ def check_mds_reconstruction(ens: LinearEnsemble) -> CheckReport:
     kf nodes of a final codeword determine that codeword's data."""
     p = ens.params
     rep = CheckReport("mds-reconstruction", p.as_dict())
-    all_x = list(ens.info_nodes)
-    for na in range(min(p.ri, p.ki) + 1):
-        nb = p.ki - na
-        for aa in combinations(ens.initial_parities, na):
-            for bb in combinations(ens.info_nodes, nb):
-                if cond_entropy(ens, all_x, list(aa) + list(bb)) != 0:
-                    rep.failures.append({
-                        "side": "initial",
-                        "parities": [v.index for v in aa],
-                        "infos": [v.index for v in bb]})
-    for t in range(p.lf):
-        xs = list(ens.info_of_codeword(t))
-        for na in range(min(p.rf, p.kf) + 1):
-            nb = p.kf - na
-            for aa in combinations(ens.final_parities_of_codeword(t), na):
-                for bb in combinations(xs, nb):
+    sides = [({"side": "initial"}, ens.info_nodes, ens.initial_parities)] + [
+        ({"side": "final", "codeword": t}, ens.info_of_codeword(t),
+         ens.final_parities_of_codeword(t)) for t in range(p.lf)]
+    for where, infos, parities in sides:
+        xs = list(infos)
+        for na in range(min(len(parities), len(xs)) + 1):
+            for aa in combinations(parities, na):
+                for bb in combinations(xs, len(xs) - na):
                     if cond_entropy(ens, xs, list(aa) + list(bb)) != 0:
                         rep.failures.append({
-                            "side": "final", "codeword": t,
-                            "parities": [v.index for v in aa],
+                            **where, "parities": [v.index for v in aa],
                             "infos": [v.index for v in bb]})
     return rep
 

@@ -173,10 +173,8 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     never as a nonexistence claim.
 
     A profile with a cut set A whose sum is below need(A) (_CutTable)
-    holds no feasible scheme and is skipped whole.  The table is made
-    once the first profile's walk has failed, so a search that succeeds
-    at once never pays for it.  The rest of a profile's counts come
-    from the parameter-only level table (_level).
+    holds no feasible scheme and is skipped whole.  The rest of a
+    profile's counts come from the parameter-only level table (_level).
 
     In a profile, the fixed slots (dimension 0 or alpha: index 0 only)
     join once, the targets and free slots' menu rows are reduced modulo
@@ -232,15 +230,15 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                 return found
         return None
 
+    need = _CutTable(pk, [ens.packed(v) for v in ens.initial_nodes], targets)
     # Any feasible stack must span the target rows, so levels below the
     # target rank cannot be feasible and are skipped wholesale.
-    need = None
     try:
         for gamma in range(len(targets), cap + 1):
             for profile, schemes, masks, sums, free, left, below in \
                     _level(gamma, slots, p.alpha, sizes):
                 # Cut when need(A) > the profile's sum over A for some A.
-                if need is not None and any(map(gt, map(need.__getitem__, masks), sums)):
+                if any(map(gt, map(need.__getitem__, masks), sums)):
                     skip(schemes)
                     continue
                 fixed = insert([], [
@@ -256,9 +254,6 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
                         on_feasible(scheme)
                     return SearchOutcome("found", gamma=gamma, scheme=scheme,
                                          visited=visited)
-                if need is None:
-                    need = _CutTable(pk, [rows[p.alpha][0] for rows in mapped],
-                                     targets)
     except _VisitCap:
         return SearchOutcome("max-visits", visited=visited)
     return SearchOutcome("max-total-dim", visited=visited)
@@ -312,24 +307,21 @@ def check_scheme_inequalities(ens: LinearEnsemble,
         raise InfeasibleSchemeError("inequality audit needs a feasible scheme")
     gamma = scheme.read_total
     audit = SchemeAudit(gamma=gamma, h_v=h_v, h_u=h_u)
-    audit.items.append({"name": "downloads-cover-new-parities",
-                        "lhs": str(Fraction(h_uv)), "rhs": str(Fraction(h_new)),
-                        "ok": h_uv >= h_new})
+
+    def item(name, lhs, rhs):
+        lhs, rhs = Fraction(lhs), Fraction(rhs)
+        audit.items.append({"name": name, "lhs": str(lhs), "rhs": str(rhs),
+                            "ok": lhs >= rhs})
+
+    item("downloads-cover-new-parities", h_uv, h_new)
     if p.rf < p.kf:
-        lhs = Fraction(p.rf, p.kf) * h_v + h_u
-        rhs = Fraction(p.lf * p.rf * p.alpha)
-        audit.items.append({"name": "parity-download-tradeoff",
-                            "lhs": str(lhs), "rhs": str(rhs), "ok": lhs >= rhs})
-        rhs2 = Fraction(p.kf - p.rf, p.kf) * h_v + p.lf * p.rf * p.alpha
-        audit.items.append({"name": "read-cost-vs-data-entropy",
-                            "lhs": str(Fraction(gamma)), "rhs": str(rhs2),
-                            "ok": Fraction(gamma) >= rhs2})
+        item("parity-download-tradeoff", Fraction(p.rf, p.kf) * h_v + h_u,
+             p.lf * p.rf * p.alpha)
+        item("read-cost-vs-data-entropy", gamma,
+             Fraction(p.kf - p.rf, p.kf) * h_v + p.lf * p.rf * p.alpha)
     if p.rf < p.ri and p.rf < p.kf:
         for t1 in range(1, p.lf + 1):
-            lb = bounds.entropy_V_lb(p, t1)
-            audit.items.append({"name": f"data-download-entropy-theta{t1}",
-                                "lhs": str(Fraction(h_v)), "rhs": str(lb),
-                                "ok": Fraction(h_v) >= lb})
+            item(f"data-download-entropy-theta{t1}", h_v, bounds.entropy_V_lb(p, t1))
     return audit
 
 
@@ -425,15 +417,10 @@ def certify_bound(p: SplitParams, trials: int, budget: SearchBudget | None = Non
             pair = random_mds_pair(p, rng)
             label = f"random-{trial}"
         ens = ensemble_from_codes(p, *pair)
-        audits: list = []
-
-        def audit(scheme: ConversionScheme) -> None:
-            res = check_scheme_inequalities(ens, scheme)
-            audits.append(res)
-
         # The always-feasible re-encoding scheme is audited too.
-        audit(default_scheme(p))
-        outcome = min_bandwidth_exhaustive(ens, budget, on_feasible=audit)
+        audits = [check_scheme_inequalities(ens, default_scheme(p))]
+        outcome = min_bandwidth_exhaustive(ens, budget, on_feasible=lambda s:
+                                           audits.append(check_scheme_inequalities(ens, s)))
         if outcome.found:
             verdict = "sound" if Fraction(outcome.gamma) >= bound else "VIOLATION"
             achieved = outcome.gamma == math.ceil(bound)

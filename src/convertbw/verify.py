@@ -57,14 +57,17 @@ def default_grid(qs: Sequence[int] = DEFAULT_QS,
                  alphas: Sequence[int] = DEFAULT_ALPHAS,
                  max_ni: int = DEFAULT_MAX_NI) -> list[SplitParams]:
     """All constructible grid points: ni capped, q large enough for the
-    layered Reed-Solomon pair.  Every q, max_ni and the smallest of each
-    count are checked first, so an input is refused (ValueError) even
-    where the filters would drop every point it makes; an empty axis
-    makes an empty grid."""
+    layered Reed-Solomon pair.  Every q, max_ni and count value is
+    checked first, and the smallest of each count as a SplitParams, so
+    an input is refused (ValueError) even where the filters would drop
+    every point it makes; an empty axis makes an empty grid."""
     for q in qs:
         gf.field(q)
     gf.as_count(max_ni, "max_ni")
     counts = (lfs, kfs, rfs, ris, alphas)
+    for name, values in zip(("lf", "kf", "rf", "ri", "alpha"), counts):
+        for x in values:
+            gf.as_count(x, name)
     if all(map(len, counts)):
         SplitParams(*map(min, counts))
     points = []

@@ -13,9 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convertbw.convertible import ConversionScheme
-from convertbw.gf import field
-from convertbw.linalg import Matrix
+from convertbw.convertible import ConversionScheme, canonical_codes
+from convertbw.ensemble import (LinearEnsemble, check_cond_entropy_final,
+                                check_mi_bound, check_min_avg,
+                                corollary1_holds, corollary2_holds,
+                                ensemble_from_codes, info_node)
+from convertbw.gf import PrimeField, field
+from convertbw.linalg import Matrix, mat_inverse, vstack
 from convertbw.mds import VectorCode, decode_from, encode, make_systematic_mds
 from convertbw.params import SplitParams
 
@@ -258,3 +262,90 @@ def test_boundary_modules_bind_no_numpy():
     from convertbw import convertible, mds
     for mod in (mds, convertible):
         assert "np" not in vars(mod) and "numpy" not in vars(mod), mod.__name__
+
+
+F7 = field(7)
+ORACLE_P = SplitParams(2, 1, 1, 1, 1, 5)     # ki = 2, ri = 1, alpha = 1
+ORACLE = ensemble_from_codes(ORACLE_P, *canonical_codes(ORACLE_P))
+X0, X1 = info_node(0), info_node(1)
+ONE = Matrix(F5, [[1]])
+
+
+def _wrong_block_shape():
+    blocks = {v: ORACLE.block(v) for v in ORACLE.all_nodes()}
+    blocks[X0] = Matrix(F5, [[1, 0, 0]])
+    LinearEnsemble(ORACLE_P, F5, blocks)
+
+
+def _pair_over_two_fields():
+    ensemble_from_codes(SplitParams(2, 1, 1, 1), make_systematic_mds(3, 2, 1, F5),
+                        make_systematic_mds(2, 1, 1, F7))
+
+
+def _non_mds_pair():
+    # Systematic, but the parity node stores nothing.
+    silent = VectorCode(3, 2, 1, F5, Matrix(F5, [[1, 0, 0], [0, 1, 0]]))
+    ensemble_from_codes(ORACLE_P, silent, make_systematic_mds(2, 1, 1, F5))
+
+
+# (what, call, the error message it raises, as a regex)
+REFUSALS = [
+    ("scheme map with cols != alpha",
+     lambda: ConversionScheme(SCHEME_P, [Matrix(F5, [[1]])] * 3),
+     r"download map has 1 columns, expected 2"),
+    ("scheme map with more than alpha rows",
+     lambda: ConversionScheme(SCHEME_P, [Matrix(F5, [[1, 0], [0, 1], [0, 0]])] * 3),
+     r"download map cannot exceed alpha rows"),
+    ("ensemble block of the wrong shape", _wrong_block_shape,
+     r"block for NodeId\(kind='info', index=0\) has shape \(1, 3\)"),
+    ("code pair over two fields", _pair_over_two_fields,
+     r"initial and final codes use different fields"),
+    ("non-MDS code pair", _non_mds_pair,
+     r"code pair does not satisfy the MDS property"),
+    ("oracle map with cols != alpha",
+     lambda: check_mi_bound(ORACLE, {X0: Matrix(F5, [[1, 0]])}, {X1: ONE}, [], []),
+     r"map for NodeId\(kind='info', index=0\) has 2 columns, expected alpha"),
+    ("mi bound on overlapping sets",
+     lambda: check_mi_bound(ORACLE, {X0: ONE}, {X0: ONE}, [], []),
+     r"node sets A and B must be disjoint"),
+    ("mi bound with D1 outside A",
+     lambda: check_mi_bound(ORACLE, {X0: ONE}, {X1: ONE}, [X1], []),
+     r"need D1 within A and D2 within B"),
+    ("min-avg with a > b",
+     lambda: check_min_avg(ORACLE, [(X0, ONE), (X1, ONE)], 3),
+     r"need 0 <= a <= b, got a=3, b=2"),
+    ("corollary 1 with b1 + b2 != ri",
+     lambda: corollary1_holds(ORACLE, {}, 0, [], [X0], 0, 0),
+     r"inadmissible \(S1, S2, b1, b2\) split"),
+    ("corollary 2 with |S| < ri",
+     lambda: corollary2_holds(ORACLE, {}, 0, []),
+     r"S must have at least ri nodes"),
+    ("cond-entropy split past the last codeword",
+     lambda: check_cond_entropy_final(ORACLE, {}, [2]),
+     r"codeword index out of range"),
+    ("matmul across fields", lambda: Matrix(F5, [[1]]) @ Matrix(F7, [[1]]),
+     r"matrix product across different fields"),
+    ("vstack of nothing", lambda: vstack([]),
+     r"vstack needs at least one matrix"),
+    ("vstack across fields", lambda: vstack([Matrix(F5, [[1]]), Matrix(F7, [[1]])]),
+     r"vstack across different fields"),
+    ("vstack across column counts",
+     lambda: vstack([Matrix(F5, [[1]]), Matrix(F5, [[1, 2]])]),
+     r"column mismatch: 2 != 1"),
+    ("inverse of a non-square matrix", lambda: mat_inverse(Matrix(F5, [[1, 0]])),
+     r"cannot invert non-square matrix \(1, 2\)"),
+    ("generator of the wrong shape",
+     lambda: VectorCode(3, 2, 1, F5, Matrix(F5, [[1, 0], [0, 1]])),
+     r"generator shape \(2, 2\) != \(2, 3\)"),
+    ("node_cols out of range", lambda: CODE.node_cols(4),
+     r"node index 4 out of range \[0, 4\)"),
+    ("PrimeField of a prime power", lambda: PrimeField(9),
+     r"field order 9 is not prime"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in REFUSALS],
+                         ids=[c[0] for c in REFUSALS])
+def test_argument_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

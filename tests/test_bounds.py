@@ -195,6 +195,19 @@ def test_known_achievable_matches_bound_in_tight_regimes():
     assert known_achievable(P(2, 3, 1, 2, 3)) == 10
 
 
+def test_tight_points_are_realized_by_the_construction_formula():
+    # Wherever the report says tight (rf >= kf or ri <= kf), the bound
+    # equals the known construction's cost: in the decreasing regime
+    # that is bound_II and achievable_decreasing agreeing once
+    # ceil(ri/kf) = 1.
+    tight = [rep for rep in sweep_rows(range(2, 6), range(1, 7), range(0, 7),
+                                       range(1, 4)) if rep.tight]
+    assert len(tight) == 5796
+    for rep in tight:
+        assert known_achievable(rep.params) == rep.matching_construction_cost \
+            == rep.value, rep.params
+
+
 # Reference bounds for other conversion shapes.
 
 def test_reference_access_bound():

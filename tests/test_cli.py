@@ -94,6 +94,16 @@ def test_unwritable_out_is_refused_before_the_run(where, tmp_path, capsys,
     assert err == f"error: cannot write --out {path}: {reason}\n"
 
 
+def test_out_that_fails_at_write_time_is_usage_error(tmp_path, capsys):
+    # A 300-character file name in an existing directory passes the
+    # pre-run check; open() then fails (ENAMETOOLONG) after the run.
+    path = tmp_path / ("x" * 300)
+    code, out, err = run_cli(["bound", "--lf", "2", "--kf", "2", "--rf", "1",
+                              "--ri", "5", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {path}: File name too long\n"
+
+
 def test_out_file_is_not_truncated_before_the_run(tmp_path, capsys, monkeypatch):
     def run_suite(*args, **kwargs):
         raise ValueError("stopped")

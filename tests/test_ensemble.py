@@ -427,6 +427,48 @@ def test_stability_flags_planted_parity_copy():
         assert "final-parity-mi" in {f["kind"] for f in rep.failures}
 
 
+def _replaced(ens, new_blocks):
+    """ens with the blocks of new_blocks' nodes replaced."""
+    return LinearEnsemble(ens.params, ens.field, {
+        v: new_blocks.get(v, ens.block(v)) for v in ens.all_nodes()})
+
+
+def test_stability_flags_an_initial_parity_that_copies_an_info_node(medium):
+    # Initial parity 0 := info node 0 leaks one symbol about codeword 0
+    # and nothing about codeword 1; every other fact still holds.
+    _, ens = medium
+    leaky = _replaced(ens, {initial_parity_node(0): ens.block(info_node(0))})
+    assert check_stability(leaky).failures == [
+        {"kind": "initial-parity-leak", "codeword": 0, "parity": 0,
+         "mi": 1, "expected": 0}]
+
+
+def test_deterministic_checks_flag_zeroed_blocks(medium):
+    # Info node 1 and both initial parities zeroed: each check reports
+    # its own failure entries, keys in this order.
+    p, ens = medium
+    zero = Matrix(ens.field, [[0] * p.message_dim])
+    broken = _replaced(ens, {v: zero for v in (
+        info_node(1), initial_parity_node(0), initial_parity_node(1))})
+    assert check_storage_axioms(broken).failures == [
+        {"node": "info:1", "entropy": 0}]
+    assert check_joint_entropy(broken).failures == [
+        {"entropy": 3, "expected": 4}]
+    assert check_stability(broken).failures == [
+        {"kind": "final-parity-mi", "codeword": 0, "parity": 0,
+         "mi": 0, "expected": 1}]
+    initial = [([0], [0, 1, 2]), ([0], [0, 1, 3]), ([0], [1, 2, 3]),
+               ([1], [0, 1, 2]), ([1], [0, 1, 3]), ([1], [1, 2, 3]),
+               ([0, 1], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [0, 3]),
+               ([0, 1], [1, 2]), ([0, 1], [1, 3]), ([0, 1], [2, 3])]
+    failures = check_mds_reconstruction(broken).failures
+    assert failures == [
+        {"side": "initial", "parities": a, "infos": b} for a, b in initial] + [
+        {"side": "final", "codeword": 0, "parities": [0], "infos": [1]}]
+    assert [list(f) for f in failures[-2:]] == [
+        ["side", "parities", "infos"], ["side", "codeword", "parities", "infos"]]
+
+
 @pytest.mark.parametrize("lf,kf,rf,ri,alpha,q", [
     (2, 1, 1, 1, 1, 5), (3, 1, 1, 2, 1, 7), (2, 2, 2, 1, 2, 7),
     (4, 1, 1, 1, 1, 7),

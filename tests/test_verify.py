@@ -128,6 +128,8 @@ def test_plant_parity_copy_fails_stability():
 def test_plant_skips_inapplicable_instances():
     p = SplitParams(2, 2, 1, 1, 1, 5)  # ri = 1: nothing to duplicate
     assert verify_instance(p, trials=0, seed=0, plant="duplicate-parity") == []
+    p = SplitParams(2, 1, 0, 1, 1, 5)  # rf = 0: no final parity to overwrite
+    assert verify_instance(p, trials=0, seed=0, plant="parity-copy") == []
 
 
 @pytest.mark.parametrize("trials", [-3, True, 2.0])
@@ -138,7 +140,8 @@ def test_verify_instance_refuses_trial_counts_that_are_not_counts(trials):
 
 
 @pytest.mark.parametrize("grid", [{"qs": (5, 0)}, {"max_ni": -1},
-                                  {"kfs": (0, 1), "max_ni": 0}])
+                                  {"kfs": (0, 1), "max_ni": 0},
+                                  {"ris": (1, 99.5)}, {"lfs": (2, 9.5)}])
 def test_default_grid_checks_inputs_the_filters_drop(grid):
     # Each of these once returned the points that survived the filters.
     with pytest.raises(ValueError):
