@@ -1,9 +1,10 @@
 """Exact lower bounds on split-mode conversion read bandwidth.
 
 Every function returns a Fraction computed from the integer parameters
-alone; no floating point is used anywhere in this module.  The main
-entry point is theorem_bound, which classifies the parameter point into
-its case, evaluates the matching closed form, and reports the three
+alone; no floating point is used anywhere in this module.  Each bound
+with rf < kf is one tradeoff step applied to a lower bound h on H(V).
+The main entry point is theorem_bound, which classifies the parameter
+point, evaluates the step at data_entropy_lb, and reports the three
 candidate components L1, L2, L3 together with a tightness flag.
 """
 
@@ -21,16 +22,10 @@ REGIME_DECREASING_LOW_MOD = "rF<rI<=kI,b<rF"
 REGIME_RI_GT_KI = "rI>kI,rF<kF"
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _piggyback_cost(p: SplitParams, t: int) -> Fraction:
-    """lf*rf*alpha * (t*kf + ri) / (t*rf + ri): bound_II's value when
-    b >= rf, at t = lf - ceil(ri/kf), and the construction cost
-    achievable_decreasing, at t = lf - 1; the two meet when ri <= kf."""
-    return Fraction(p.lf * p.rf * p.alpha) * Fraction(t * p.kf + p.ri,
-                                                      t * p.rf + p.ri)
+def tradeoff(p: SplitParams, h_v: Fraction | int) -> Fraction:
+    """lf*rf*alpha + (kf - rf)/kf * h_v: the least read cost of a scheme
+    that downloads H(V) = h_v from the data nodes; valid when rf < kf."""
+    return p.lf * p.rf * p.alpha + Fraction(p.kf - p.rf, p.kf) * h_v
 
 
 def bound_trivial(p: SplitParams) -> Fraction:
@@ -39,26 +34,23 @@ def bound_trivial(p: SplitParams) -> Fraction:
 
 
 def bound_I(p: SplitParams) -> Fraction:
-    """lf*kf*alpha - min(ri, ki)*alpha*(kf/rf - 1); needs 1 <= rf < kf."""
+    """The tradeoff step at h = lf*kf*alpha - min(ri, ki)*alpha*kf/rf;
+    needs 1 <= rf < kf."""
     if p.rf < 1 or p.rf >= p.kf:
         raise ValueError(f"bound_I requires 1 <= rf < kf, got rf={p.rf}, kf={p.kf}")
-    return Fraction(p.lf * p.kf * p.alpha) \
-        - min(p.ri, p.ki) * p.alpha * (Fraction(p.kf, p.rf) - 1)
+    return tradeoff(p, p.lf * p.kf * p.alpha
+                    - Fraction(min(p.ri, p.ki) * p.alpha * p.kf, p.rf))
 
 
 def bound_II(p: SplitParams) -> Fraction:
-    """Piecewise bound for 1 <= rf < kf and rf < ri <= ki, split on
-    b = ri mod kf against rf."""
+    """The tradeoff step at h = data_entropy_lb, for 1 <= rf < kf and
+    rf < ri <= ki."""
     if not (1 <= p.rf < p.kf):
         raise ValueError(f"bound_II requires 1 <= rf < kf, got rf={p.rf}, kf={p.kf}")
     if not (p.rf < p.ri <= p.ki):
         raise ValueError(
             f"bound_II requires rf < ri <= ki, got ri={p.ri}, ki={p.ki}")
-    if p.ri % p.kf >= p.rf:
-        return _piggyback_cost(p, p.lf - _ceil_div(p.ri, p.kf))
-    t = p.ri // p.kf
-    return Fraction(p.lf * p.kf * p.alpha) - Fraction(p.lf * p.ri * p.alpha) \
-        * Fraction(p.kf - p.rf, (p.lf - t) * p.rf + t * p.kf)
+    return tradeoff(p, data_entropy_lb(p))
 
 
 def entropy_V_lb(p: SplitParams, theta1: int) -> Fraction:
@@ -75,24 +67,33 @@ def entropy_V_lb(p: SplitParams, theta1: int) -> Fraction:
     return Fraction(p.lf * p.kf * p.alpha) * Fraction(num, num + p.ri)
 
 
+def data_entropy_lb(p: SplitParams) -> Fraction:
+    """h: a lower bound on H(V), the entropy every scheme downloads from
+    the data nodes; needs 1 <= rf < kf.  Past ri > ki it is 0."""
+    if p.rf < 1 or p.rf >= p.kf:
+        raise ValueError(
+            f"data_entropy_lb requires 1 <= rf < kf, got rf={p.rf}, kf={p.kf}")
+    if p.ri <= p.rf:
+        return p.lf * p.kf * p.alpha - Fraction(p.ri * p.alpha * p.kf, p.rf)
+    return max(entropy_V_lb(p, t1) for t1 in range(1, p.lf + 1))
+
+
 def uniform_cost_bound(p: SplitParams) -> Fraction:
-    """The earlier bound derived under per-node-uniform downloads."""
-    if p.rf == 0:
-        return Fraction(0)
-    if p.ri <= p.lf * p.rf:
-        slack = max(Fraction(p.kf, p.rf) - 1, Fraction(0))
-        return Fraction(p.lf * p.kf * p.alpha) - p.ri * p.alpha * slack
-    return Fraction(p.lf * min(p.rf, p.kf) * p.alpha)
+    """The earlier bound derived under per-node-uniform downloads: the
+    tradeoff step at bound_I's h, floored by the writes."""
+    return max(bound_trivial(p), bound_I(p)) if 1 <= p.rf < p.kf else bound_trivial(p)
 
 
 def achievable_decreasing(p: SplitParams) -> Fraction:
-    """Read cost of the known redundancy-decreasing constructions;
-    needs 1 <= rf < kf and rf < ri."""
+    """Read cost lf*rf*alpha * (t*kf + ri) / (t*rf + ri), t = lf - 1, of
+    the known redundancy-decreasing constructions; needs 1 <= rf < kf
+    and rf < ri."""
     if p.rf < 1 or p.rf >= p.kf or p.rf >= p.ri:
         raise ValueError(
             f"achievable_decreasing requires 1 <= rf < kf and rf < ri, "
             f"got rf={p.rf}, kf={p.kf}, ri={p.ri}")
-    return _piggyback_cost(p, p.lf - 1)
+    t = p.lf - 1
+    return Fraction(p.lf * p.rf * p.alpha * (t * p.kf + p.ri), t * p.rf + p.ri)
 
 
 def _classify(p: SplitParams) -> str:
@@ -148,33 +149,21 @@ def known_achievable(p: SplitParams) -> Fraction:
 
 
 def theorem_bound(p: SplitParams) -> BoundReport:
-    """Classify the point and evaluate the main piecewise bound.
+    """Classify the point and evaluate the main bound: the tradeoff step
+    at data_entropy_lb when 1 <= rf < kf, else L3.
 
     The value always equals the maximum of whichever of L1 (bound_II),
     L2 (bound_I), L3 (bound_trivial) are defined at the point.
     """
     l3 = bound_trivial(p)
-    l2 = bound_I(p) if 1 <= p.rf < p.kf else None
-    l1 = bound_II(p) if (1 <= p.rf < p.kf and p.rf < p.ri <= p.ki) else None
-    regime = _classify(p)
-    if regime in (REGIME_DECREASING_HIGH_MOD, REGIME_DECREASING_LOW_MOD):
-        value = l1 if l1 is not None else Fraction(0)
-    elif regime == REGIME_INCREASING:
-        value = l2 if l2 is not None else Fraction(0)  # rf == 0 degenerates
-    else:
-        value = l3
+    chain = 1 <= p.rf < p.kf
+    value = tradeoff(p, data_entropy_lb(p)) if chain else l3
     tight = p.rf >= p.kf or p.ri <= p.kf
-    ach = known_achievable(p)
     return BoundReport(
-        params=p,
-        regime=regime,
-        value=value,
-        L1=l1,
-        L2=l2,
-        L3=l3,
-        tight=tight,
-        matching_construction_cost=ach if tight else None,
-    )
+        params=p, regime=_classify(p), value=value,
+        L1=value if chain and p.rf < p.ri <= p.ki else None,   # = bound_II(p)
+        L2=bound_I(p) if chain else None, L3=l3, tight=tight,
+        matching_construction_cost=known_achievable(p) if tight else None)
 
 
 def dominance_check(p: SplitParams) -> bool:

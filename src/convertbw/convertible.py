@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .ensemble import (LinearEnsemble, _check_code_pair, final_parity_rows,
                        mapped_rows)
@@ -90,6 +90,9 @@ class ConversionScheme:
 
     @classmethod
     def from_json_dict(cls, params: SplitParams, d) -> "ConversionScheme":
+        for key in ("beta", "sigma", "A", "B"):
+            if not isinstance(d, Mapping) or not isinstance(d.get(key), (list, tuple)):
+                raise ValueError(f"scheme JSON must be an object with a list under {key!r}")
         if len(d["A"]) != len(d["beta"]) or len(d["B"]) != len(d["sigma"]):
             raise ValueError("scheme needs one A map per beta entry and "
                              "one B map per sigma entry")

@@ -91,6 +91,9 @@ class VectorCode:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "VectorCode":
+        for key in ("q", "n", "k", "alpha", "generator"):
+            if not isinstance(d, Mapping) or key not in d:
+                raise ValueError(f"code JSON must be an object with a {key!r} entry")
         fld = make_field(as_count(d["q"], "q"))
         n, k, alpha = (as_count(d[key], key) for key in ("n", "k", "alpha"))
         return cls(n, k, alpha, fld, Matrix.from_flat(

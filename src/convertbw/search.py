@@ -283,7 +283,7 @@ def check_scheme_inequalities(ens: LinearEnsemble,
 
     (0)  H(U, V) >= H(all new parity nodes)            (always)
     (i)  (rf/kf) H(V) + H(U) >= lf*rf*alpha            (when rf < kf)
-    (ii) gamma >= ((kf-rf)/kf) H(V) + lf*rf*alpha      (when rf < kf)
+    (ii) gamma >= bounds.tradeoff(p, H(V))             (when rf < kf)
     (iii) H(V) >= entropy_V_lb(theta1) for all theta1  (when rf < ri, rf < kf)
 
     (i) needs rf < kf: with rf >= kf each codeword's parities carry only
@@ -317,8 +317,7 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     if p.rf < p.kf:
         item("parity-download-tradeoff", Fraction(p.rf, p.kf) * h_v + h_u,
              p.lf * p.rf * p.alpha)
-        item("read-cost-vs-data-entropy", gamma,
-             Fraction(p.kf - p.rf, p.kf) * h_v + p.lf * p.rf * p.alpha)
+        item("read-cost-vs-data-entropy", gamma, bounds.tradeoff(p, h_v))
     if p.rf < p.ri and p.rf < p.kf:
         for t1 in range(1, p.lf + 1):
             item(f"data-download-entropy-theta{t1}", h_v, bounds.entropy_V_lb(p, t1))

@@ -4,7 +4,7 @@ tests use, kept out of convertbw."""
 from fractions import Fraction
 from itertools import combinations
 
-from convertbw.bounds import _ceil_div, entropy_V_lb
+from convertbw.bounds import bound_trivial, entropy_V_lb
 from convertbw.convertible import ConversionScheme
 from convertbw.ensemble import (CheckReport, _map_rows, _rows_mi,
                                 corollary1_holds, corollary2_holds)
@@ -36,7 +36,53 @@ def add(f, a, b):
 
 def default_theta1(p):
     """The theta1 choice used by the main bound."""
-    return _ceil_div(p.ri - (p.rf - 1), p.kf)
+    return -(-(p.ri - (p.rf - 1)) // p.kf)
+
+
+# Closed forms of the bounds, written out without convertbw.bounds'
+# tradeoff step: test_chain_matches_the_closed_forms holds the chain to
+# them.
+
+def reference_piggyback_cost(p, t):
+    """lf*rf*alpha * (t*kf + ri) / (t*rf + ri): bound_II's value when
+    b >= rf, at t = lf - ceil(ri/kf), and the construction cost
+    achievable_decreasing, at t = lf - 1."""
+    return Fraction(p.lf * p.rf * p.alpha) * Fraction(t * p.kf + p.ri,
+                                                      t * p.rf + p.ri)
+
+
+def reference_bound_I(p):
+    """lf*kf*alpha - min(ri, ki)*alpha*(kf/rf - 1), for 1 <= rf < kf."""
+    return Fraction(p.lf * p.kf * p.alpha) \
+        - min(p.ri, p.ki) * p.alpha * (Fraction(p.kf, p.rf) - 1)
+
+
+def reference_bound_II(p):
+    """Piecewise bound for 1 <= rf < kf and rf < ri <= ki, split on
+    b = ri mod kf against rf."""
+    if p.ri % p.kf >= p.rf:
+        return reference_piggyback_cost(p, p.lf - -(-p.ri // p.kf))
+    t = p.ri // p.kf
+    return Fraction(p.lf * p.kf * p.alpha) - Fraction(p.lf * p.ri * p.alpha) \
+        * Fraction(p.kf - p.rf, (p.lf - t) * p.rf + t * p.kf)
+
+
+def reference_uniform_cost_bound(p):
+    """The earlier bound derived under per-node-uniform downloads."""
+    if p.rf == 0:
+        return Fraction(0)
+    if p.ri <= p.lf * p.rf:
+        slack = max(Fraction(p.kf, p.rf) - 1, Fraction(0))
+        return Fraction(p.lf * p.kf * p.alpha) - p.ri * p.alpha * slack
+    return Fraction(p.lf * min(p.rf, p.kf) * p.alpha)
+
+
+def reference_theorem_value(p):
+    """The main bound's value, chosen by regime: L2 when ri <= rf, L1
+    when rf < ri <= ki, L3 when rf >= kf or ri > ki, and 0 when rf = 0."""
+    if p.rf == 0 or p.rf >= p.kf or p.ri > p.ki:
+        return bound_trivial(p)
+    return reference_bound_I(p) if p.ri <= p.rf else reference_bound_II(p)
 
 
 def best_entropy_V_lb(p):

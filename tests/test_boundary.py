@@ -341,6 +341,20 @@ REFUSALS = [
      r"node index 4 out of range \[0, 4\)"),
     ("PrimeField of a prime power", lambda: PrimeField(9),
      r"field order 9 is not prime"),
+    ("code json without q",
+     lambda: VectorCode.from_json_dict(
+         {k: v for k, v in CODE.to_json_dict().items() if k != "q"}),
+     r"code JSON must be an object with a 'q' entry"),
+    ("code json as a list", lambda: VectorCode.from_json_dict([1, 2]),
+     r"code JSON must be an object with a 'q' entry"),
+    ("scheme json without A",
+     lambda: ConversionScheme.from_json_dict(
+         SCHEME_P, {"beta": [1, 2], "sigma": [0], "B": [[]]}),
+     r"scheme JSON must be an object with a list under 'A'"),
+    ("scheme json with a scalar A",
+     lambda: ConversionScheme.from_json_dict(
+         SCHEME_P, {"beta": [1, 2], "sigma": [0], "A": 3, "B": [[]]}),
+     r"scheme JSON must be an object with a list under 'A'"),
 ]
 
 

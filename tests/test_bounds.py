@@ -8,12 +8,15 @@ from convertbw.bounds import (REGIME_DECREASING_HIGH_MOD,
                               REGIME_DECREASING_LOW_MOD, REGIME_INCREASING,
                               REGIME_RF_GE_KF, REGIME_RI_GT_KI,
                               achievable_decreasing, bound_I, bound_II,
-                              bound_trivial, dominance_check, entropy_V_lb,
-                              known_achievable, sweep_rows, theorem_bound,
-                              uniform_cost_bound)
+                              bound_trivial, data_entropy_lb, dominance_check,
+                              entropy_V_lb, known_achievable, sweep_rows,
+                              theorem_bound, tradeoff, uniform_cost_bound)
 from convertbw.params import SplitParams
 from support import (best_entropy_V_lb, default_theta1,
-                     reference_access_bound, reference_merge_bound)
+                     reference_access_bound, reference_bound_I,
+                     reference_bound_II, reference_merge_bound,
+                     reference_piggyback_cost, reference_theorem_value,
+                     reference_uniform_cost_bound)
 
 
 def P(lf, kf, rf, ri, alpha=1):
@@ -112,6 +115,48 @@ def test_best_entropy_V_lb_dominates_default_choice():
                     p = P(lf, kf, rf, ri)
                     _, best = best_entropy_V_lb(p)
                     assert best >= entropy_V_lb(p, min(default_theta1(p), lf))
+
+
+# The two-step chain: one tradeoff step at one lower bound on H(V).
+
+def test_tradeoff_and_data_entropy_lb_values():
+    p = P(2, 3, 1, 2, 3)
+    assert tradeoff(p, 0) == 6 and tradeoff(p, 6) == 10
+    assert isinstance(tradeoff(p, 0), F)
+    assert data_entropy_lb(p) == 6
+    assert data_entropy_lb(P(2, 4, 2, 1, 1)) == 6      # ri <= rf: 8 - 1*4/2
+    assert data_entropy_lb(P(2, 2, 1, 5, 1)) == 0      # ri > ki
+
+
+def test_data_entropy_lb_preconditions():
+    with pytest.raises(ValueError, match="1 <= rf < kf, got rf=0, kf=2"):
+        data_entropy_lb(P(2, 2, 0, 1))
+    with pytest.raises(ValueError, match="1 <= rf < kf, got rf=2, kf=2"):
+        data_entropy_lb(P(2, 2, 2, 3))
+
+
+def test_chain_matches_the_closed_forms():
+    # Each bound computed through the tradeoff step equals the closed
+    # form it replaced, on lf 2-6, kf 1-7, rf 0-8, ri 0-2*ki, alpha 1-3.
+    points = 0
+    for lf in range(2, 7):
+        for kf in range(1, 8):
+            for rf in range(9):
+                for ri in range(2 * lf * kf + 1):
+                    for alpha in (1, 2, 3):
+                        p = P(lf, kf, rf, ri, alpha)
+                        points += 1
+                        assert theorem_bound(p).value == reference_theorem_value(p), p
+                        assert uniform_cost_bound(p) == reference_uniform_cost_bound(p), p
+                        if not 1 <= rf < kf:
+                            continue
+                        assert bound_I(p) == reference_bound_I(p), p
+                        if rf < ri <= lf * kf:
+                            assert bound_II(p) == reference_bound_II(p), p
+                        if rf < ri:
+                            assert achievable_decreasing(p) == \
+                                reference_piggyback_cost(p, lf - 1), p
+    assert points == 31185
 
 
 # Regime classification and the assembled report.

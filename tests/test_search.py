@@ -9,7 +9,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from convertbw.bounds import entropy_V_lb
+from convertbw.bounds import (data_entropy_lb, entropy_V_lb, theorem_bound,
+                              tradeoff)
 from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    canonical_codes, check_feasible,
                                    default_scheme)
@@ -486,6 +487,37 @@ def test_scheme_inequalities_reject_infeasible():
     p, ens = build(2, 2, 1, 1, 1, 5)
     with pytest.raises(InfeasibleSchemeError):
         check_scheme_inequalities(ens, empty_scheme(p))
+
+
+# (point, then gamma, H(V), h, slack(ii), slack(iii) on the canonical
+# pair's lex-first optimal scheme)
+GAP_SPLITS = [
+    ((2, 2, 1, 1, 1, 5), (4, 3, 2, "1/2", "1/2")),
+    ((2, 2, 1, 1, 2, 5), (8, 6, 4, 1, 1)),
+    ((2, 2, 1, 2, 2, 7), (6, 4, "8/3", 0, "2/3")),
+    ((2, 3, 2, 2, 2, 8), (12, 8, 6, "4/3", "2/3")),
+    ((2, 3, 1, 2, 2, 8), (10, 6, 4, 2, "4/3")),
+    ((2, 2, 1, 3, 1, 7), (3, 2, 0, 0, 1)),
+    ((2, 2, 1, 3, 2, 7), (6, 4, 0, 0, 2)),
+    ((2, 2, 1, 4, 2, 8), (7, 3, 0, "3/2", "3/2")),
+    ((3, 2, 1, 3, 1, 11), (6, 3, "3/2", "3/2", "3/4")),
+]
+
+
+@pytest.mark.parametrize("point, want", GAP_SPLITS, ids=[str(g[0]) for g in GAP_SPLITS])
+def test_gap_split_is_nonnegative_and_adds_up(point, want):
+    # gamma - bound splits into the tradeoff step's slack, at the
+    # scheme's own H(V), and the H(V) bound's slack; both are >= 0.
+    p, ens = build(*point)
+    out = min_bandwidth_exhaustive(ens, SearchBudget(max_visits=10**10))
+    assert out.found
+    h_v = check_scheme_inequalities(ens, out.scheme).h_v
+    h = data_entropy_lb(p)
+    slack_ii = out.gamma - tradeoff(p, h_v)
+    slack_iii = Fraction(p.kf - p.rf, p.kf) * (h_v - h)
+    assert slack_ii >= 0 and slack_iii >= 0
+    assert slack_ii + slack_iii == out.gamma - theorem_bound(p).value
+    assert (out.gamma, h_v, h, slack_ii, slack_iii) == tuple(map(Fraction, want))
 
 
 def reference_audit(ens, scheme):
