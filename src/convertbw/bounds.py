@@ -3,9 +3,9 @@
 Every function returns a Fraction computed from the integer parameters
 alone; no floating point is used anywhere in this module.  Each bound
 with rf < kf is one tradeoff step applied to a lower bound h on H(V).
-The main entry point is theorem_bound, which classifies the parameter
-point, evaluates the step at data_entropy_lb, and reports the three
-candidate components L1, L2, L3 together with a tightness flag.
+theorem_bound classifies the point, evaluates the step at
+data_entropy_lb, and reports L1, L2, L3, a tightness flag, uniform_cost
+(uniform_cost_bound) and achievable (known_achievable).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _classify(p: SplitParams) -> str:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Classified bound value with its contributing components."""
+    """One point's bound, its components, uniform_cost and achievable."""
 
     params: SplitParams
     regime: str
@@ -120,6 +120,8 @@ class BoundReport:
     L3: Fraction
     tight: bool
     matching_construction_cost: Fraction | None
+    uniform_cost: Fraction
+    achievable: Fraction
 
     def to_json_dict(self) -> dict:
         def rat(x):
@@ -134,6 +136,7 @@ class BoundReport:
             "L3": rat(self.L3),
             "tight": self.tight,
             "matching_construction_cost": rat(self.matching_construction_cost),
+            "uniform_cost": rat(self.uniform_cost), "achievable": rat(self.achievable),
         }
 
 
@@ -159,11 +162,13 @@ def theorem_bound(p: SplitParams) -> BoundReport:
     chain = 1 <= p.rf < p.kf
     value = tradeoff(p, data_entropy_lb(p)) if chain else l3
     tight = p.rf >= p.kf or p.ri <= p.kf
+    ach = known_achievable(p)
     return BoundReport(
         params=p, regime=_classify(p), value=value,
         L1=value if chain and p.rf < p.ri <= p.ki else None,   # = bound_II(p)
         L2=bound_I(p) if chain else None, L3=l3, tight=tight,
-        matching_construction_cost=known_achievable(p) if tight else None)
+        matching_construction_cost=ach if tight else None,
+        uniform_cost=uniform_cost_bound(p), achievable=ach)
 
 
 def dominance_check(p: SplitParams) -> bool:

@@ -26,7 +26,7 @@ from . import bounds, search, verify
 from .convertible import (InfeasibleSchemeError, canonical_codes,
                           default_scheme, run_conversion)
 from .mds import CorruptDataError, decode_from
-from .params import SplitParams, rational_json
+from .params import SplitParams
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -104,11 +104,7 @@ def _add_point_flags(sp) -> None:
 
 def cmd_bound(args, parser) -> int:
     p = _split_params(args, parser, need_q=False)
-    rep = bounds.theorem_bound(p)
-    doc = rep.to_json_dict()
-    doc["uniform_cost"] = rational_json(bounds.uniform_cost_bound(p))
-    doc["achievable"] = rational_json(bounds.known_achievable(p))
-    _dump_json(doc, args.out)
+    _dump_json(bounds.theorem_bound(p).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -153,16 +149,15 @@ def cmd_sweep(args, parser) -> int:
         applicable = [x for x in (rep.L1, rep.L2, rep.L3) if x is not None]
         if rep.value != max(applicable):
             bad += 1
-        if 1 <= p.rf < p.kf and p.rf < p.ri and not bounds.dominance_check(p):
+        # At ri <= ki dominance_check repeats the max check; past ki it adds L3 > L2.
+        if 1 <= p.rf < p.kf and p.ri > p.ki and not bounds.dominance_check(p):
             bad += 1
-        uc = bounds.uniform_cost_bound(p)
-        ach = bounds.known_achievable(p)
         writer.writerow([
             p.lf, p.kf, p.rf, p.ri, p.alpha, rep.regime,
             rep.value.numerator, rep.value.denominator,
             f"{float(rep.value):.6g}",
             _rat_cell(rep.L1), _rat_cell(rep.L2), _rat_cell(rep.L3),
-            int(rep.tight), _rat_cell(uc), _rat_cell(ach),
+            int(rep.tight), _rat_cell(rep.uniform_cost), _rat_cell(rep.achievable),
         ])
     _emit(buf.getvalue(), args.out)
     if bad:

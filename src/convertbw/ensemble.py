@@ -13,8 +13,8 @@ evaluated on linear node contents and linear download maps.
 
 A download map enters as a Matrix with alpha columns, through a public
 entry (check_mi_bound, check_min_avg, check_cond_entropy_final,
-mapped_rows, search.check_scheme_inequalities), which checks its field
-and column count once (_map_rows) and passes its coefficient rows
+mapped_rows, search.check_scheme_inequalities), which checks its node,
+field and column count once (_map_rows) and passes its coefficient rows
 (Matrix.data) inward: inside, a map is those rows, and the cores
 (_mi_bound, _min_avg, _cond_entropy_final) and the verify suite's
 random trials take rows only.  Each block packs its rows once
@@ -242,11 +242,13 @@ def mutual_info(ens: LinearEnsemble, a: Iterable[NodeId],
 def _map_rows(ens: LinearEnsemble,
               maps: Mapping[NodeId, Matrix]) -> dict[NodeId, tuple]:
     """Each map's coefficient rows (Matrix.data), by node.  Every Matrix
-    download map the oracle takes is checked here, once: it must be
-    over the ensemble's field and have alpha columns."""
+    download map the oracle takes is checked here, once: it must be for
+    a node of the ensemble, over its field and have alpha columns."""
     fld, alpha = ens.field, ens.params.alpha
     out = {}
     for v, m in maps.items():
+        if v not in ens._blocks:
+            raise ValueError(f"map for {v}, a node the ensemble does not have")
         if m.cols != alpha:
             raise ValueError(f"map for {v} has {m.cols} columns, expected alpha")
         if m.field is not fld and m.field != fld:
@@ -255,14 +257,23 @@ def _map_rows(ens: LinearEnsemble,
     return out
 
 
+def _need_maps(coeffs: Mapping[NodeId, tuple], nodes: Iterable[NodeId]) -> None:
+    """Refuse the first of nodes that has no map in coeffs."""
+    for v in nodes:
+        if v not in coeffs:
+            raise ValueError(f"no map for {v}")
+
+
 def mapped_rows(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
                 nodes: Iterable[NodeId]) -> Matrix:
     """Download-function output rows for the given nodes: each node v
     contributes maps[v] @ block(v)."""
     coeffs = _map_rows(ens, maps)
+    nodes = sorted(set(nodes))
+    _need_maps(coeffs, nodes)
     unpack = ens.packing.unpack
     return Matrix._of_rows(ens.field, [
-        unpack(r) for v in sorted(set(nodes)) for r in ens.times(coeffs[v], v)],
+        unpack(r) for v in nodes for r in ens.times(coeffs[v], v)],
         ens.params.message_dim)
 
 
@@ -479,7 +490,11 @@ def check_cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
     """H(final parities of S | info downloads of S) splits into the
     per-codeword sum, for any codeword subset S.  Each info node of S is
     mapped once; each term ranks those rows with the final-parity rows."""
-    return _cond_entropy_final(ens, _map_rows(ens, maps), s_set)
+    coeffs, s = _map_rows(ens, maps), list(s_set)
+    # A codeword index out of range is the core's refusal.
+    _need_maps(coeffs, [v for t in s if 0 <= t < ens.params.lf
+                        for v in ens.info_of_codeword(t)])
+    return _cond_entropy_final(ens, coeffs, s)
 
 
 def _cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],

@@ -17,7 +17,7 @@ from convertbw.convertible import ConversionScheme, canonical_codes
 from convertbw.ensemble import (LinearEnsemble, check_cond_entropy_final,
                                 check_mi_bound, check_min_avg,
                                 corollary1_holds, corollary2_holds,
-                                ensemble_from_codes, info_node)
+                                ensemble_from_codes, info_node, mapped_rows)
 from convertbw.gf import PrimeField, field
 from convertbw.linalg import Matrix, mat_inverse, vstack
 from convertbw.mds import VectorCode, decode_from, encode, make_systematic_mds
@@ -267,7 +267,7 @@ def test_boundary_modules_bind_no_numpy():
 F7 = field(7)
 ORACLE_P = SplitParams(2, 1, 1, 1, 1, 5)     # ki = 2, ri = 1, alpha = 1
 ORACLE = ensemble_from_codes(ORACLE_P, *canonical_codes(ORACLE_P))
-X0, X1 = info_node(0), info_node(1)
+X0, X1, X9 = info_node(0), info_node(1), info_node(9)
 ONE = Matrix(F5, [[1]])
 
 
@@ -323,6 +323,18 @@ REFUSALS = [
     ("cond-entropy split past the last codeword",
      lambda: check_cond_entropy_final(ORACLE, {}, [2]),
      r"codeword index out of range"),
+    ("mi bound with a map for an unknown node",
+     lambda: check_mi_bound(ORACLE, {X9: ONE}, {X1: ONE}, [], []),
+     r"map for NodeId\(kind='info', index=9\), a node the ensemble does not have"),
+    ("min-avg with a map for an unknown node",
+     lambda: check_min_avg(ORACLE, [(X9, ONE), (X1, ONE)], 1),
+     r"map for NodeId\(kind='info', index=9\), a node the ensemble does not have"),
+    ("cond-entropy split with a data node unmapped",
+     lambda: check_cond_entropy_final(ORACLE, {X0: ONE}, [1]),
+     r"no map for NodeId\(kind='info', index=1\)"),
+    ("mapped rows of a node without a map",
+     lambda: mapped_rows(ORACLE, {X0: ONE}, [X0, X1]),
+     r"no map for NodeId\(kind='info', index=1\)"),
     ("matmul across fields", lambda: Matrix(F5, [[1]]) @ Matrix(F7, [[1]]),
      r"matrix product across different fields"),
     ("vstack of nothing", lambda: vstack([]),

@@ -138,6 +138,9 @@ def test_data_entropy_lb_preconditions():
 def test_chain_matches_the_closed_forms():
     # Each bound computed through the tradeoff step equals the closed
     # form it replaced, on lf 2-6, kf 1-7, rf 0-8, ri 0-2*ki, alpha 1-3.
+    # The report carries uniform_cost and achievable as their own
+    # functions give them, and at rf < ri <= ki dominance_check agrees
+    # with its value being the largest component (so sweep skips it).
     points = 0
     for lf in range(2, 7):
         for kf in range(1, 8):
@@ -146,13 +149,18 @@ def test_chain_matches_the_closed_forms():
                     for alpha in (1, 2, 3):
                         p = P(lf, kf, rf, ri, alpha)
                         points += 1
-                        assert theorem_bound(p).value == reference_theorem_value(p), p
-                        assert uniform_cost_bound(p) == reference_uniform_cost_bound(p), p
+                        rep = theorem_bound(p)
+                        assert rep.value == reference_theorem_value(p), p
+                        assert rep.uniform_cost == uniform_cost_bound(p) \
+                            == reference_uniform_cost_bound(p), p
+                        assert rep.achievable == known_achievable(p), p
                         if not 1 <= rf < kf:
                             continue
                         assert bound_I(p) == reference_bound_I(p), p
                         if rf < ri <= lf * kf:
                             assert bound_II(p) == reference_bound_II(p), p
+                            assert dominance_check(p) == (
+                                rep.value == max(rep.L1, rep.L2, rep.L3)), p
                         if rf < ri:
                             assert achievable_decreasing(p) == \
                                 reference_piggyback_cost(p, lf - 1), p
@@ -210,6 +218,8 @@ def test_theorem_bound_json_shape():
     assert doc["regime"] == REGIME_DECREASING_HIGH_MOD
     assert doc["tight"] is True
     assert doc["L2"] == {"num": 6, "den": 1}
+    assert doc["uniform_cost"] == {"num": 6, "den": 1}
+    assert doc["achievable"] == {"num": 10, "den": 1}
 
 
 # The uniform-download bound and the achievable construction cost.

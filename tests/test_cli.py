@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +320,25 @@ GOLDEN = [
       "--alpha", "1", "--q", "7", "--trials", "3"],
      "8fca40f1b0cef7b4bd78199ba219e484bbab6809f451fc0e09d3c4580e412103", 0),
 ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_bound_example_is_what_bound_prints(capsys):
+    # The README's bound section shows one command and the JSON it prints.
+    section = README.read_text().split("\n### bound\n", 1)[1].split("\n### ", 1)[0]
+    command = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    shown = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    prog, *args = shlex.split(command)
+    assert prog == "convertbw"
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and json.loads(out) == json.loads(shown)
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("\n```", 1)[0], {})
 
 
 def test_golden_stdout_digests(capsys):

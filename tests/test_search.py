@@ -489,35 +489,65 @@ def test_scheme_inequalities_reject_infeasible():
         check_scheme_inequalities(ens, empty_scheme(p))
 
 
-# (point, then gamma, H(V), h, slack(ii), slack(iii) on the canonical
-# pair's lex-first optimal scheme)
+# (point, pair, then gamma, H(V), h, slack(ii), slack(iii) on the pair's
+# lex-first optimal scheme, and need(data)).  pair is pair_ensemble's:
+# 0 the canonical pair, t the t-th parity mix of certify_bound(seed=0),
+# its random-t.
 GAP_SPLITS = [
-    ((2, 2, 1, 1, 1, 5), (4, 3, 2, "1/2", "1/2")),
-    ((2, 2, 1, 1, 2, 5), (8, 6, 4, 1, 1)),
-    ((2, 2, 1, 2, 2, 7), (6, 4, "8/3", 0, "2/3")),
-    ((2, 3, 2, 2, 2, 8), (12, 8, 6, "4/3", "2/3")),
-    ((2, 3, 1, 2, 2, 8), (10, 6, 4, 2, "4/3")),
-    ((2, 2, 1, 3, 1, 7), (3, 2, 0, 0, 1)),
-    ((2, 2, 1, 3, 2, 7), (6, 4, 0, 0, 2)),
-    ((2, 2, 1, 4, 2, 8), (7, 3, 0, "3/2", "3/2")),
-    ((3, 2, 1, 3, 1, 11), (6, 3, "3/2", "3/2", "3/4")),
+    ((2, 2, 1, 1, 1, 5), 0, (4, 3, 2, "1/2", "1/2", 2)),
+    ((2, 2, 1, 1, 2, 5), 0, (8, 6, 4, 1, 1, 4)),
+    ((2, 2, 1, 2, 2, 7), 0, (6, 4, "8/3", 0, "2/3", 4)),
+    ((2, 3, 2, 2, 2, 8), 0, (12, 8, 6, "4/3", "2/3", 6)),
+    ((2, 3, 1, 2, 2, 8), 0, (10, 6, 4, 2, "4/3", 2)),
+    ((2, 2, 1, 3, 1, 7), 0, (3, 2, 0, 0, 1, 1)),
+    ((2, 2, 1, 3, 2, 7), 0, (6, 4, 0, 0, 2, 2)),
+    ((2, 2, 1, 4, 2, 8), 0, (7, 3, 0, "3/2", "3/2", 0)),
+    ((3, 2, 1, 3, 1, 11), 0, (6, 3, "3/2", "3/2", "3/4", 3)),
+    ((2, 2, 1, 1, 1, 5), 1, (4, 3, 2, "1/2", "1/2", 2)),
+    ((2, 2, 1, 1, 1, 5), 2, (4, 3, 2, "1/2", "1/2", 2)),
+    ((2, 2, 1, 1, 2, 5), 1, (8, 6, 4, 1, 1, 4)),
+    ((2, 2, 1, 1, 2, 5), 2, (8, 6, 4, 1, 1, 4)),
+    ((2, 2, 1, 2, 2, 7), 1, (6, 4, "8/3", 0, "2/3", 4)),
+    ((2, 2, 1, 2, 2, 7), 2, (7, 5, "8/3", "1/2", "7/6", 4)),
+    ((2, 3, 2, 2, 2, 8), 1, (12, 8, 6, "4/3", "2/3", 6)),
+    ((2, 3, 2, 2, 2, 8), 2, (12, 8, 6, "4/3", "2/3", 6)),
+    ((2, 2, 1, 2, 1, 7), 1, (4, 2, "4/3", 1, "1/3", 2)),
+    ((2, 2, 1, 2, 1, 7), 2, (4, 2, "4/3", 1, "1/3", 2)),
+    ((3, 2, 1, 1, 2, 7), 1, (12, 10, 8, 1, 1, 6)),
+    ((3, 2, 1, 1, 2, 7), 2, (12, 10, 8, 1, 1, 6)),
 ]
 
 
-@pytest.mark.parametrize("point, want", GAP_SPLITS, ids=[str(g[0]) for g in GAP_SPLITS])
-def test_gap_split_is_nonnegative_and_adds_up(point, want):
+def data_need(ens):
+    """need(data): the rank of the new parities modulo every initial
+    parity block, the cut table's entry for the set of all data slots."""
+    pk = ens.packing
+    targets = [r for _, r, _ in pk.insert(
+        [], [r for v in ens.final_parities for r in ens.packed(v)])]
+    table = _CutTable(pk, [ens.packed(v) for v in ens.initial_nodes], targets)
+    return table[(1 << ens.params.ki) - 1]
+
+
+@pytest.mark.parametrize("point, pair, want", GAP_SPLITS, ids=[
+    str(point) if pair == 0 else f"{point}-random-{pair}" for point, pair, _ in GAP_SPLITS])
+def test_gap_split_is_nonnegative_and_adds_up(point, pair, want):
     # gamma - bound splits into the tradeoff step's slack, at the
     # scheme's own H(V), and the H(V) bound's slack; both are >= 0.
-    p, ens = build(*point)
+    # need(data) is a per-pair floor: every feasible scheme downloads
+    # H(V) >= need(data), so gamma >= the tradeoff step at need(data).
+    ens = pair_ensemble(point, pair)
+    p = ens.params
     out = min_bandwidth_exhaustive(ens, SearchBudget(max_visits=10**10))
     assert out.found
     h_v = check_scheme_inequalities(ens, out.scheme).h_v
     h = data_entropy_lb(p)
     slack_ii = out.gamma - tradeoff(p, h_v)
     slack_iii = Fraction(p.kf - p.rf, p.kf) * (h_v - h)
+    need = data_need(ens)
     assert slack_ii >= 0 and slack_iii >= 0
     assert slack_ii + slack_iii == out.gamma - theorem_bound(p).value
-    assert (out.gamma, h_v, h, slack_ii, slack_iii) == tuple(map(Fraction, want))
+    assert need <= h_v and out.gamma >= math.ceil(tradeoff(p, need))
+    assert (out.gamma, h_v, h, slack_ii, slack_iii, need) == tuple(map(Fraction, want))
 
 
 def reference_audit(ens, scheme):
