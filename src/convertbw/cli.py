@@ -3,9 +3,11 @@
 Subcommands: bound, verify, simulate, search, sweep.  Exit codes:
 0 success, 1 check or certification failure, 2 usage error, 3 internal
 error (an uncaught exception: one "error: internal:" line, then the
-traceback, on stderr).  Rationals are serialized as {"num": ...,
-"den": ...}; CSV rows carry num/den pairs plus a decimal convenience
-column.  Identical flags and seed give byte-identical output.
+traceback, on stderr).  A command refuses an argument value by raising
+ValueError, which main prints as one "error:" line; argparse's syntax
+errors keep argparse's message.  Rationals are {"num": ..., "den": ...};
+CSV rows carry num/den pairs and a decimal column.  Identical flags
+and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -81,14 +83,10 @@ def _dump_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _split_params(args, parser, need_q: bool) -> SplitParams:
-    q = getattr(args, "q", None)
-    if need_q and q is None:
-        parser.error("this command needs a field order: pass --q")
-    try:
-        return SplitParams(args.lf, args.kf, args.rf, args.ri, args.alpha, q)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _split_params(args, need_q: bool) -> SplitParams:
+    if need_q and args.q is None:
+        raise ValueError("this command needs a field order: pass --q")
+    return SplitParams(args.lf, args.kf, args.rf, args.ri, args.alpha, args.q)
 
 
 def _add_point_flags(sp) -> None:
@@ -102,8 +100,8 @@ def _add_point_flags(sp) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def cmd_bound(args, parser) -> int:
-    p = _split_params(args, parser, need_q=False)
+def cmd_bound(args) -> int:
+    p = _split_params(args, need_q=False)
     _dump_json(bounds.theorem_bound(p).to_json_dict(), args.out)
     return EXIT_OK
 
@@ -114,7 +112,7 @@ def _rat_cell(x: Fraction | None) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     def parse_range(vals, name):
         if vals is None:
             return None
@@ -122,7 +120,7 @@ def cmd_sweep(args, parser) -> int:
             return range(vals[0], vals[0] + 1)
         if len(vals) == 2 and vals[0] <= vals[1]:
             return range(vals[0], vals[1] + 1)
-        parser.error(f"--{name} takes one value or an ascending pair")
+        raise ValueError(f"--{name} takes one value or an ascending pair")
 
     lf_r = parse_range(args.lf, "lf")
     kf_r = parse_range(args.kf, "kf")
@@ -136,7 +134,7 @@ def cmd_sweep(args, parser) -> int:
     n_points = len(rf_r) * len(alpha_r) * sum(
         len(ri_r) if ri_r is not None else 2 * lf * kf for lf in lf_r for kf in kf_r)
     if n_points > args.max_rows:
-        parser.error(f"grid of {n_points} rows exceeds --max-rows {args.max_rows}")
+        raise ValueError(f"grid of {n_points} rows exceeds --max-rows {args.max_rows}")
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -166,9 +164,9 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.trials < 0:
-        parser.error("--trials must be >= 0")
+        raise ValueError("--trials must be >= 0")
     points = verify.default_grid(qs=args.q, lfs=args.lf, kfs=args.kf,
                                  rfs=args.rf, ris=args.ri, alphas=args.alpha,
                                  max_ni=args.max_ni)
@@ -185,10 +183,10 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_simulate(args, parser) -> int:
-    p = _split_params(args, parser, need_q=True)
+def cmd_simulate(args) -> int:
+    p = _split_params(args, need_q=True)
     if args.messages < 1:
-        parser.error("--messages must be >= 1")
+        raise ValueError("--messages must be >= 1")
     rng = random.Random(args.seed)
     initial, final = canonical_codes(p)
     scheme = default_scheme(p)
@@ -218,10 +216,8 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK if failures == 0 and unchanged_ok else EXIT_FAIL
 
 
-def cmd_search(args, parser) -> int:
-    p = _split_params(args, parser, need_q=True)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
+def cmd_search(args) -> int:
+    p = _split_params(args, need_q=True)
     budget = search.SearchBudget(max_total_dim=args.max_dim,
                                  max_visits=args.max_visits)
     reports = search.certify_bound(p, trials=args.trials, budget=budget,
@@ -294,7 +290,7 @@ def main(argv=None) -> int:
     try:
         _threads_cap()
         _check_out(args.out)
-        return args.fn(args, parser)
+        return args.fn(args)
     except (InfeasibleSchemeError, CorruptDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

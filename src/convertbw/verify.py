@@ -58,8 +58,8 @@ def default_grid(qs: Sequence[int] = DEFAULT_QS,
                  max_ni: int = DEFAULT_MAX_NI) -> list[SplitParams]:
     """All constructible grid points: ni capped, q large enough for the
     layered Reed-Solomon pair.  Every q, max_ni and count value is
-    checked first, and the smallest of each count as a SplitParams, so
-    an input is refused (ValueError) even where the filters would drop
+    checked first, and each count combination is built as a SplitParams,
+    so an input is refused (ValueError) even where the filters drop
     every point it makes; an empty axis makes an empty grid."""
     for q in qs:
         gf.field(q)
@@ -68,16 +68,10 @@ def default_grid(qs: Sequence[int] = DEFAULT_QS,
     for name, values in zip(("lf", "kf", "rf", "ri", "alpha"), counts):
         for x in values:
             gf.as_count(x, name)
-    if all(map(len, counts)):
-        SplitParams(*map(min, counts))
-    points = []
-    for q, lf, kf, rf, ri, alpha in product(qs, lfs, kfs, rfs, ris, alphas):
-        ni = lf * kf + ri
-        nf = kf + rf
-        if ni > max_ni or q < max(ni, nf):
-            continue
-        points.append(SplitParams(lf, kf, rf, ri, alpha, q))
-    return points
+    shapes = [SplitParams(*c) for c in product(*counts)]
+    return [SplitParams(p.lf, p.kf, p.rf, p.ri, p.alpha, q)
+            for q in qs for p in shapes
+            if p.ni <= max_ni and q >= max(p.ni, p.nf)]
 
 
 def plant_corruption(ens: LinearEnsemble, kind: str) -> LinearEnsemble | None:

@@ -45,9 +45,7 @@ def test_bound_trivial_regime(capsys):
 
 
 def test_bound_usage_error_names_constraint(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--lf", "1", "--kf", "2", "--rf", "1", "--ri", "1"])
-    assert exc.value.code == 2
+    assert main(["bound", "--lf", "1", "--kf", "2", "--rf", "1", "--ri", "1"]) == 2
     assert "lf >= 2" in capsys.readouterr().err
 
 
@@ -150,19 +148,15 @@ def test_sweep_tight_rows_have_achievable_equal_value(capsys):
 
 
 def test_sweep_row_cap_enforced(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--lf", "2", "5", "--kf", "1", "8", "--rf", "1", "8",
-              "--alpha", "1", "4", "--max-rows", "100"])
-    assert exc.value.code == 2
+    assert main(["sweep", "--lf", "2", "5", "--kf", "1", "8", "--rf", "1", "8",
+                 "--alpha", "1", "4", "--max-rows", "100"]) == 2
 
 
 def test_sweep_row_cap_counts_rows_exactly(capsys):
     # lf = 2 and 3 at kf = 1 have 4 and 6 default ri values: with 8 rf
     # values that is 80 rows, not 8 * 2 * max(2 * lf * kf) = 96.
     args = ["sweep", "--lf", "2", "3", "--kf", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(args + ["--max-rows", "79"])
-    assert exc.value.code == 2
+    assert main(args + ["--max-rows", "79"]) == 2
     assert "grid of 80 rows exceeds --max-rows 79" in capsys.readouterr().err
     code, out, _ = run_cli(args + ["--max-rows", "80"], capsys)
     assert code == 0
@@ -250,9 +244,7 @@ def test_simulate_round_trip(capsys):
 
 
 def test_simulate_requires_q(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1"])
-    assert exc.value.code == 2
+    assert main(["simulate", "--lf", "2", "--kf", "2", "--rf", "1", "--ri", "1"]) == 2
 
 
 def test_search_reports_sound(capsys):
@@ -377,8 +369,44 @@ def test_threads_env_validation(capsys, monkeypatch):
      "--messages", "0"],
 ])
 def test_counts_that_certify_nothing_are_usage_errors(args, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+_POINT = "--lf 2 --kf 2 --rf 1 --ri 1"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bound --lf 1 --kf 2 --rf 1 --ri 1", "split conversion requires lf >= 2, got 1"),
+    (f"bound {_POINT} --q 6", "unsupported field order 6"),
+    ("sweep --lf 2 --kf 0", "kf must be >= 1, got 0"),
+    ("sweep --lf 3 2 --kf 1", "--lf takes one value or an ascending pair"),
+    ("sweep --lf 2 --kf 1 2 3", "--kf takes one value or an ascending pair"),
+    ("sweep --lf 2 3 --kf 1 --max-rows 79", "grid of 80 rows exceeds --max-rows 79"),
+    ("verify --trials -5", "--trials must be >= 0"),
+    # An empty grid never reaches run_suite's own trials check.
+    ("verify --lf 9 --trials -5", "--trials must be >= 0"),
+    ("verify --q 6", "unsupported field order 6"),
+    ("verify --max-ni -1", "max_ni must be a nonnegative integer, got -1"),
+    (f"simulate {_POINT}", "this command needs a field order: pass --q"),
+    (f"simulate {_POINT} --q 5 --messages 0", "--messages must be >= 1"),
+    (f"search {_POINT} --q 5 --trials 0", "trials must be >= 1, got 0"),
+    (f"search {_POINT} --q 5 --max-visits 0", "max_visits must be >= 1, got 0"),
+    (f"search {_POINT} --q 5 --max-dim -1",
+     "max_total_dim must be a nonnegative integer, got -1"),
+    (f"search {_POINT} --q 2", "q=2 too small for the code construction"),
+])
+def test_every_refusal_is_one_error_line(line, message, capsys):
+    code, out, err = run_cli(shlex.split(line), capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", [f"bound {_POINT} --lf x",
+                                  "bound --kf 2 --rf 1 --ri 1"])
+def test_argparse_syntax_errors_keep_argparse_exit(line, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(args)
+        main(shlex.split(line))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
@@ -402,7 +430,7 @@ def test_failed_conversion_or_decode_exits_1(name, patch, message, capsys,
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-def _crash(args, parser):
+def _crash(args):
     raise RuntimeError("planted fault")
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -95,26 +96,40 @@ def test_budget_exhaustion_reported_distinctly():
 
 def reference_search(ens, budget):
     """The enumerator the incremental walk replaced, kept as the plain
-    reference path: one full rank_pair of the whole download stack per
-    scheme, in enumeration order.  Returns (status, gamma, visited,
-    scheme), the fields of the search's SearchOutcome."""
+    reference path, with budget as its caps.  Returns (status, gamma,
+    visited, scheme), the fields of the search's SearchOutcome."""
+    level_ends, (found_gamma, found_at, scheme) = _reference_trace(ens)
+    cap = ens.params.ki * ens.params.alpha
+    if budget.max_total_dim is not None:
+        cap = min(cap, budget.max_total_dim)
+    end = found_at if found_gamma <= cap else level_ends.get(cap, 0)
+    if end > budget.max_visits:
+        return "max-visits", None, budget.max_visits, None
+    if found_gamma <= cap:
+        return "found", found_gamma, found_at, scheme
+    return "max-total-dim", None, end, None
+
+
+@lru_cache(maxsize=None)
+def _reference_trace(ens):
+    """One uncapped pass of the reference enumerator: one full rank_pair
+    of the whole download stack per scheme, in enumeration order, up to
+    the first feasible scheme (the re-encoding scheme is feasible at
+    ki*alpha).  Returns ({gamma: position at which level gamma ends} for
+    the levels before the find, (gamma, position, scheme) of the find)."""
     p = ens.params
     menus = _menus(ens)
     slots = len(ens.initial_nodes)
-    cap = p.ki * p.alpha
-    if budget.max_total_dim is not None:
-        cap = min(cap, budget.max_total_dim)
-    visited = 0
-    for gamma in range(ref_rank(_targets(ens)), cap + 1):
+    level_ends, visited = {}, 0
+    for gamma in range(ref_rank(_targets(ens)), p.ki * p.alpha + 1):
         for profile in _profiles(gamma, slots, p.alpha):
             for combo in _combos(menus, profile):
                 visited += 1
-                if visited > budget.max_visits:
-                    return "max-visits", None, visited - 1, None
                 picks = [menus[d][i] for d, i in zip(profile, combo)]
                 if _feasible(ens, picks):
-                    return "found", gamma, visited, ConversionScheme(p, picks)
-    return "max-total-dim", None, visited, None
+                    return level_ends, (gamma, visited, ConversionScheme(p, picks))
+        level_ends[gamma] = visited
+    raise AssertionError("the re-encoding scheme is always feasible")
 
 
 def _outcome(out):
@@ -184,6 +199,7 @@ def _differential_cases():
             for pt, k, b in cases]
 
 
+@lru_cache(maxsize=None)
 def pair_ensemble(point, pair):
     """The canonical pair (pair 0), the pair-th seeded random pair, or
     the seed-0 random_systematic_pair (pair "free")."""
@@ -226,8 +242,7 @@ def random_systematic_pair(p, rng):
 def test_search_rebuilds_fixed_slots_between_free_ones():
     # Found at gamma 7 in profile (1,1,2,2,1): the full slots 2 and 3
     # join once and take index 0 between the walked free slots 0, 1, 4.
-    p = SplitParams(2, 2, 1, 1, 2, 5)
-    ens = ensemble_from_codes(p, *random_systematic_pair(p, random.Random(0)))
+    ens = pair_ensemble((2, 2, 1, 1, 2, 5), "free")
     got = min_bandwidth_exhaustive(ens, SearchBudget())
     assert _outcome(got) == reference_search(ens, SearchBudget())
     menus = _menus(ens)
@@ -492,7 +507,7 @@ def test_scheme_inequalities_reject_infeasible():
 # (point, pair, then gamma, H(V), h, slack(ii), slack(iii) on the pair's
 # lex-first optimal scheme, and need(data)).  pair is pair_ensemble's:
 # 0 the canonical pair, t the t-th parity mix of certify_bound(seed=0),
-# its random-t.
+# its random-t, and "free" the seed-0 random_systematic_pair.
 GAP_SPLITS = [
     ((2, 2, 1, 1, 1, 5), 0, (4, 3, 2, "1/2", "1/2", 2)),
     ((2, 2, 1, 1, 2, 5), 0, (8, 6, 4, 1, 1, 4)),
@@ -515,6 +530,13 @@ GAP_SPLITS = [
     ((2, 2, 1, 2, 1, 7), 2, (4, 2, "4/3", 1, "1/3", 2)),
     ((3, 2, 1, 1, 2, 7), 1, (12, 10, 8, 1, 1, 6)),
     ((3, 2, 1, 1, 2, 7), 2, (12, 10, 8, 1, 1, 6)),
+    ((2, 2, 1, 1, 1, 5), "free", (3, 2, 2, 0, 0, 2)),
+    ((2, 2, 1, 1, 2, 5), "free", (7, 6, 4, 0, 1, 4)),
+    ((2, 2, 1, 2, 2, 7), "free", (7, 5, "8/3", "1/2", "7/6", 4)),
+    ((2, 3, 2, 2, 2, 8), "free", (11, 9, 6, 0, 1, 7)),
+    ((2, 2, 1, 3, 2, 7), "free", (6, 4, 0, 0, 2, 2)),
+    ((2, 2, 1, 2, 1, 7), "free", (4, 2, "4/3", 1, "1/3", 1)),
+    ((3, 2, 1, 1, 2, 7), "free", (11, 10, 8, 0, 1, 6)),
 ]
 
 
@@ -529,7 +551,8 @@ def data_need(ens):
 
 
 @pytest.mark.parametrize("point, pair, want", GAP_SPLITS, ids=[
-    str(point) if pair == 0 else f"{point}-random-{pair}" for point, pair, _ in GAP_SPLITS])
+    str(point) + ("" if pair == 0 else "-free" if pair == "free" else f"-random-{pair}")
+    for point, pair, _ in GAP_SPLITS])
 def test_gap_split_is_nonnegative_and_adds_up(point, pair, want):
     # gamma - bound splits into the tradeoff step's slack, at the
     # scheme's own H(V), and the H(V) bound's slack; both are >= 0.
