@@ -22,12 +22,13 @@ the oracle and the search), one call per row list: it extends an
 echelon basis by the nonzero remainders of the rows, running the loop
 inline with one set of locals per call.  RowPacking.modulo returns the
 rows that join a copy of a basis, which are the rows modulo its span in
-echelon form (the search's residuals), and RowPacking.reduced the
-reduced row-echelon basis of a span (linalg.rref and solve_left), both
-through insert.  RowPacking.combine, a row vector times a matrix whose
-rows were packed once, serves Matrix.vecmul, through which
-Matrix.matmul, linalg.solve_left and the write path (encode,
-run_conversion, decode_from) multiply.
+echelon form (the search's residuals), RowPacking.reduced the reduced
+row-echelon basis of a span (linalg.rref and solve_left), and
+RowPacking.relations the linear relations of rows modulo a span (the
+search's tight nodes), all through insert.  RowPacking.combine, a row
+vector times a matrix whose rows were packed once, serves
+Matrix.vecmul, through which Matrix.matmul, linalg.solve_left and the
+write path (encode, run_conversion, decode_from) multiply.
 
 Only this module knows the lane format and the layout of a basis
 entry: other modules pack and unpack rows through RowPacking and treat
@@ -144,6 +145,24 @@ class RowPacking:
         for _, r, _ in sorted(self.insert([], rows), reverse=True):
             self.insert(out, [r])   # r is 1 at its pivot, which no row in out has
         return [r for _, r, _ in reversed(out)]
+
+    def relations(self, basis: list, rows) -> tuple[tuple[int, ...], ...]:
+        """The linear relations of rows modulo the span of basis: the
+        reduced row-echelon basis, as element tuples sorted by pivot, of
+        the space of coefficient vectors x with sum_i x[i] * rows[i] in
+        that span.  Row i, with a 1 in lane cols + i, joins a copy of
+        basis in the packing of cols + len(rows) columns, whose first
+        cols lanes are this packing's, so the basis clears them as they
+        are; the rows that join with their pivot past lane cols carry
+        such vectors there and span them (one of them is already
+        reduced, 1 at its pivot).  basis is left as it was."""
+        low = self.bits * self.cols
+        wide = self.field.packing(self.cols + len(rows))
+        joined = wide.insert(list(basis), [x | 1 << low + self.bits * i
+                                           for i, x in enumerate(rows)])[len(basis):]
+        found = [x >> low for shift, x, _ in joined if shift >= low]
+        coeffs = self.field.packing(len(rows))
+        return tuple(map(coeffs.unpack, coeffs.reduced(found) if len(found) > 1 else found))
 
     def combine(self, coeffs, rows) -> int:
         """sum_j coeffs[j] * row j, the rows given as bytes; coeffs of

@@ -41,7 +41,8 @@ as randrange does.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .gf import Field, RowPacking
 
@@ -280,6 +281,17 @@ def enumerate_subspaces(dim_ambient: int, field: Field,
                 a[i][c] = v
             out.append(Matrix._of_rows(field, a, n))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def subspace_index(dim_ambient: int, field: Field,
+                   dim_sub: int) -> Mapping[tuple, int]:
+    """The index of each subspace in enumerate_subspaces(dim_ambient,
+    field, dim_sub), keyed by its canonical basis (the entry's data, the
+    rows rref returns for any basis of it): a read-only mapping, built
+    once per (dim_ambient, field, dim_sub) and shared."""
+    return MappingProxyType({m.data: i for i, m in enumerate(
+        enumerate_subspaces(dim_ambient, field, dim_sub))})
 
 
 def randint(rng, a: int, b: int) -> int:

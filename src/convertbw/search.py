@@ -14,16 +14,21 @@ and only the free ones are walked, cutting branches by a rank bound (see
 min_bandwidth_exhaustive).  Both keep the new parities modulo what is
 downloaded as a residual in echelon form, the rows that join a copy
 of the downloaded basis (RowPacking.modulo), so its row count is its
-rank.  `visited` is a position in the enumeration order, cut profiles
-and branches included, not a count of evaluations.
+rank.  At a tight node, where that rank equals what the remaining free
+slots can add, one solve (RowPacking.relations) gives the only menu
+entries whose children can pass the bound, and the rest are skipped by
+count, as the bound would skip them.  `visited` is a position in the
+enumeration order, cut profiles and branches included, not a count of
+evaluations, so neither it nor the order changes with what is skipped.
 
 What depends on the parameters alone is built once and shared by every
-code pair searched: the subspace menus (linalg.enumerate_subspaces) and
-one level table per download total (_level: each profile with its scheme
-count, the sets of slots the cut table tests and the walk's free slots
-and counts), in bounded caches of tuples.  certify_bound takes the
-canonical pair and the default scheme from the bounded caches of
-convertbw.convertible.
+code pair searched: the subspace menus (linalg.enumerate_subspaces),
+the index of each menu entry (linalg.subspace_index), the entries
+inside a span (_subspaces_within) and one level table per download
+total (_level: each profile with its scheme count, the sets of slots
+the cut table tests and the walk's free slots and counts), in bounded
+caches of immutable values.  certify_bound takes the canonical pair
+and the default scheme from the bounded caches of convertbw.convertible.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from .convertible import (ConversionScheme, InfeasibleSchemeError,
                           _check_scheme_params, canonical_codes, default_scheme)
 from .ensemble import LinearEnsemble, _map_rows, ensemble_from_codes
 from .gf import as_count
-from .linalg import Matrix, enumerate_subspaces, random_invertible
+from .linalg import (Matrix, enumerate_subspaces, random_invertible, rref,
+                     subspace_index)
 from .mds import VectorCode, verify_mds
 from .params import SplitParams, rational_json
 
@@ -159,6 +165,21 @@ def _level(gamma: int, slots: int, alpha: int, sizes: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _subspaces_within(alpha: int, fld, d: int, w: tuple) -> tuple[int, ...]:
+    """The indices in enumerate_subspaces(alpha, fld, d), ascending, of
+    the subspaces inside the span of w, a canonical basis (rref rows):
+    each d-subspace of GF(q)^len(w) times w, looked up in
+    linalg.subspace_index.  That is none when len(w) < d, w's own entry
+    when len(w) = d, and every entry when w is the whole space."""
+    if len(w) < d:
+        return ()
+    span = Matrix._of_rows(fld, w, alpha)
+    index = subspace_index(alpha, fld, d)
+    return tuple(sorted(index[rref(t @ span).data]
+                        for t in enumerate_subspaces(len(w), fld, d)))
+
+
 class _VisitCap(Exception):
     """The walk reached SearchBudget.max_visits."""
 
@@ -178,28 +199,45 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
 
     In a profile, the fixed slots (dimension 0 or alpha: index 0 only)
     join once, the targets and free slots' menu rows are reduced modulo
-    their rows once, and only the free slots are walked, depth first in
-    product order.  Each depth carries the echelon basis of the rows
-    downloaded so far and the residual targets, zero at its pivots and
-    in echelon form; a visit takes the residual modulo only the rows
-    that joined (RowPacking.modulo), and a subtree is skipped when the
-    residual has more rows, its rank, than the remaining free slots can
-    add.  Skipped profiles and subtrees still count in `visited`, the
-    position in the full enumeration order.
+    their rows (a menu entry on its first use), and only the free slots
+    are walked, depth first in product order.  Each depth carries the
+    echelon basis of the rows downloaded so far and the residual
+    targets, zero at its pivots and in echelon form; a visit takes the
+    residual modulo only the rows that joined (RowPacking.modulo), and a
+    subtree is skipped when the residual has more rows, its rank, than
+    the remaining free slots can add.
+
+    A node is tight when the residual has exactly that many rows.  Each
+    remaining free slot must then cut its rank by its dimension d, so a
+    child passes the bound only if its subspace S lies in W, the x with
+    x times the slot's block rows in span(fixed, basis, residual), and
+    its d rows join the basis.  A tight node finds W by one solve
+    (RowPacking.relations) and walks only the entries inside it, in
+    index order (_subspaces_within).  Each other entry's child would have
+    at least one residual row too many, so the bound would skip its
+    subtree; the walk skips it by the same count at the same place,
+    a run of such entries in one step.  A child that passes is tight in
+    the same span, so the nodes of a tight chain share it and solve
+    once per depth, and need no residual: at the last depth it is
+    empty.
+
+    Skipped profiles, subtrees and entries still count in `visited`,
+    the position in the full enumeration order, so the order, every
+    budget stop and the scheme found are those of the walk that tries
+    every entry.
     """
     p = ens.params
-    pk = ens.packing
-    insert, modulo = pk.insert, pk.modulo
-    subspaces = [enumerate_subspaces(p.alpha, ens.field, d) for d in range(p.alpha + 1)]
+    pk, fld, alpha = ens.packing, ens.field, p.alpha
+    insert, modulo, relations = pk.insert, pk.modulo, pk.relations
+    subspaces = [enumerate_subspaces(alpha, fld, d) for d in range(alpha + 1)]
     sizes = tuple(map(len, subspaces))
-    # Slot s is node s of the initial codeword; mapped[s][d][i]: the rows
-    # of subspace i of dimension d applied to its node block, packed.
-    mapped = [[[ens.times(m.data, v) for m in subs] for subs in subspaces]
-              for v in ens.initial_nodes]
-    slots = len(mapped)
+    # Slot s is node s of the initial codeword, its block rows blocks[s].
+    nodes = ens.initial_nodes
+    blocks = [ens.packed(v) for v in nodes]
+    slots = len(nodes)
     # The echelon rows of the new parities: the walk's targets (same span).
     targets = modulo([], [r for v in ens.final_parities for r in ens.packed(v)])
-    cap = p.ki * p.alpha
+    cap = p.ki * alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
     visited = 0
@@ -211,41 +249,88 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
             raise _VisitCap
         visited += schemes
 
+    def rows_of(depth, s, i):
+        # The rows of free slot s's subspace i applied to its block,
+        # modulo the fixed rows: made on first use and kept for the
+        # profile in menus[depth].
+        rows = menus[depth][i]
+        if rows is None:
+            rows = menus[depth][i] = modulo(fixed, ens.times(
+                subspaces[profile[s]][i].data, nodes[s]))
+        return rows
+
     def walk(depth, basis, residual, combo):
-        # menus[j]: free slot j's rows modulo the fixed rows; free, left
-        # and below come from the profile's level table entry.  combo
-        # holds index 0 at every fixed slot.
+        # free, left and below come from the profile's level table
+        # entry; combo holds index 0 at every fixed slot.
         if depth == len(menus):
             skip(1)
             return None if residual else combo
         if len(residual) > left[depth]:
             skip(below[depth])
             return None
-        for i, rows in enumerate(menus[depth]):
-            new_basis = insert(list(basis), rows)
-            joined = new_basis[len(basis):]
-            combo[free[depth]] = i
-            found = walk(depth + 1, new_basis, modulo(joined, residual), combo)
+        if len(residual) == left[depth]:
+            # The residual rows, already in echelon form, become basis
+            # entries as they are.
+            return tight(depth, basis, combo, fixed + basis + insert([], residual),
+                         [None] * len(menus))
+        s = free[depth]
+        for i in range(len(menus[depth])):
+            new_basis = insert(list(basis), rows_of(depth, s, i))
+            combo[s] = i
+            found = walk(depth + 1, new_basis, modulo(new_basis[len(basis):], residual),
+                         combo)
             if found is not None:
                 return found
         return None
 
-    need = _CutTable(pk, [ens.packed(v) for v in ens.initial_nodes], targets)
+    def tight(depth, basis, combo, span, chain):
+        # A node of a tight chain: span is the echelon basis of
+        # span(fixed, basis, residual), the same at every node of the
+        # chain, and chain[j] the entries at depth j inside w, the x
+        # whose x times slot free[j]'s block lies in it (found on first
+        # use).  The residual is not carried: at the last depth it is
+        # empty.
+        if depth == len(menus):
+            skip(1)
+            return combo
+        s = free[depth]
+        d = profile[s]
+        entries = chain[depth]
+        if entries is None:
+            entries = chain[depth] = _subspaces_within(alpha, fld, d,
+                                                       relations(span, blocks[s]))
+        child = below[depth + 1] if depth + 1 < len(menus) else 1
+        counted = 0
+        for i in entries:
+            if i > counted:
+                skip((i - counted) * child)
+            counted = i + 1
+            new_basis = insert(list(basis), rows_of(depth, s, i))
+            if len(new_basis) - len(basis) < d:
+                skip(child)
+                continue
+            combo[s] = i
+            found = tight(depth + 1, new_basis, combo, span, chain)
+            if found is not None:
+                return found
+        if counted < len(menus[depth]):
+            skip((len(menus[depth]) - counted) * child)
+        return None
+
+    need = _CutTable(pk, blocks, targets)
     # Any feasible stack must span the target rows, so levels below the
     # target rank cannot be feasible and are skipped wholesale.
     try:
         for gamma in range(len(targets), cap + 1):
             for profile, schemes, masks, sums, free, left, below in \
-                    _level(gamma, slots, p.alpha, sizes):
+                    _level(gamma, slots, alpha, sizes):
                 # Cut when need(A) > the profile's sum over A for some A.
                 if any(map(gt, map(need.__getitem__, masks), sums)):
                     skip(schemes)
                     continue
-                fixed = insert([], [
-                    r for s, d in enumerate(profile) if sizes[d] == 1
-                    for r in mapped[s][d][0]])
-                menus = [[modulo(fixed, rows) for rows in mapped[s][profile[s]]]
-                         for s in free]
+                fixed = insert([], [r for s, d in enumerate(profile) if d == alpha
+                                    for r in blocks[s]])
+                menus = [[None] * sizes[profile[s]] for s in free]
                 combo = walk(0, [], modulo(fixed, targets), [0] * slots)
                 if combo is not None:
                     scheme = ConversionScheme(p, tuple(

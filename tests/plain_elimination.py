@@ -76,3 +76,21 @@ def ref_basis(field, rows):
             inv = field.inv(r[nonzero[0]])
             basis.append((nonzero[0], [field.mul(inv, x) for x in r]))
     return basis
+
+
+def ref_relations(field, cols, basis, rows):
+    """The reduced row-echelon basis, as row tuples, of the x with
+    sum_i x[i] * rows[i] in the row space of basis (rows of cols
+    elements): the rows of the reduced form of [basis | 0; rows | I]
+    whose pivots lie past column cols, cut to their last len(rows)
+    entries."""
+    n, k = len(rows), len(basis)
+    a = np.zeros((k + n, cols + n), dtype=np.int64)
+    if k:
+        a[:k, :cols] = basis
+    if n:
+        a[k:, :cols] = rows
+        a[k:, cols:] = np.eye(n, dtype=np.int64)
+    reduced, pivots = ref_echelon(field, a)
+    return tuple(tuple(int(v) for v in r[cols:])
+                 for r, c in zip(reduced, pivots) if c >= cols)

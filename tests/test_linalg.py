@@ -1,6 +1,7 @@
 """Matrix machinery tests: rank, span, canonical forms, subspace menus."""
 
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
                               mat_inverse, mat_rank, randint,
                               rank_pair, random_invertible, random_map_rows,
                               random_matrix, rref, shuffle, solve_left,
-                              vstack)
-from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_rref,
-                               ref_solve_left)
-from support import gaussian_binomial, sub
+                              subspace_index, vstack)
+from plain_elimination import (ref_basis, ref_inverse, ref_rank, ref_relations,
+                               ref_rref, ref_solve_left)
+from support import add, gaussian_binomial, sub
 
 F5 = field(5)
 F2 = field(2)
@@ -463,6 +464,77 @@ def test_matrix_copies_input_and_exports_read_only():
         out[0, 0] = 0
     assert Matrix.zeros(F5, 0, 3).array.shape == (0, 3)
     assert Matrix.zeros(F5, 3, 0).array.shape == (3, 0)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 16, 131])
+def test_relations_match_plain_elimination(q):
+    # The linear relations of rows modulo a basis's span (the search's
+    # tight-node solve), over 8-bit prime lanes, XOR lanes and the 16-bit
+    # lanes of GF(131): an empty basis, a partial and a full one; no
+    # rows, zero rows, rows of q - 1, rows in the span, rank-deficient
+    # and random rows.  Each must equal numpy elimination's and leave the
+    # basis as it was.
+    fld = field(q)
+    rng = random.Random(q)
+    cols, top = 7, q - 1
+    pk = fld.packing(cols)
+    bases = [Matrix.zeros(fld, 0, cols), _random_of_rank(fld, 4, cols, 3, rng),
+             random_matrix(fld, 2, cols, rng), Matrix.identity(fld, cols)]
+    for b in bases:
+        basis = pk.insert([], [pk.pack(r) for r in b.data])
+        before = list(basis)
+        row_sets = [Matrix.zeros(fld, 0, cols), Matrix.zeros(fld, 2, cols),
+                    Matrix(fld, [[top] * cols] * 3),
+                    random_matrix(fld, 3, b.rows, rng) @ b if b.rows else
+                    Matrix.zeros(fld, 3, cols),
+                    _random_of_rank(fld, 3, cols, 2, rng),
+                    vstack([random_matrix(fld, 2, cols, rng),
+                            random_matrix(fld, 1, b.rows, rng) @ b if b.rows else
+                            Matrix.zeros(fld, 1, cols)]),
+                    random_matrix(fld, 1, cols, rng), random_matrix(fld, 3, cols, rng)]
+        for m in row_sets:
+            rows = [pk.pack(r) for r in m.data]
+            got = pk.relations(basis, rows)
+            assert got == ref_relations(fld, cols, b.data, m.data)
+            assert basis == before
+            if not m.rows:
+                assert got == ()
+                continue
+            # Linear: rows moved by elements of the span keep their
+            # relations, and rows t @ m have the relations w @ t^-1.
+            moved = Matrix(fld, add(fld, m.array, (random_matrix(fld, m.rows, b.rows, rng)
+                                                   @ b).array)) if b.rows else m
+            assert pk.relations(basis, [pk.pack(r) for r in moved.data]) == got
+            t = random_invertible(fld, m.rows, rng)
+            want = rref(Matrix(fld, got) @ mat_inverse(t)).data if got else ()
+            assert pk.relations(basis, [pk.pack(r) for r in (t @ m).data]) == want
+            assert basis == before
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_subspace_index_maps_each_basis_to_its_entry(alpha, q):
+    # Each enumerate_subspaces entry maps back to its own index, and so
+    # does the canonical form of a random other basis of it.
+    fld = field(q)
+    rng = random.Random(10 * q + alpha)
+    for d in range(alpha + 1):
+        subs = enumerate_subspaces(alpha, fld, d)
+        index = subspace_index(alpha, fld, d)
+        assert len(index) == len(subs)
+        for i, m in enumerate(subs):
+            assert index[m.data] == i
+            other = random_invertible(fld, d, rng) @ m
+            assert index[rref(other).data] == i
+
+
+def test_subspace_index_is_shared_and_immutable():
+    index = subspace_index(2, F5, 1)
+    assert index is subspace_index(2, F5, 1)
+    assert type(index) is MappingProxyType
+    with pytest.raises(TypeError):
+        index[((1, 0),)] = 1
+    assert index[((1, 0),)] == 0
 
 
 def test_subspace_count_examples():

@@ -17,14 +17,15 @@ from convertbw.convertible import (ConversionScheme, InfeasibleSchemeError,
                                    default_scheme)
 from convertbw.ensemble import ensemble_from_codes
 from convertbw.gf import field
-from convertbw.linalg import (Matrix, enumerate_subspaces, random_matrix,
-                              rank_pair, vstack)
+from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
+                              random_matrix, rank_pair, subspace_index, vstack)
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
-from convertbw.search import (SearchBudget, _CutTable, _level, certify_bound,
-                              check_scheme_inequalities,
+from convertbw.search import (SearchBudget, _CutTable, _level, _subspaces_within,
+                              certify_bound, check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
 from plain_elimination import ref_rank
+from plain_walk import plain_walk
 from support import empty_scheme, from_maps
 
 
@@ -264,6 +265,88 @@ def test_deep_uncapped_search_is_pinned():
     assert check_feasible(ens, got.scheme)
 
 
+UNCAPPED = SearchBudget(max_visits=10**15)
+
+
+@lru_cache(maxsize=None)
+def plain_trace(point, pair, budget=UNCAPPED):
+    """The outcome of the menu-by-menu walk (tests/plain_walk.py) on
+    pair_ensemble(point, pair), and its record of the tight nodes."""
+    tight = []
+    out = plain_walk(pair_ensemble(point, pair), budget, tight)
+    return _outcome(out), tight
+
+
+# Larger q, where a tight node skips most of a menu by count: the
+# canonical pair and one random parity mix at each alpha = 2 point, over
+# prime fields and GF(16), and the canonical pair at alpha = 3.
+TIGHT_CASES = [(pt, pair) for pt in [(2, 2, 1, 2, 2, 13), (2, 2, 1, 2, 2, 17),
+                                     (2, 2, 1, 1, 2, 31), (2, 3, 2, 2, 2, 13),
+                                     (2, 2, 1, 3, 2, 8), (2, 2, 1, 2, 2, 16)]
+               for pair in (0, 1)] + [((2, 2, 1, 2, 3, 7), 0)]
+
+
+@pytest.mark.parametrize("point,pair", TIGHT_CASES)
+def test_tight_node_step_matches_the_plain_walk(point, pair):
+    got = min_bandwidth_exhaustive(pair_ensemble(point, pair), UNCAPPED)
+    assert _outcome(got) == plain_trace(point, pair)[0]
+
+
+def _capped_runs(tight):
+    """Caps at the first tight node (in the plain walk's record) with
+    two or more entries the rank bound rejects right before one it
+    passes: inside that run, at its end and on the entry after it; and
+    inside the first run of two or more rejected entries that ends a
+    tight node's menu after an entry that passes."""
+    before = after = None
+    for start, entries in tight:
+        ends = [start] + [end for _, end, _ in entries]
+        pruned = [p for _, _, p in entries]
+        for k in range(2, len(entries)):
+            if before is None and pruned[k - 2] and pruned[k - 1] and not pruned[k]:
+                a = k - 1
+                while a and pruned[a - 1]:
+                    a -= 1
+                before = [ends[a] + 1, ends[k] - 1, ends[k], ends[k] + 1]
+        tail = len(entries)
+        while tail and pruned[tail - 1]:
+            tail -= 1
+        if after is None and tail and len(entries) - tail >= 2:
+            after = [ends[tail] + 1, ends[-1] - 1]
+    assert before is not None and after is not None
+    return before + after
+
+
+# The alpha = 3 point's tight nodes begin at visit 975,691,013, and its
+# trace stops soon after, at 976,000,000.
+@pytest.mark.parametrize("point,pair,budget", [
+    ((2, 2, 1, 2, 2, 13), 1, UNCAPPED), ((2, 2, 1, 2, 2, 16), 1, UNCAPPED),
+    ((2, 2, 1, 1, 3, 5), 0, SearchBudget(max_visits=976_000_000))])
+def test_tight_node_skips_stop_where_the_plain_walk_stops(point, pair, budget):
+    # A cap inside a batch of entries skipped by count stops the search
+    # at the cap, as the plain walk's entry-by-entry skips do; a cap on
+    # the entry after the batch stops it inside that entry's subtree.
+    ens = pair_ensemble(point, pair)
+    for cap in _capped_runs(plain_trace(point, pair, budget)[1]):
+        capped = SearchBudget(max_visits=cap)
+        assert _outcome(min_bandwidth_exhaustive(ens, capped)) == \
+            _outcome(plain_walk(ens, capped)), cap
+
+
+@pytest.mark.parametrize("alpha,q", [(1, 5), (2, 2), (2, 5), (3, 2), (3, 3), (3, 4)])
+def test_subspaces_within_a_span_are_the_entries_inside_it(alpha, q):
+    # The tight-node step's entries for every span w and dimension d:
+    # none when w is smaller, w itself, the lines of a plane, and every
+    # entry when w is the whole space.
+    fld = field(q)
+    for k in range(alpha + 1):
+        for w in enumerate_subspaces(alpha, fld, k):
+            for d in range(alpha + 1):
+                assert _subspaces_within(alpha, fld, d, w.data) == tuple(
+                    i for i, s in enumerate(enumerate_subspaces(alpha, fld, d))
+                    if in_span(s, w))
+
+
 def _sizes(q, alpha):
     """The number of canonical subspaces of each dimension d <= alpha."""
     return tuple(len(enumerate_subspaces(alpha, field(q), d)) for d in range(alpha + 1))
@@ -385,7 +468,8 @@ def test_certify_is_unchanged_by_warm_caches():
     def certify():
         return json.dumps([r.to_json_dict() for r in certify_bound(p, trials=3)])
 
-    for cached in (canonical_codes, default_scheme, enumerate_subspaces, _level):
+    for cached in (canonical_codes, default_scheme, enumerate_subspaces, _level,
+                   subspace_index, _subspaces_within):
         cached.cache_clear()
     cold = certify()
     for point in [(2, 2, 1, 1, 1, 5), (2, 3, 2, 2, 1, 8), (2, 1, 1, 1, 2, 7)]:
