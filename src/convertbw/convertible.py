@@ -33,6 +33,14 @@ class InfeasibleSchemeError(ValueError):
     """The downloaded rows cannot produce the final parity nodes."""
 
 
+@lru_cache(maxsize=1024)
+def _is_canonical(m: Matrix) -> bool:
+    """m is the reduced row-echelon basis of its row space, cached by
+    value: the search builds each scheme it finds from the same menu
+    entries (linalg.enumerate_subspaces), which hash once."""
+    return rref(m) == m
+
+
 @dataclass(frozen=True)
 class ConversionScheme:
     """Per-node download maps for one conversion.
@@ -58,7 +66,7 @@ class ConversionScheme:
                 raise ValueError(f"download map has {m.cols} columns, expected {p.alpha}")
             if m.rows > p.alpha:
                 raise ValueError("download map cannot exceed alpha rows")
-            if rref(m) != m:
+            if not _is_canonical(m):
                 raise ValueError("download maps must be canonical full-row-rank bases")
         # Schemes key value caches (the conversion plans), so the hash
         # is taken once; the params' and the maps' are of ints.

@@ -26,6 +26,7 @@ through which every check maps its nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -93,6 +94,15 @@ def final_parity_node(g: int) -> NodeId:
     return NodeId(FINAL_PARITY, g)
 
 
+@lru_cache(maxsize=128)
+def _node_ids(p: SplitParams) -> tuple[tuple[NodeId, ...], ...]:
+    """(info nodes, initial parities, final parities) of p, built once
+    per params and shared by every ensemble at p."""
+    return (tuple(info_node(j) for j in range(p.ki)),
+            tuple(initial_parity_node(i) for i in range(p.ri)),
+            tuple(final_parity_node(g) for g in range(p.lf * p.rf)))
+
+
 class LinearEnsemble:
     """All node random variables of one conversion instance.
 
@@ -112,9 +122,7 @@ class LinearEnsemble:
         self._blocks = dict(blocks)
         self._entropy_cache: dict[frozenset, int] = {}
         p = params
-        self.info_nodes = tuple(info_node(j) for j in range(p.ki))
-        self.initial_parities = tuple(initial_parity_node(i) for i in range(p.ri))
-        self.final_parities = tuple(final_parity_node(g) for g in range(p.lf * p.rf))
+        self.info_nodes, self.initial_parities, self.final_parities = _node_ids(p)
         self.initial_nodes = self.info_nodes + self.initial_parities
         for v in self.all_nodes():
             b = self._blocks[v]
@@ -133,6 +141,13 @@ class LinearEnsemble:
     def packed(self, v: NodeId) -> tuple[int, ...]:
         """Block v's rows, packed."""
         return self._packed[v]
+
+    @cached_property
+    def new_parity_echelon(self) -> tuple[int, ...]:
+        """The new parities' rows in echelon form, packed: reduced on
+        first use and kept for the search's targets and the audits'."""
+        return tuple(self.packing.modulo([], [
+            r for v in self.final_parities for r in self._packed[v]]))
 
     def times(self, coeffs, v: NodeId) -> list[int]:
         """The rows of coeffs @ block(v), packed: coeffs is a map's
@@ -200,14 +215,12 @@ def ensemble_from_codes(params: SplitParams, initial: VectorCode,
         raise ValueError("code pair does not satisfy the MDS property")
     fld = initial.field
     a = p.alpha
+    infos, parities, finals = _node_ids(p)
     # The code is systematic, so data node j's block is message block j.
-    blocks = {info_node(j): initial.node_block(j) for j in range(p.ki)}
-    for i in range(p.ri):
-        blocks[initial_parity_node(i)] = initial.node_block(p.ki + i)
+    blocks = {v: initial.node_block(i) for i, v in enumerate(infos + parities)}
     targets = final_parity_rows(p, final).data
-    for g in range(p.lf * p.rf):
-        blocks[final_parity_node(g)] = Matrix._of_rows(
-            fld, targets[g * a:(g + 1) * a], p.message_dim)
+    for g, v in enumerate(finals):
+        blocks[v] = Matrix._of_rows(fld, targets[g * a:(g + 1) * a], p.message_dim)
     return LinearEnsemble(p, fld, blocks)
 
 

@@ -13,6 +13,11 @@ the value-keyed _decoder cache.  A VectorCode hashes once, when built,
 so a cache lookup does not rehash its generator.  Per call, encode makes
 one product and decode_from one, or two with extra nodes; each checks
 its message or each node's symbols in one Field.as_elements pass.
+
+verify_mds ranks the square node-block minors of the parity block P of
+the generator [I | P], smallest first, and stops at the first singular
+one.  The systematic check and node_block read the generator's rows
+directly.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ class VectorCode:
         if self.generator.shape != (ka, na):
             raise ValueError(
                 f"generator shape {self.generator.shape} != ({ka}, {na})")
-        if self.generator.take_cols(range(ka)) != \
-                Matrix.identity(self.generator.field, ka):
+        zeros = (0,) * ka
+        if any(r[:ka] != zeros[:i] + (1,) + zeros[i + 1:]
+               for i, r in enumerate(self.generator.data)):
             raise ValueError(
                 f"generator is not systematic on nodes 0..{self.k - 1}")
         # Codes key value caches (_decoder, verify_mds, the conversion
@@ -78,7 +84,9 @@ class VectorCode:
     def node_block(self, i: int) -> Matrix:
         """Node i's stored subsymbols as linear functions of the message,
         one row per subsymbol (an alpha x k*alpha matrix)."""
-        return self.generator.take_cols(self.node_cols(i)).transpose()
+        rows = self.generator.data
+        return Matrix._of_rows(self.field, [[r[c] for r in rows]
+                                            for c in self.node_cols(i)], len(rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,10 +194,23 @@ def decode_from(code: VectorCode, available: Mapping[int, Sequence[int]]):
 @lru_cache(maxsize=256)
 def verify_mds(code: VectorCode) -> bool:
     """True iff every k-subset of node column blocks has full rank;
-    cached by value, as a drawn code is checked again by its ensemble."""
-    ka = code.k * code.alpha
-    for subset in combinations(range(code.n), code.k):
-        cols = [c for i in subset for c in code.node_cols(i)]
-        if mat_rank(code.generator.take_cols(cols)) != ka:
-            return False
+    cached by value, as a drawn code is checked again by its ensemble.
+
+    The generator is [I | P], so the k nodes made of the parity nodes T
+    and the data nodes outside D (|T| = |D| = t) have full rank iff the
+    t*alpha x t*alpha block of P at D's rows and T's columns does
+    (MacWilliams and Sloane, ch. 11, Thm 8, node block by node block):
+    these are the same C(n, k) node sets, each ranked on t*alpha columns
+    instead of k*alpha, and t = 0 needs no rank.  Smallest t first, the
+    first singular minor ends the check.
+    """
+    k, a, rows = code.k, code.alpha, code.generator.data
+    for t in range(1, min(k, code.n - k) + 1):
+        for parities in combinations(range(k, code.n), t):
+            cols = [c for i in parities for c in range(i * a, (i + 1) * a)]
+            section = [[r[c] for c in cols] for r in rows]
+            for data in combinations(range(k), t):
+                minor = [section[s] for j in data for s in range(j * a, (j + 1) * a)]
+                if mat_rank(Matrix._of_rows(code.field, minor, t * a)) != t * a:
+                    return False
     return True

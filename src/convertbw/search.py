@@ -97,7 +97,7 @@ class _CutTable(dict):
     their count is the rank modulo its span.
     """
 
-    def __init__(self, pk, blocks: list, targets: list):
+    def __init__(self, pk, blocks: list, targets: tuple):
         # blocks[s]: slot s's full block rows; targets: the echelon rows
         # of the targets; all packed (pk).
         self.pk = pk
@@ -236,7 +236,7 @@ def min_bandwidth_exhaustive(ens: LinearEnsemble, budget: SearchBudget,
     blocks = [ens.packed(v) for v in nodes]
     slots = len(nodes)
     # The echelon rows of the new parities: the walk's targets (same span).
-    targets = modulo([], [r for v in ens.final_parities for r in ens.packed(v)])
+    targets = ens.new_parity_echelon
     cap = p.ki * alpha
     if budget.max_total_dim is not None:
         cap = min(cap, budget.max_total_dim)
@@ -385,7 +385,7 @@ def check_scheme_inequalities(ens: LinearEnsemble,
     h_v = len(downloads)
     h_u = len(pk.insert([], u_rows))
     h_uv = len(pk.insert(downloads, u_rows))
-    new = pk.modulo([], [r for v in ens.final_parities for r in ens.packed(v)])
+    new = ens.new_parity_echelon
     h_new = len(new)
     # Feasible iff the downloads span every new parity row: none joins.
     if len(pk.insert(downloads, new)) > h_uv:

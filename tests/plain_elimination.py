@@ -1,7 +1,9 @@
 """The reference paths the packed-row kernel behind convertbw.linalg is
 tested against: plain numpy Gauss-Jordan elimination on the field's
 arr_* kernels, and the insertion-order echelon basis by scalar field
-operations."""
+operations; and the MDS property by its definition on those ranks."""
+
+from itertools import combinations
 
 import numpy as np
 
@@ -34,6 +36,15 @@ def ref_echelon(field, a):
 def ref_rank(m):
     """Rank of a Matrix: its pivot count."""
     return len(ref_echelon(m.field, m.array)[1])
+
+
+def ref_is_mds(code):
+    """True iff the generator's columns of every k of the n nodes have
+    rank k*alpha (ref_rank): all C(n, k) node sets, by definition."""
+    ka = code.k * code.alpha
+    return all(ref_rank(code.generator.take_cols(
+        [c for i in nodes for c in code.node_cols(i)])) == ka
+        for nodes in combinations(range(code.n), code.k))
 
 
 def ref_rref(m):

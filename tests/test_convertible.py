@@ -104,6 +104,21 @@ def test_scheme_requires_canonical_maps():
     fixed = from_maps(
         p, [ragged, Matrix.identity(fld, 2), Matrix.zeros(fld, 0, 2)])
     assert fixed.beta == (1, 2)
+    # A pivot other than 1, a nonzero above a pivot, a zero row, pivots
+    # out of order, duplicate rows: each map is refused wherever it sits,
+    # and on its second use (its verdict is cached) too.
+    bad = ([[2, 3]], [[1, 1], [0, 1]], [[0, 0]], [[1, 0], [0, 0]],
+           [[0, 1], [1, 0]], [[1, 4], [1, 4]])
+    for rows in bad * 2:
+        for at in range(p.ni):
+            maps = [Matrix.identity(fld, 2), Matrix.identity(fld, 2),
+                    Matrix.zeros(fld, 0, 2)]
+            maps[at] = Matrix(fld, rows)
+            with pytest.raises(ValueError, match="download maps must be "
+                               "canonical full-row-rank bases"):
+                ConversionScheme(p, tuple(maps))
+    assert ConversionScheme(p, (Matrix(fld, [[1, 4]]), Matrix(fld, [[0, 1]]),
+                                Matrix.identity(fld, 2))).beta == (1, 1)
 
 
 def test_scheme_needs_one_map_per_initial_node():

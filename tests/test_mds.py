@@ -13,7 +13,7 @@ from convertbw.gf import field
 from convertbw.linalg import Matrix
 from convertbw.mds import (CorruptDataError, VectorCode, decode_from, encode,
                            make_systematic_mds, verify_mds)
-from plain_elimination import ref_inverse
+from plain_elimination import ref_inverse, ref_is_mds, ref_rank
 from support import add, sub
 
 F5 = field(5)
@@ -213,6 +213,77 @@ def test_verify_mds_fails_on_duplicated_parity_column():
     assert not verify_mds(dup)
 
 
+def _systematic_code(fld, n, k, alpha, rng):
+    """[I | P] with a uniformly drawn parity block P."""
+    ka, ra = k * alpha, (n - k) * alpha
+    return VectorCode(n, k, alpha, fld, Matrix(fld, [
+        [int(i == j) for j in range(ka)] + [rng.randrange(fld.q) for _ in range(ra)]
+        for i in range(ka)]))
+
+
+# (n, k, alpha): r = 0, k = 1, and min(k, r) = 1, 2 and 3.
+MINOR_SHAPES = [(3, 3, 2), (4, 1, 2), (3, 1, 3), (3, 2, 3), (4, 2, 1), (5, 3, 2),
+                (4, 2, 2), (6, 3, 1), (7, 4, 1), (6, 3, 2)]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 16])
+def test_verify_mds_matches_every_node_set(q):
+    # The minor criterion against the C(n, k) definition, uncached, on
+    # seeded random parity blocks: both verdicts occur, and so do codes
+    # whose every alpha-minor is nonsingular but a larger one is not.
+    fld, rng = field(q), random.Random(q)
+    verdicts, late = set(), 0
+    for n, k, alpha in MINOR_SHAPES:
+        for _ in range(12):
+            code = _systematic_code(fld, n, k, alpha, rng)
+            want = ref_is_mds(code)
+            assert verify_mds.__wrapped__(code) == want, (n, k, alpha, code.generator.data)
+            verdicts.add(want)
+            if not want and all(ref_rank(code.generator.take_cols(
+                    [c for i in nodes for c in code.node_cols(i)])) == k * alpha
+                    for nodes in combinations(range(n), k)
+                    if sum(i >= k for i in nodes) == 1):
+                late += 1
+    assert verdicts == {True, False}
+    assert late
+
+
+def test_verify_mds_matches_every_node_set_on_grid_and_mixes():
+    from convertbw.convertible import canonical_codes
+    from convertbw.search import random_mds_pair
+    from convertbw.params import SplitParams
+    from convertbw.verify import default_grid
+    codes = {c for p in default_grid() for c in canonical_codes(p)}
+    rng = random.Random(0)
+    for _ in range(20):
+        codes.update(random_mds_pair(SplitParams(2, 2, 1, 1, 2, 5), rng))
+    for code in codes:
+        assert verify_mds.__wrapped__(code) and ref_is_mds(code)
+
+
+def test_verify_mds_stops_at_the_first_singular_minor(monkeypatch):
+    # A zero block at data node 0's rows and parity node k's columns is
+    # the first minor ranked.
+    code = make_systematic_mds(6, 3, 2, F7)
+    g = code.generator.array.copy()
+    g[0:2, 6:8] = 0
+    bad = VectorCode(6, 3, 2, F7, Matrix(F7, g))
+    ranks, rank = [], mds.mat_rank
+
+    def counted(m):
+        ranks.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(mds, "mat_rank", counted)
+    assert not verify_mds.__wrapped__(bad)
+    assert ranks == [(2, 2)]
+    ranks.clear()
+    # An MDS code ranks one minor per node set with a parity node:
+    # C(6, 3) - 1, each t*alpha square.
+    assert verify_mds.__wrapped__(code)
+    assert len(ranks) == 19 and all(r == c and r % 2 == 0 for r, c in ranks)
+
+
 def test_layered_code_mds_iff_scalar_layer_mds():
     # Forward: replicating an MDS scalar layer stays MDS (alpha = 2).
     good = make_systematic_mds(4, 2, 2, F5)
@@ -243,6 +314,23 @@ def test_systematic_invariant_enforced():
     g[0, 0] = 3  # break the identity projection
     with pytest.raises(ValueError):
         VectorCode(4, 2, 1, F5, Matrix(F5, g))
+    # The identity section is compared row by row: each break below,
+    # and only it, is refused.
+    code = make_systematic_mds(5, 3, 2, F7)
+    good = code.generator.array
+    swapped = good.copy()
+    swapped[[1, 4]] = swapped[[4, 1]]
+    breaks = [swapped]
+    for (i, j), x in (((0, 5), 1), ((4, 2), 6), ((2, 2), 0), ((5, 5), 2)):
+        g = good.copy()
+        g[i, j] = x
+        breaks.append(g)
+    for g in breaks:
+        with pytest.raises(ValueError, match=r"not systematic on nodes 0\.\.2"):
+            VectorCode(5, 3, 2, F7, Matrix(F7, g))
+    parity = good.copy()
+    parity[5, 6] = 4  # a parity entry: still systematic
+    assert VectorCode(5, 3, 2, F7, Matrix(F7, parity)).generator.data[5][6] == 4
 
 
 def test_json_round_trip():

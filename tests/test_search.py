@@ -21,6 +21,7 @@ from convertbw.linalg import (Matrix, enumerate_subspaces, in_span,
                               random_matrix, rank_pair, subspace_index, vstack)
 from convertbw.mds import VectorCode, verify_mds
 from convertbw.params import SplitParams
+from convertbw import search as search_module
 from convertbw.search import (SearchBudget, _CutTable, _level, _subspaces_within,
                               certify_bound, check_scheme_inequalities,
                               min_bandwidth_exhaustive, random_mds_pair)
@@ -523,6 +524,44 @@ def test_each_drawn_code_is_checked_for_mds_once(monkeypatch):
     certify_bound(SplitParams(2, 3, 2, 2, 1, 8), trials=3)
     assert len(asked) > len(set(asked))
     assert verify_mds.cache_info().misses == len(set(asked))
+
+
+def test_new_parities_are_reduced_once_per_pair(monkeypatch):
+    # The search's targets and both audits' new-parity rows are one
+    # echelon per ensemble, equal to a fresh reduction of the rows.
+    from convertbw import ensemble
+    p = SplitParams(2, 2, 1, 1, 2, 5)
+    built = []
+    build_ensemble = ensemble.ensemble_from_codes
+
+    def spy(*args):
+        built.append(build_ensemble(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search_module, "ensemble_from_codes", spy)
+    packing = type(p.field().packing(p.message_dim))
+    modulo = packing.modulo
+
+    def parity_rows(ens):
+        return [r for v in ens.final_parities for r in ens.packed(v)]
+
+    parity_reductions = []
+
+    def counted(pk, basis, rows):
+        rows = list(rows)
+        if not basis and any(rows == parity_rows(ens) for ens in built):
+            parity_reductions.append(rows)
+        return modulo(pk, basis, rows)
+
+    monkeypatch.setattr(packing, "modulo", counted)
+    reports = certify_bound(p, trials=3)
+    assert [r.verdict for r in reports] == ["sound"] * 3
+    assert len(built) == len(parity_reductions) == 3
+    for ens in built:
+        echelon = ens.new_parity_echelon
+        assert isinstance(echelon, tuple) and echelon is ens.new_parity_echelon
+        assert list(echelon) == modulo(ens.packing, [], parity_rows(ens))
+        assert len(echelon) == ref_rank(ens.stack(ens.final_parities)) == 4
 
 
 def test_random_pairs_are_mds_and_systematic():
