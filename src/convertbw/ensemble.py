@@ -16,11 +16,19 @@ entry (check_mi_bound, check_min_avg, check_cond_entropy_final,
 mapped_rows, search.check_scheme_inequalities), which checks its node,
 field and column count once (_map_rows) and passes its coefficient rows
 (Matrix.data) inward: inside, a map is those rows, and the cores
-(_mi_bound, _min_avg, _cond_entropy_final) and the verify suite's
-random trials take rows only.  Each block packs its rows once
+(_mi_bound, _min_avg, _cond_entropy_final, _cond_entropy_splits) and the
+verify suite take rows only.  Each block packs its rows once
 (Matrix.packed); the ensemble keeps them as ints (LinearEnsemble.packed)
 for the ranks (RowPacking.insert) and as bytes for LinearEnsemble.times,
 through which every check maps its nodes.
+
+An ensemble computes each value once.  times keeps each node's product
+per coefficient row in a per-node table of at most _PRODUCT_ROWS rows;
+each node's own entropy is ranked once, for the independence
+preconditions; the minimum checks read a minimum over 1-subsets from
+the single ranks they hold and one over the whole set from its rank
+(_min_h); and the per-codeword split maps a scheme once and ranks each
+codeword's own term once for every subset (_cond_entropy_splits).
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ from .gf import Field, RowPacking, as_count
 from .linalg import Matrix, randint, shuffle
 from .mds import VectorCode, verify_mds
 from .params import SplitParams
+
+# Rows a node's product table (LinearEnsemble.times) keeps: enough for
+# every alpha <= 2 map row up to q = 16 (the default verify grid needs at
+# most 121), so that a long search at a large field cannot grow it.
+_PRODUCT_ROWS = 256
 
 INFO = "info"
 INITIAL_PARITY = "initial-parity"
@@ -134,6 +147,7 @@ class LinearEnsemble:
         self._packed, self._row_bytes = {}, {}
         for v, b in self._blocks.items():
             _, self._packed[v], self._row_bytes[v] = b.packed()
+        self._products = {v: {} for v in self._blocks}
 
     def block(self, v: NodeId) -> Matrix:
         return self._blocks[v]
@@ -151,9 +165,24 @@ class LinearEnsemble:
 
     def times(self, coeffs, v: NodeId) -> list[int]:
         """The rows of coeffs @ block(v), packed: coeffs is a map's
-        coefficient rows (Matrix.data), each alpha field elements."""
-        pk, rows = self.packing, self._row_bytes[v]
-        return [pk.combine(c, rows) for c in coeffs]
+        coefficient rows (Matrix.data), each alpha field elements.  Each
+        row's product is kept in node v's table, up to _PRODUCT_ROWS
+        rows, and read from it when the row comes again."""
+        table, out = self._products[v], []
+        for c in coeffs:
+            r = table.get(c)
+            if r is None:
+                r = self.packing.combine(c, self._row_bytes[v])
+                if len(table) < _PRODUCT_ROWS:
+                    table[c] = r
+            out.append(r)
+        return out
+
+    @cached_property
+    def _node_entropy(self) -> dict[NodeId, int]:
+        """Each node's entropy (its block's rank), ranked on first use."""
+        insert = self.packing.insert
+        return {v: len(insert([], rows)) for v, rows in self._packed.items()}
 
     def all_nodes(self) -> tuple[NodeId, ...]:
         return self.initial_nodes + self.final_parities
@@ -311,8 +340,10 @@ class CheckReport:
 def _nodes_independent(ens: LinearEnsemble, nodes: Iterable[NodeId]) -> bool:
     """Rank additivity: the joint entropy equals the sum of the parts."""
     nodes = set(nodes)
-    total = sum(entropy(ens, [v]) for v in nodes)
-    return entropy(ens, nodes) == total
+    if len(nodes) < 2:
+        return True
+    single = ens._node_entropy
+    return entropy(ens, nodes) == sum(single[v] for v in nodes)
 
 
 def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
@@ -341,6 +372,17 @@ def _min_h_rows(pk: RowPacking, rows, pool, size) -> int:
     if size == 0:
         return 0
     return min(_h_rows(pk, rows, c) for c in combinations(pool, size))
+
+
+def _min_h(pk: RowPacking, rows, pool, size, singles=None, whole=None) -> int:
+    """_min_h_rows(pk, rows, pool, size), read from ranks the caller
+    holds where it can: singles (each pool node's rank, in pool order)
+    for size 1, whole (the rank of all of pool) for size len(pool)."""
+    if size == 1 and singles is not None:
+        return min(singles)
+    if size == len(pool) and whole is not None:
+        return whole
+    return _min_h_rows(pk, rows, pool, size)
 
 
 def _rows_mi(pk: RowPacking, rows: Mapping[NodeId, list], a, b) -> int:
@@ -403,9 +445,9 @@ def _min_avg(ens: LinearEnsemble, family: Mapping[NodeId, tuple], a: int) -> boo
             raise IndependencePreconditionError(
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
     rows = {v: ens.times(m, v) for v, m in family.items()}
-    singles = sum(_h_rows(ens.packing, rows, [v]) for v in rows)
-    best = _min_h_rows(ens.packing, rows, list(rows), a)
-    return best * b <= a * singles
+    singles = [_h_rows(ens.packing, rows, [v]) for v in rows]
+    best = _min_h(ens.packing, rows, list(rows), a, singles)
+    return best * b <= a * sum(singles)
 
 
 def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
@@ -420,12 +462,14 @@ def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     if b1 + b2 != p.ri or b1 > len(s1) or b2 > len(s2):
         raise ValueError("inadmissible (S1, S2, b1, b2) split")
     pk = ens.packing
-    minsum = _min_h_rows(pk, rows, s1, b1) + _min_h_rows(pk, rows, s2, b2)
+    singles1 = [_h_rows(pk, rows, [v]) for v in s1]
+    h2 = _h_rows(pk, rows, s2)
+    minsum = _min_h(pk, rows, s1, b1, singles=singles1) + \
+        _min_h(pk, rows, s2, b2, whole=h2)
     # minsum <= b1/n1 * sum1 + b2/n2 * h2, times n1 * n2; an empty S
     # forces its b to 0, so its term is 0 and its size counts as 1.
     n1, n2 = len(s1) or 1, len(s2) or 1
-    sum1 = sum(_h_rows(pk, rows, [v]) for v in s1)
-    h2 = _h_rows(pk, rows, s2)
+    sum1 = sum(singles1)
     return mi <= minsum and minsum * n1 * n2 <= b1 * sum1 * n2 + b2 * h2 * n1
 
 
@@ -436,8 +480,9 @@ def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     p = ens.params
     if len(s) < p.ri:
         raise ValueError("S must have at least ri nodes")
-    mn = _min_h_rows(ens.packing, rows, s, p.ri)
-    return mi <= mn and mn * len(s) <= p.ri * _h_rows(ens.packing, rows, s)
+    whole = _h_rows(ens.packing, rows, s)
+    mn = _min_h(ens.packing, rows, s, p.ri, whole=whole)
+    return mi <= mn and mn * len(s) <= p.ri * whole
 
 
 def random_corollary1_tuple(ens: LinearEnsemble, rng):
@@ -513,22 +558,35 @@ def check_cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, Matrix],
 def _cond_entropy_final(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
                         s_set: Iterable[int]) -> bool:
     """check_cond_entropy_final on maps given as coefficient rows."""
+    return _cond_entropy_splits(ens, maps, [s_set])[0]
+
+
+def _cond_entropy_splits(ens: LinearEnsemble, maps: Mapping[NodeId, tuple],
+                         subsets: Sequence[Iterable[int]]) -> list[bool]:
+    """Whether the conditional-entropy split holds for each codeword
+    subset S of subsets, the maps given as coefficient rows.  The info
+    nodes of every codeword named are mapped once and each codeword's
+    own term H(final parities of t | info downloads of t) is ranked
+    once; a subset of two or more codewords ranks its own left side
+    and compares it with the sum of its codewords' terms."""
     p = ens.params
-    s = sorted(set(s_set))
-    if any(not 0 <= t < p.lf for t in s):
+    subsets = [sorted(set(s)) for s in subsets]
+    named = sorted(set().union(*subsets))
+    if any(not 0 <= t < p.lf for t in named):
         raise ValueError("codeword index out of range")
     pk = ens.packing
-    rows = {v: ens.times(maps[v], v) for t in s for v in ens.info_of_codeword(t)}
+    rows = {t: [r for v in ens.info_of_codeword(t) for r in ens.times(maps[v], v)]
+            for t in named}
 
     def lhs_for(ts: Sequence[int]) -> int:
-        basis = pk.insert([], [
-            r for t in ts for v in ens.info_of_codeword(t) for r in rows[v]])
+        basis = pk.insert([], [r for t in ts for r in rows[t]])
         h_v = len(basis)
         return len(pk.insert(basis, [
             r for t in ts for v in ens.final_parities_of_codeword(t)
             for r in ens.packed(v)])) - h_v
 
-    return lhs_for(s) == sum(lhs_for([t]) for t in s)
+    own = {t: lhs_for([t]) for t in named}
+    return [len(s) < 2 or lhs_for(s) == sum(own[t] for t in s) for s in subsets]
 
 
 def check_mds_reconstruction(ens: LinearEnsemble) -> CheckReport:

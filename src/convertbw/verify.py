@@ -8,10 +8,13 @@ the download-function inequalities with seeded random maps; draws whose
 independence precondition fails are counted separately, never as
 violations.  A random map is drawn as its coefficient rows
 (linalg.random_map_rows), never as a Matrix, and the trials call the
-oracle's row-level cores (ensemble._mi_bound, _min_avg,
-_cond_entropy_final; the chains map their nodes through
-LinearEnsemble.times and rank them through _rows_mi), below the checks
-that take Matrix maps.  The trials draw their node orders and set sizes
+oracle's row-level cores (ensemble._mi_bound, _min_avg; the chains map
+their nodes through LinearEnsemble.times, whose per-node product table
+serves every trial on the ensemble, and rank them through _rows_mi),
+below the checks that take Matrix maps.  The split report runs one
+pass per scheme over every codeword subset
+(ensemble._cond_entropy_splits), which ranks each codeword's own term
+once.  The trials draw their node orders and set sizes
 through linalg.shuffle and linalg.randint, which use rng's stream as
 rng.shuffle and rng.randint do, and their coin flips through
 rng.random.
@@ -27,7 +30,7 @@ from typing import Iterable, Sequence
 from . import gf
 from .convertible import canonical_codes, default_scheme
 from .ensemble import (CheckReport, IndependencePreconditionError,
-                       LinearEnsemble, _cond_entropy_final, _map_rows,
+                       LinearEnsemble, _cond_entropy_splits, _map_rows,
                        _mi_bound, _min_avg, _rows_mi,
                        check_joint_entropy, check_mds_reconstruction,
                        check_prop_parity_iid, check_stability,
@@ -196,8 +199,8 @@ def _prop3_reports(ens: LinearEnsemble, rng: random.Random) -> dict:
         for mask in range(1 << p.lf)
     ]
     for label, maps in schemes:
-        for s_set in subsets:
-            if not _cond_entropy_final(ens, maps, s_set):
+        for s_set, ok in zip(subsets, _cond_entropy_splits(ens, maps, subsets)):
+            if not ok:
                 failures.append({"scheme": label, "S": s_set})
     return CheckReport("cond-entropy-split", p.as_dict(),
                        failures).to_json_dict()

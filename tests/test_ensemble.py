@@ -320,7 +320,10 @@ def test_ratio_bounds_match_fraction_arithmetic(medium, monkeypatch):
     # integer cross-multiplication.  With the ranks replaced by small
     # made-up values whose averages are not integers (a node's rank is
     # h, plus 1 for an odd index), each verdict must equal the exact
-    # Fraction comparison, at equality and one off either side.
+    # Fraction comparison, at equality and one off either side.  The
+    # subset minimum is faked at _min_h, the seam every minimum passes
+    # through whether it is read from the ranks held or searched, so
+    # best stays free of the made-up ranks at every size.
     from fractions import Fraction
     from convertbw import ensemble as E
     p, ens = medium
@@ -337,8 +340,8 @@ def test_ratio_bounds_match_fraction_arithmetic(medium, monkeypatch):
             return sum(h + v.index % 2 for v in vs)
 
         monkeypatch.setattr(E, "_h_rows", fake_h)
-        monkeypatch.setattr(E, "_min_h_rows",
-                            lambda pk, rows, pool, size: best if size else 0)
+        monkeypatch.setattr(E, "_min_h", lambda pk, rows, pool, size, singles=None,
+                            whole=None: best if size else 0)
         for b in range(2, 5):
             singles = fake_h(None, None, nodes[:b])
             for a in range(b + 1):

@@ -35,8 +35,10 @@ NO_CALLER_IN_PACKAGE = {
     "check_feasible",
     # The oracle's download checks on Matrix maps, public API that
     # perfbench/spans.py wraps by name, so they cannot move to
-    # tests/support.py.  The verify suite's random trials call their
-    # row-level cores (_mi_bound, _min_avg, _cond_entropy_final).
+    # tests/support.py.  The verify suite's random trials call the
+    # row-level cores of the first two (_mi_bound, _min_avg); its split
+    # report calls _cond_entropy_splits, which _cond_entropy_final
+    # (check_cond_entropy_final's core) calls for one subset.
     "check_mi_bound",
     "check_min_avg",
     "check_cond_entropy_final",

@@ -165,19 +165,29 @@ def test_run_suite_aggregates():
     assert not bad_ok
 
 
-# sha256 of json.dumps(reports) + "\n" for two seeded suites the CLI
+# sha256 of json.dumps(reports) + "\n" for seeded suites the CLI
 # golden digests miss: the GF(4)/GF(8) grid, whose map draws reject
-# about half their bits, and the benchmark's shape (every default point,
-# 100 trials).  Any draw that leaves the stdlib's stream moves them.
+# about half their bits, the benchmark's shape (every default point,
+# 100 trials) and both planted ensembles with trials, whose failing
+# reports must stay as they are too (a row's "plant" goes to run_suite,
+# the rest of its dict to default_grid).  Any draw that leaves the
+# stdlib's stream moves them.
 @pytest.mark.parametrize("grid, trials, seed, count, digest", [
     (dict(qs=(4, 8)), 40, 3, 560,
      "7390deba41e5620bd6b060054099ae5aaa5fb8ef68ed9702460f439d6a783d90"),
     ({}, 100, 0, 1080,
      "addd4ced07d44c38b35dec43817307dacd36e4f2f4b7d142cf547e3df8e4b6f0"),
+    (dict(plant="duplicate-parity"), 40, 0, 640,
+     "47de8e9a92e45a652ebb81453c6630f3dfed3df40048b7f0be469c76bec005cf"),
+    (dict(plant="parity-copy"), 40, 0, 1080,
+     "320d99c17379f8a05030cab9beb4ddadf8961c5fafb5cf153359bada321ae0cc"),
 ])
 def test_seeded_trial_streams_are_pinned(grid, trials, seed, count, digest):
-    reports, ok = run_suite(default_grid(**grid), trials=trials, seed=seed)
-    assert ok and len(reports) == count
+    grid = dict(grid)
+    plant = grid.pop("plant", None)
+    reports, ok = run_suite(default_grid(**grid), trials=trials, seed=seed,
+                            plant=plant)
+    assert ok == (plant is None) and len(reports) == count
     assert hashlib.sha256((json.dumps(reports) + "\n").encode()).hexdigest() == digest
 
 
