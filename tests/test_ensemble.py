@@ -604,7 +604,10 @@ def test_node_id_order_equality_and_copies():
 def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
     # The download checks rank each node's mapped rows packed; every
     # rank they use must equal numpy plain elimination of
-    # mapped_rows for the same nodes.  Maps are seeded, 0-row ones included.
+    # mapped_rows for the same nodes, and every subset minimum (_min_h,
+    # read from held single and whole-set ranks where it can) the
+    # brute-force minimum of those ranks.  Maps are seeded, 0-row ones
+    # included.
     from convertbw import ensemble as E
     from convertbw.ensemble import (corollary1_holds, corollary2_holds,
                                     mapped_rows, random_corollary1_tuple,
@@ -623,7 +626,8 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         return ref(maps, a) + ref(maps, b) - ref(maps, [*a, *b])
 
     used = []   # (nodes, rank) and ("mi", MI) as the checks compute them
-    h_rows, rows_mi = E._h_rows, E._rows_mi
+    minima = []   # (pool, size, minimum) as the checks compute them
+    h_rows, rows_mi, min_h = E._h_rows, E._rows_mi, E._min_h
 
     def recording_h(f, rows, vs):
         vs = list(vs)
@@ -634,8 +638,13 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         used.append(("mi", rows_mi(f, rows, a, b)))
         return used[-1][1]
 
+    def recording_min(f, rows, pool, size, singles=None, whole=None):
+        minima.append((list(pool), size, min_h(f, rows, pool, size, singles, whole)))
+        return minima[-1][2]
+
     monkeypatch.setattr(E, "_h_rows", recording_h)
     monkeypatch.setattr(E, "_rows_mi", recording_mi)
+    monkeypatch.setattr(E, "_min_h", recording_min)
     zero_rows = evaluated = 0
     for _ in range(12):
         maps = {v: random_matrix(fld, rng.randint(0, p.alpha), p.alpha, rng)
@@ -670,4 +679,77 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         corollary1_holds(ens, rows, mi, s1, s2, b1, b2)
         corollary2_holds(ens, rows, mi, random_corollary2_set(ens, rng))
         assert all(h == ref(maps, vs) for vs, h in used if vs != "mi")
+        assert all(m == min((ref(maps, c) for c in combinations(pool, size)))
+                   for pool, size, m in minima if size)
+        minima.clear()
     assert zero_rows > 0 and evaluated > 6
+
+
+@pytest.mark.parametrize("grid", [{}, {"qs": (4, 8)}], ids=["default", "gf2m"])
+def test_reused_values_match_plain_path_on_grids(grid, monkeypatch):
+    # What an ensemble computes once against the plain path, at every
+    # point of the grid: each product LinearEnsemble.times returns (its
+    # table kept, read back for repeated rows and across nodes sharing a
+    # row) against RowPacking.combine; each subset minimum the checks
+    # read from ranks they hold (_min_h, over a run of random trials)
+    # against brute-force _min_h_rows; and every verdict of the one-pass
+    # split (_cond_entropy_splits) against per-subset ranks of Matrix
+    # products, on the canonical ensemble and both planted ones.
+    from convertbw import ensemble as E
+    from convertbw.linalg import vstack
+    from convertbw.verify import (PLANT_KINDS, default_grid, plant_corruption,
+                                  run_randomized_checks)
+
+    brute, min_h = E._min_h_rows, E._min_h
+    minima = []
+
+    def checked_min_h(pk, rows, pool, size, singles=None, whole=None):
+        got = min_h(pk, rows, pool, size, singles, whole)
+        assert got == brute(pk, rows, pool, size), (pool, size, singles, whole)
+        minima.append((size, singles is not None, whole is not None))
+        return got
+
+    monkeypatch.setattr(E, "_min_h", checked_min_h)
+    splits = 0
+    for i, p in enumerate(default_grid(**grid)):
+        clean = ensemble_from_codes(p, *canonical_codes(p))
+        fld, rng = clean.field, random.Random(i)
+        nodes = clean.all_nodes()
+        # Every node maps the same rows, repeated, and a 0-row map too.
+        draw = [tuple(rng.randrange(fld.q) for _ in range(p.alpha))
+                for _ in range(6)]
+        coeffs = draw + draw[::2]
+        for v in nodes:
+            rows_bytes = clean.block(v).packed()[2]
+            want = [clean.packing.combine(c, rows_bytes) for c in coeffs]
+            assert clean.times(coeffs, v) == want
+            assert clean.times(coeffs[::-1], v) == want[::-1]
+            assert clean.times((), v) == []
+        run_randomized_checks(clean, 12, rng)
+
+        subsets = [[t for t in range(p.lf) if (mask >> t) & 1]
+                   for mask in range(1 << p.lf)]
+        for ens in [clean] + [plant_corruption(clean, k) for k in PLANT_KINDS]:
+            if ens is None:
+                continue
+            schemes = [default_maps(ens)] + [
+                {v: random_matrix(fld, rng.randint(0, p.alpha), p.alpha, rng)
+                 for v in ens.info_nodes} for _ in range(2)]
+            for maps in schemes:
+                def lhs(ts):
+                    infos = [v for t in ts for v in ens.info_of_codeword(t)]
+                    v_rows = vstack([maps[v] @ ens.block(v) for v in infos])
+                    h_v, h_vy = rank_pair(v_rows, ens.stack(
+                        [y for t in ts for y in ens.final_parities_of_codeword(t)]))
+                    return h_vy - h_v
+
+                want = [lhs(s) == sum(lhs([t]) for t in s) if s else True
+                        for s in subsets]
+                got = E._cond_entropy_splits(ens, E._map_rows(ens, maps), subsets)
+                assert got == want, (p, subsets)
+                splits += want.count(False)
+    # Both reuses were exercised, and so was a 2-subset minimum searched
+    # with the singles at hand; some planted split failed.
+    assert {(1, True, False), (2, True, False)} <= set(minima)
+    assert any(size > 1 and whole for size, _, whole in minima)
+    assert splits > 0
