@@ -24,11 +24,10 @@ through which every check maps its nodes.
 
 An ensemble computes each value once.  times keeps each node's product
 per coefficient row in a per-node table of at most _PRODUCT_ROWS rows;
-each node's own entropy is ranked once, for the independence
-preconditions; the minimum checks read a minimum over 1-subsets from
-the single ranks they hold and one over the whole set from its rank
-(_min_h); and the per-codeword split maps a scheme once and ranks each
-codeword's own term once for every subset (_cond_entropy_splits).
+the minimum checks read a minimum over 1-subsets from the single ranks
+they hold and one over the whole set from its rank (_min_h); and the
+per-codeword split maps a scheme once and ranks each codeword's own
+term once for every subset (_cond_entropy_splits).
 """
 
 from __future__ import annotations
@@ -177,12 +176,6 @@ class LinearEnsemble:
                     table[c] = r
             out.append(r)
         return out
-
-    @cached_property
-    def _node_entropy(self) -> dict[NodeId, int]:
-        """Each node's entropy (its block's rank), ranked on first use."""
-        insert = self.packing.insert
-        return {v: len(insert([], rows)) for v, rows in self._packed.items()}
 
     def all_nodes(self) -> tuple[NodeId, ...]:
         return self.initial_nodes + self.final_parities
@@ -342,8 +335,7 @@ def _nodes_independent(ens: LinearEnsemble, nodes: Iterable[NodeId]) -> bool:
     nodes = set(nodes)
     if len(nodes) < 2:
         return True
-    single = ens._node_entropy
-    return entropy(ens, nodes) == sum(single[v] for v in nodes)
+    return entropy(ens, nodes) == sum(entropy(ens, [v]) for v in nodes)
 
 
 def check_prop_parity_iid(ens: LinearEnsemble) -> CheckReport:
@@ -374,15 +366,11 @@ def _min_h_rows(pk: RowPacking, rows, pool, size) -> int:
     return min(_h_rows(pk, rows, c) for c in combinations(pool, size))
 
 
-def _min_h(pk: RowPacking, rows, pool, size, singles=None, whole=None) -> int:
-    """_min_h_rows(pk, rows, pool, size), read from ranks the caller
-    holds where it can: singles (each pool node's rank, in pool order)
-    for size 1, whole (the rank of all of pool) for size len(pool)."""
-    if size == 1 and singles is not None:
-        return min(singles)
-    if size == len(pool) and whole is not None:
-        return whole
-    return _min_h_rows(pk, rows, pool, size)
+def _min_h(pk: RowPacking, rows, pool, size, held: Mapping[int, int]) -> int:
+    """_min_h_rows(pk, rows, pool, size), or held[size] where the caller
+    already holds that minimum by subset size: over 1-subsets its least
+    single rank, over the one len(pool)-subset the rank of all of pool."""
+    return held[size] if size in held else _min_h_rows(pk, rows, pool, size)
 
 
 def _rows_mi(pk: RowPacking, rows: Mapping[NodeId, list], a, b) -> int:
@@ -446,7 +434,8 @@ def _min_avg(ens: LinearEnsemble, family: Mapping[NodeId, tuple], a: int) -> boo
                 f"nodes {[f'{v.kind}:{v.index}' for v in subset]} are dependent")
     rows = {v: ens.times(m, v) for v, m in family.items()}
     singles = [_h_rows(ens.packing, rows, [v]) for v in rows]
-    best = _min_h(ens.packing, rows, list(rows), a, singles)
+    best = _min_h(ens.packing, rows, list(rows), a,
+                  {1: min(singles)} if singles else {})
     return best * b <= a * sum(singles)
 
 
@@ -464,8 +453,8 @@ def corollary1_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     pk = ens.packing
     singles1 = [_h_rows(pk, rows, [v]) for v in s1]
     h2 = _h_rows(pk, rows, s2)
-    minsum = _min_h(pk, rows, s1, b1, singles=singles1) + \
-        _min_h(pk, rows, s2, b2, whole=h2)
+    minsum = _min_h(pk, rows, s1, b1, {1: min(singles1)} if s1 else {}) + \
+        _min_h(pk, rows, s2, b2, {len(s2): h2})
     # minsum <= b1/n1 * sum1 + b2/n2 * h2, times n1 * n2; an empty S
     # forces its b to 0, so its term is 0 and its size counts as 1.
     n1, n2 = len(s1) or 1, len(s2) or 1
@@ -481,7 +470,7 @@ def corollary2_holds(ens: LinearEnsemble, rows: Mapping[NodeId, list], mi: int,
     if len(s) < p.ri:
         raise ValueError("S must have at least ri nodes")
     whole = _h_rows(ens.packing, rows, s)
-    mn = _min_h(ens.packing, rows, s, p.ri, whole=whole)
+    mn = _min_h(ens.packing, rows, s, p.ri, {len(s): whole})
     return mi <= mn and mn * len(s) <= p.ri * whole
 
 

@@ -340,8 +340,8 @@ def test_ratio_bounds_match_fraction_arithmetic(medium, monkeypatch):
             return sum(h + v.index % 2 for v in vs)
 
         monkeypatch.setattr(E, "_h_rows", fake_h)
-        monkeypatch.setattr(E, "_min_h", lambda pk, rows, pool, size, singles=None,
-                            whole=None: best if size else 0)
+        monkeypatch.setattr(E, "_min_h", lambda pk, rows, pool, size, held:
+                            best if size else 0)
         for b in range(2, 5):
             singles = fake_h(None, None, nodes[:b])
             for a in range(b + 1):
@@ -638,8 +638,8 @@ def test_oracle_ranks_match_plain_elimination(q, monkeypatch):
         used.append(("mi", rows_mi(f, rows, a, b)))
         return used[-1][1]
 
-    def recording_min(f, rows, pool, size, singles=None, whole=None):
-        minima.append((list(pool), size, min_h(f, rows, pool, size, singles, whole)))
+    def recording_min(f, rows, pool, size, held):
+        minima.append((list(pool), size, min_h(f, rows, pool, size, held)))
         return minima[-1][2]
 
     monkeypatch.setattr(E, "_h_rows", recording_h)
@@ -703,10 +703,10 @@ def test_reused_values_match_plain_path_on_grids(grid, monkeypatch):
     brute, min_h = E._min_h_rows, E._min_h
     minima = []
 
-    def checked_min_h(pk, rows, pool, size, singles=None, whole=None):
-        got = min_h(pk, rows, pool, size, singles, whole)
-        assert got == brute(pk, rows, pool, size), (pool, size, singles, whole)
-        minima.append((size, singles is not None, whole is not None))
+    def checked_min_h(pk, rows, pool, size, held):
+        got = min_h(pk, rows, pool, size, held)
+        assert got == brute(pk, rows, pool, size), (pool, size, held)
+        minima.append((size, len(pool), tuple(sorted(held))))
         return got
 
     monkeypatch.setattr(E, "_min_h", checked_min_h)
@@ -750,6 +750,7 @@ def test_reused_values_match_plain_path_on_grids(grid, monkeypatch):
                 splits += want.count(False)
     # Both reuses were exercised, and so was a 2-subset minimum searched
     # with the singles at hand; some planted split failed.
-    assert {(1, True, False), (2, True, False)} <= set(minima)
-    assert any(size > 1 and whole for size, _, whole in minima)
+    assert any(size == 1 and held == (1,) for size, _, held in minima)
+    assert any(size == n > 1 and held == (n,) for size, n, held in minima)
+    assert any(size == 2 < n and held == (1,) for size, n, held in minima)
     assert splits > 0
